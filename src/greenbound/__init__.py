@@ -2,15 +2,18 @@
 
 from .bounds import (
     BoundParams,
+    EnvelopeTable,
     QtdsParams,
-    bessel_k_half,
     conv_power_closed,
     conv_power_poly,
     entrywise_bound,
+    envelope_table,
     h_eval,
     qtds18_bound,
+    qtds18_grid,
     triangular_bound,
     van_loan_bound,
+    van_loan_grid,
 )
 from .errors import (
     ConvergenceFailure,
@@ -44,6 +47,8 @@ from .matcore import (
 )
 from .oracles import (
     ContourSpec,
+    bessel_k_half,
+    conv_power_bessel,
     conv_power_numeric,
     green_contour,
     perturbation_residual,

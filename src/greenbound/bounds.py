@@ -6,12 +6,22 @@ The central quantity is the two-sided exponential envelope
            exp( gamma_plus * t)   for t <= 0,
 
 whose k-fold self-convolution h^{*k} has an exact closed form: h(t) times a
-polynomial of degree k-1 in |t|.  The same quantity can be written with a
-modified Bessel function of the second kind of half-integer order; both paths
-are implemented and must agree, but the polynomial is authoritative (the
-Bessel prefactor is 0/0 at t = 0 and overflows for large gamma*|t|).
+polynomial of degree k-1 in |t|.
 
-Bounds provided:
+Every bound is a sum over k of envelope weights W[t, k] times a power of a
+norm or matrix, so the whole family reads one table (``EnvelopeTable``) built
+once per grid of times:
+
+  * two-sided spectra:  W[t, k] = h^{*(k+1)}(t);
+  * one-sided spectra:  W[t, k] = h(t) |t|^k / k!  (zero on the side with no
+    spectrum).
+
+The table holds each weight as mantissa * 2**exponent, built by recurrences
+over k with exact power-of-two rescaling, so no intermediate overflows: a
+bound whose true value fits in a float comes out finite, and one that does
+not comes out +inf.
+
+Bounds provided (each scalar function is a one-point view of the table):
   * triangular_bound  - sum_k ||N||^k h^{*(k+1)}(t), the main estimate for an
     upper triangular coefficient B = D + N;
   * entrywise_bound   - the same with |N|^k matrices instead of ||N||^k;
@@ -22,15 +32,26 @@ Bounds provided:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, Inapplicable, UndefinedAtZero
-from .matcore import abs_power, induced_norm, norm_kind, require_strictly_triangular
+# induced_norm is part of this module's namespace: perfbench/tracing.py
+# rebinds it here as in every module that imports it
+from .matcore import induced_norm, require_strictly_triangular  # noqa: F401
 
 INF = float("inf")
+LN2 = math.log(2.0)
+
+# Exponent standing in for a zero term: far below any float.
+_EXP_ZERO = -(1 << 20)
+# Exponent band width in matrix sums: n terms below 2**1000 cannot overflow.
+_BAND = 1000
+# Matrix entries per batch of stacked powers in matrix sums (1 MiB).
+_BATCH_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -76,39 +97,217 @@ def h_eval(t: float, gamma_minus: float, gamma_plus: float) -> float:
     return math.exp(gamma_plus * t)
 
 
-def bessel_k_half(m: int, x: float) -> float:
-    """K_{m+1/2}(x) via the exact finite sum for half-integer order."""
-    if x <= 0:
-        raise DomainError("bessel_k_half requires x > 0")
-    if m < 0:
-        raise DomainError("order index must be nonnegative")
-    total = 0.0
-    for j in range(m + 1):
-        total += (
-            math.factorial(m + j)
-            / (math.factorial(j) * math.factorial(m - j) * (2.0 * x) ** j)
-        )
-    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * total
+# --- numbers as mantissa * 2**exponent --------------------------------------
 
+def _ldexp(m, e):
+    """m * 2**e as floats: +inf above the float range, 0 below it."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(m, e)
+
+
+def _sum(m, e):
+    """Sum of m * 2**e over the last axis, as floats."""
+    top = np.where(m != 0, e, _EXP_ZERO).max(axis=-1)
+    return _ldexp(np.ldexp(m, e - top[..., None]).sum(axis=-1), top)
+
+
+def _exp(y):
+    """exp(y) as (mantissa, exponent), also far outside the float range."""
+    q = np.where(np.abs(y) > 700.0, np.rint(y / LN2), 0.0)
+    m, e = np.frexp(np.exp(y - q * LN2))
+    return m, e + q.astype(np.int64)
+
+
+def _cumprod(ratios):
+    """Prefix products prod_{j<k} ratios[j], k = 0..len(ratios)."""
+    m, e = [1.0], [0]
+    for r in ratios:
+        mant, shift = math.frexp(m[-1] * r)
+        m.append(mant)
+        e.append(e[-1] + shift)
+    return np.array(m), np.array(e, dtype=np.int64)
+
+
+def _powers(x: float, n: int):
+    """x**k for k < n."""
+    return _cumprod([float(x)] * (n - 1))
+
+
+def _prefix_sums(m, e):
+    """sum_{i<=k} m[i] * 2**e[i] for every k, each at its own scale."""
+    out_m, out_e = [], []
+    total, top = 0.0, _EXP_ZERO
+    for mi, ei in zip(m.tolist(), e.tolist()):
+        new_top = max(top, ei) if mi != 0 else top
+        total = (math.ldexp(total, top - new_top)
+                 + math.ldexp(mi, max(ei - new_top, _EXP_ZERO)))
+        top = new_top
+        out_m.append(total)
+        out_e.append(top)
+    return np.array(out_m), np.array(out_e, dtype=np.int64)
+
+
+# --- the envelope-weight table -----------------------------------------------
+
+def _series(u, n: int, gamma=None):
+    """f_k(u) for k < n on a 1-D grid u, as (mantissa, exponent), (T, n).
+
+    ``gamma=None`` gives the one-sided weights f_k = u^k / k!.  A finite
+    ``gamma`` gives the factor P_k(u) = h^{*(k+1)}(t) / h(t), u = |t|,
+
+        P_k(u) = sum_{j<=k} (k+j)! u^(k-j) / (k! j! (k-j)! gamma^j),
+
+    through the reverse-Bessel-polynomial recurrence
+
+        P_0 = 1,  P_1 = 2/gamma + u,
+        P_k = 2(2k-1)/(gamma k) P_{k-1} + u^2/(k(k-1)) P_{k-2}.
+
+    Every coefficient is nonnegative, so the forward recurrence loses no
+    accuracy; the carried values are rescaled by a power of two after every
+    step.
+    """
+    k = np.arange(1, n)[:, None]
+    if gamma is None:
+        a, b = u / k, None
+    else:
+        a = 2.0 * (2 * k - 1) / (gamma * k)
+        b = u * u / np.maximum(k * (k - 1), 1)
+        if n > 1:
+            b[0] = u  # P_1 = a_1 P_0 + u P_0
+    cur = prev = np.ones_like(u)
+    mants, shifts = [cur], [np.zeros(u.shape, dtype=np.int64)]
+    for j in range(n - 1):
+        nxt = a[j] * cur if b is None else a[j] * cur + b[j] * prev
+        nxt, shift = np.frexp(nxt)
+        if b is not None:
+            prev = np.ldexp(cur, -shift)
+        cur = nxt
+        mants.append(cur)
+        shifts.append(shift)
+    return np.array(mants).T, np.cumsum(np.array(shifts), axis=0).T
+
+
+def _matrix_powers(nabs):
+    """Yield nabs^k as (P, e), nabs^k = 2**e * P with max(P) in [0.5, 1],
+    for k = 0, 1, ... until the power vanishes, for a strictly upper
+    triangular nabs.
+
+    With r0 the first nonzero row and c1 - 1 the last nonzero column of
+    nabs, the k-th power is zero outside rows [r0, c1 - k) and columns
+    [r0 + k, c1), so each product multiplies only that block.
+    """
+    size = nabs.shape[0]
+    nonzero = nabs != 0
+    if not nonzero.any():
+        yield np.eye(size), 0
+        return
+    r0 = int(nonzero.any(axis=1).argmax())
+    c1 = size - int(nonzero.any(axis=0)[::-1].argmax())
+    step = math.frexp(float(nabs.max()))[1]
+    base = np.ldexp(nabs, -step)
+    power, e = np.eye(size), 0
+    for k in itertools.count():
+        yield power, e
+        lo, hi = r0 + k, c1 - k - 1  # rows of the next power: [r0, hi)
+        if hi <= r0:
+            return
+        nxt = np.zeros_like(power)
+        nxt[r0:hi, lo + 1:c1] = power[r0:hi, lo:c1] @ base[lo:c1, lo + 1:c1]
+        peak = float(nxt.max())
+        if peak == 0.0:
+            return
+        shift = math.frexp(peak)[1]
+        power, e = np.ldexp(nxt, -shift), e + step + shift
+
+
+@dataclass(frozen=True)
+class EnvelopeTable:
+    """Envelope weights W[t, k] = mant * 2**expo on a grid of times, k < n.
+
+    Built by ``envelope_table``; the methods sum the weights against powers
+    of a norm, arbitrary weights, or powers of a matrix.
+    """
+
+    mant: np.ndarray  # (T, n)
+    expo: np.ndarray  # (T, n) int64
+
+    def values(self) -> np.ndarray:
+        """W as floats (+inf where a weight exceeds the float range)."""
+        return _ldexp(self.mant, self.expo)
+
+    def dot(self, wm, we) -> np.ndarray:
+        """sum_k W[:, k] * wm[k] * 2**we[k], shape (T,)."""
+        return _sum(self.mant * wm, self.expo + we)
+
+    def series(self, x: float) -> np.ndarray:
+        """sum_k W[:, k] x^k for a scalar x >= 0, shape (T,)."""
+        return self.dot(*_powers(x, self.mant.shape[1]))
+
+    def matrix_series(self, nabs) -> np.ndarray:
+        """sum_k W[:, k] nabs^k for a nonnegative strictly upper triangular
+        nabs, shape (T, n, n).
+
+        Each power is formed once.  The weights times the power scales are
+        grouped into exponent bands of width 2**1000; a band's terms are
+        summed by one matrix product in its own scale and scaled back, so an
+        entry overflows to +inf only when its own value does.
+        """
+        count, terms = self.mant.shape
+        size = nabs.shape[0]
+        if not self.mant.any():
+            return np.zeros((count, size, size))
+        batch = max(1, _BATCH_ENTRIES // (size * size))
+        sums = {}
+        powers = _matrix_powers(nabs)
+        for start in range(0, terms, batch):
+            chunk = list(itertools.islice(powers, min(batch, terms - start)))
+            if not chunk:
+                break
+            ks = slice(start, start + len(chunk))
+            stacked = np.array([p.ravel() for p, _ in chunk])
+            x = self.expo[:, ks] + np.array([e for _, e in chunk])
+            band = np.maximum((x - 1) // _BAND, 0)
+            for b in np.unique(band):
+                coef = np.where(band == b,
+                                _ldexp(self.mant[:, ks], x - b * _BAND), 0.0)
+                acc = sums.setdefault(b, np.zeros((count, size * size)))
+                acc += coef @ stacked
+        total = sum(_ldexp(acc, b * _BAND) for b, acc in sums.items())
+        return total.reshape(count, size, size)
+
+
+def envelope_table(n: int, gamma_minus: float, gamma_plus: float,
+                   ts) -> EnvelopeTable:
+    """W[t, k], k < n, on a grid of times.
+
+    Two-sided spectra (both gaps finite) give h^{*(k+1)}(t).  With one gap
+    +inf the side it decays on gives h(t)|t|^k/k! and the other side 0; a
+    negative gap there gives the growing envelope e^{alpha t} of the Van
+    Loan bound.
+    """
+    ts = np.asarray(ts, dtype=float)
+    u = np.abs(ts)
+    gamma = gamma_minus + gamma_plus
+    fm, fe = _series(u, n, gamma if gamma < INF else None)
+    rate = np.where(ts >= 0, gamma_minus, gamma_plus)
+    live = rate < INF
+    hm, he = _exp(-np.where(live, rate, 0.0) * u)
+    return EnvelopeTable(fm * np.where(live, hm, 0.0)[:, None],
+                         fe + he[:, None])
+
+
+# --- public bounds -------------------------------------------------------------
 
 def conv_power_poly(k: int, u: float, gamma: float) -> float:
     """The degree-(k-1) polynomial factor P_{k-1}(u) of h^{*k}.
 
-    Coefficient of u^(k-1-j) is (k-1+j)! / ((k-1)! j! (k-1-j)! gamma^j);
-    Horner in u from the constant (j = k-1) term upward.  The leading
-    coefficient is 1/(k-1)!.
+    Coefficient of u^(k-1-j) is (k-1+j)! / ((k-1)! j! (k-1-j)! gamma^j); the
+    leading coefficient is 1/(k-1)!.  The empty polynomial (k < 1) is 0.
     """
-    km1 = k - 1
-    coeffs = [
-        math.factorial(km1 + j)
-        / (math.factorial(km1) * math.factorial(j) * math.factorial(km1 - j)
-           * gamma ** j)
-        for j in range(k)
-    ]
-    poly = 0.0
-    for c in coeffs:
-        poly = poly * u + c
-    return poly
+    if k < 1:
+        return 0.0
+    m, e = _series(np.array([float(u)]), k, gamma)
+    return float(_ldexp(m[0, -1], e[0, -1]))
 
 
 def conv_power_closed(
@@ -122,36 +321,21 @@ def conv_power_closed(
                      / ((k-1)! j! (k-1-j)! gamma^j),
 
     which is exact for every real t including 0.  ``method="bessel"``
-    evaluates the equivalent Bessel-product form (cross-check only; singular
-    at t = 0).
+    evaluates the equivalent Bessel-product form
+    (``oracles.conv_power_bessel``; cross-check only, singular at t = 0).
     """
     if k < 1:
         raise DomainError("convolution power must be >= 1")
     if gamma_minus <= 0 or gamma_plus <= 0 or gamma_minus == INF or gamma_plus == INF:
         raise DomainError("both gaps must be finite and positive")
-    gamma = gamma_minus + gamma_plus
-    at = abs(t)
-    hv = h_eval(t, gamma_minus, gamma_plus)
     if method == "poly":
-        return hv * conv_power_poly(k, at, gamma)
+        table = envelope_table(k, gamma_minus, gamma_plus, [t])
+        return float(table.values()[0, -1])
     if method == "bessel":
-        if at == 0:
-            raise DomainError("Bessel path is singular at t = 0")
-        x = 0.5 * gamma * at
-        return (
-            hv
-            * at ** (k - 1)
-            * math.sqrt(gamma * at)
-            * math.exp(x)
-            * bessel_k_half(k - 1, x)
-            / (math.sqrt(math.pi) * math.factorial(k - 1))
-        )
+        from .oracles import conv_power_bessel
+
+        return conv_power_bessel(k, t, gamma_minus, gamma_plus)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _one_sided_sum(n: int, norm_n: float, at: float) -> float:
-    """Truncated exponential series sum_{k<n} (||N|| |t|)^k / k!."""
-    return sum((norm_n * at) ** k / math.factorial(k) for k in range(n))
 
 
 def triangular_bound(params: BoundParams, t: float) -> float:
@@ -163,22 +347,8 @@ def triangular_bound(params: BoundParams, t: float) -> float:
     """
     if t == 0:
         raise UndefinedAtZero("bound undefined at t = 0")
-    gm, gp = params.gamma_minus, params.gamma_plus
-    at = abs(t)
-    if t > 0:
-        if gm == INF:  # no left spectrum: G vanishes for t > 0
-            return 0.0
-        if gp == INF:
-            return math.exp(-gm * t) * _one_sided_sum(params.n, params.norm_n, at)
-    else:
-        if gp == INF:
-            return 0.0
-        if gm == INF:
-            return math.exp(gp * t) * _one_sided_sum(params.n, params.norm_n, at)
-    return sum(
-        params.norm_n ** k * conv_power_closed(k + 1, t, gm, gp)
-        for k in range(params.n)
-    )
+    table = envelope_table(params.n, params.gamma_minus, params.gamma_plus, [t])
+    return float(table.series(params.norm_n)[0])
 
 
 def entrywise_bound(
@@ -192,35 +362,56 @@ def entrywise_bound(
     if t == 0:
         raise UndefinedAtZero("bound undefined at t = 0")
     strict = require_strictly_triangular(n_mat)
-    n = strict.shape[0]
-    nabs = np.abs(strict)
-    at = abs(t)
-    if t > 0 and gamma_minus == INF:
-        return np.zeros((n, n))
-    if t < 0 and gamma_plus == INF:
-        return np.zeros((n, n))
-    one_sided = (t > 0 and gamma_plus == INF) or (t < 0 and gamma_minus == INF)
-    hv = h_eval(t, 0.0 if gamma_minus == INF else gamma_minus,
-                0.0 if gamma_plus == INF else gamma_plus)
-    total = np.zeros((n, n))
-    power = np.eye(n)
-    for k in range(n):
-        if one_sided:
-            term = hv * at ** k / math.factorial(k)
-        else:
-            term = conv_power_closed(k + 1, t, gamma_minus, gamma_plus)
-        total += power * term
-        power = power @ nabs
-        if not power.any():
-            break
-    return total
+    table = envelope_table(strict.shape[0], gamma_minus, gamma_plus, [t])
+    return table.matrix_series(np.abs(strict))[0]
+
+
+def van_loan_grid(alpha: float, norm_n: float, n: int, ts) -> np.ndarray:
+    """van_loan_bound on a grid of times t >= 0."""
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts < 0):
+        raise DomainError("van_loan_bound requires t >= 0")
+    return envelope_table(n, -alpha, INF, ts).series(norm_n)
 
 
 def van_loan_bound(alpha: float, norm_n: float, n: int, t: float) -> float:
     """||e^{At}|| <= e^{alpha t} sum_{k<n} ||N t||^k / k!  for t >= 0."""
-    if t < 0:
-        raise DomainError("van_loan_bound requires t >= 0")
-    return math.exp(alpha * t) * _one_sided_sum(n, norm_n, t)
+    return float(van_loan_grid(alpha, norm_n, n, [t])[0])
+
+
+def _qtds_weights(outer: int, inner: int, two_a: float, gamma: float):
+    """w_p, p < outer, with qtds18 = sum_p w_p e^{-gap u} u^p / p!.
+
+    Summing the double series over p = j - i first gives
+    w_p = (2||A||)^p sum_{i < outer-p} C(inner+i-1, i) (2||A||/gamma)^(inner+i).
+    """
+    a = two_a / gamma
+    bm, be = _cumprod([(inner + i) / (i + 1) * a for i in range(outer - 1)])
+    am, ae = _powers(a, inner + 1)
+    sm, se = _prefix_sums(bm * am[-1], be + ae[-1])
+    pm, pe = _powers(two_a, outer)
+    return pm * sm[::-1], pe + se[::-1]
+
+
+def qtds18_grid(params: QtdsParams, ts) -> np.ndarray:
+    """qtds18_bound on a grid of nonzero times."""
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts == 0):
+        raise UndefinedAtZero("bound undefined at t = 0")
+    m, l = params.m, params.l
+    if m < 1 or l < 1:
+        raise Inapplicable("bound requires eigenvalues in both half-planes")
+    gamma = params.gamma
+    if not math.isfinite(gamma):
+        raise Inapplicable("bound requires finite gaps on both sides")
+    two_a = 2.0 * params.norm_a
+    out = np.empty(ts.shape)
+    for side, outer, inner, gap in ((ts > 0, m, l, params.gamma_minus),
+                                    (ts < 0, l, m, params.gamma_plus)):
+        if side.any():
+            table = envelope_table(outer, gap, INF, np.abs(ts[side]))
+            out[side] = table.dot(*_qtds_weights(outer, inner, two_a, gamma))
+    return out
 
 
 def qtds18_bound(params: QtdsParams, t: float) -> float:
@@ -231,41 +422,4 @@ def qtds18_bound(params: QtdsParams, t: float) -> float:
             t^{j-i}/(j-i)! (2||A||)^{l+j} / gamma^{l+i}
     and the mirrored formula (m <-> l, t -> -t) for t < 0.
     """
-    if t == 0:
-        raise UndefinedAtZero("bound undefined at t = 0")
-    m, l = params.m, params.l
-    if m < 1 or l < 1:
-        raise Inapplicable("bound requires eigenvalues in both half-planes")
-    gamma = params.gamma
-    if not math.isfinite(gamma):
-        raise Inapplicable("bound requires finite gaps on both sides")
-    two_a = 2.0 * params.norm_a
-    if t > 0:
-        outer, inner, gap = m, l, params.gamma_minus
-        u = t
-    else:
-        outer, inner, gap = l, m, params.gamma_plus
-        u = -t
-    total = 0.0
-    for j in range(outer):
-        for i in range(j + 1):
-            total += (
-                math.comb(inner + i - 1, inner - 1)
-                * u ** (j - i) / math.factorial(j - i)
-                * two_a ** (inner + j) / gamma ** (inner + i)
-            )
-    return math.exp(-gap * u) * total
-
-
-def bound_params_for(b, p, gamma_minus: float, gamma_plus: float) -> BoundParams:
-    """Assemble BoundParams for a triangular matrix B = D + N in norm p."""
-    from .matcore import split_triangular
-
-    _, n_mat = split_triangular(b)
-    return BoundParams(
-        n=n_mat.shape[0],
-        norm_n=induced_norm(n_mat, p),
-        gamma_minus=gamma_minus,
-        gamma_plus=gamma_plus,
-        norm_p=norm_kind(p),
-    )
+    return float(qtds18_grid(params, [t])[0])

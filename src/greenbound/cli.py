@@ -6,30 +6,32 @@ times exclude 0: a range straddling 0 is laid out as two symmetric-log
 half-grids (per-side magnitudes log-spaced over two decades).
 
 Exit codes: 0 ok, 1 parse/usage error, 2 ill-posed spectrum, 3 invalid gap
-override, 4 domination violation (check).
+override, 4 domination violation (check), 5 any other library failure (a
+GreenboundError such as ConvergenceFailure).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from functools import cached_property
 
 import numpy as np
 
 from . import bounds as bnd
-from .errors import NotTriangular, SpectrumOnAxis
+from .errors import GreenboundError, NotTriangular, SpectrumOnAxis
 from .green import GreenKernel, SpectralSplit, spectral_gaps
 from .matcore import induced_norm, norm_kind, split_triangular
 from .schur import schur_decompose
 
 INF = float("inf")
 
-COLUMNS = (
-    "t", "exact_norm", "bound_triangular", "bound_entrywise_norm",
-    "bound_vanloan", "bound_qtds18", "ratio_triangular",
+BOUND_COLUMNS = (
+    "bound_triangular", "bound_entrywise_norm", "bound_vanloan",
+    "bound_qtds18",
 )
+COLUMNS = ("t", "exact_norm") + BOUND_COLUMNS + ("ratio_triangular",)
 
 
 class CliError(Exception):
@@ -94,7 +96,13 @@ def _fmt(x) -> str:
 
 
 class Problem:
-    """Matrix plus derived data shared by the tabulating subcommands."""
+    """Matrix plus derived data shared by the tabulating subcommands.
+
+    ``tabulate`` computes each requested column once for the whole grid and
+    ``row(i)`` reads grid point i back out of the columns.  The kernel, the
+    norms and the bound tables are built on first use, so a command computes
+    only what it prints.
+    """
 
     def __init__(self, a: np.ndarray, p, gm_override=None, gp_override=None):
         self.original = a
@@ -119,14 +127,11 @@ class Problem:
         except SpectrumOnAxis as exc:
             raise CliError(2, str(exc)) from exc
         self.split = self._apply_overrides(gm_override, gp_override)
-        self.kernel = GreenKernel(self.tri, split=self.max_split)
-        _, n_mat = split_triangular(self.tri)
-        self.norm_n = induced_norm(n_mat, self.p)
-        self.n_mat = n_mat
-        self.d_mat = self.tri - n_mat
+        _, self.n_mat = split_triangular(self.tri)
         self.n = self.tri.shape[0]
-        self.norm_a = induced_norm(self.tri, self.p)
         self.min_re = float(np.diag(self.tri).real.min())
+        self.grid = None
+        self.columns = {}
 
     def _apply_overrides(self, gm, gp) -> SpectralSplit:
         ms = self.max_split
@@ -143,33 +148,72 @@ class Problem:
             )
         return SpectralSplit(gm, gp, ms.alpha, ms.m, ms.l)
 
-    def row(self, t: float) -> dict:
+    @cached_property
+    def kernel(self) -> GreenKernel:
+        return GreenKernel(self.tri, split=self.max_split)
+
+    @cached_property
+    def norm_n(self) -> float:
+        return induced_norm(self.n_mat, self.p)
+
+    @cached_property
+    def table(self) -> bnd.EnvelopeTable:
         s = self.split
-        exact = induced_norm(self.kernel.at(t), self.p)
-        params = bnd.BoundParams(self.n, self.norm_n, s.gamma_minus,
-                                 s.gamma_plus, self.p)
-        tri = bnd.triangular_bound(params, t)
-        entry = None
-        if self.was_triangular and self.p in (1, INF):
-            mat = bnd.entrywise_bound(self.d_mat, self.n_mat,
-                                      s.gamma_minus, s.gamma_plus, t)
-            entry = induced_norm(mat, self.p)
-        vl = None
-        if s.l == 0 and t > 0:
-            vl = bnd.van_loan_bound(s.alpha, self.norm_n, self.n, t)
-        elif s.m == 0 and t < 0:
-            vl = bnd.van_loan_bound(-self.min_re, self.norm_n, self.n, -t)
-        qt = None
-        if s.m >= 1 and s.l >= 1:
-            qp = bnd.QtdsParams(self.norm_a, s.m, s.l,
-                                s.gamma_minus, s.gamma_plus)
-            qt = bnd.qtds18_bound(qp, t)
-        ratio = tri / exact if exact > 0 else None
-        return {
-            "t": t, "exact_norm": exact, "bound_triangular": tri,
-            "bound_entrywise_norm": entry, "bound_vanloan": vl,
-            "bound_qtds18": qt, "ratio_triangular": ratio,
-        }
+        return bnd.envelope_table(self.n, s.gamma_minus, s.gamma_plus, self.grid)
+
+    @cached_property
+    def entrywise(self) -> np.ndarray:
+        """sum_k W[t, k] |N|^k for every grid time, shape (T, n, n)."""
+        return self.table.matrix_series(np.abs(self.n_mat))
+
+    def _exact_norm(self) -> list:
+        return [induced_norm(self.kernel.at(t), self.p) for t in self.grid]
+
+    def _bound_triangular(self) -> np.ndarray:
+        return self.table.series(self.norm_n)
+
+    def _bound_entrywise_norm(self):
+        if not (self.was_triangular and self.p in (1, INF)):
+            return [None] * len(self.grid)
+        return self.entrywise.sum(axis=2 if self.p == INF else 1).max(axis=1)
+
+    def _bound_vanloan(self) -> list:
+        s, grid = self.split, self.grid
+        col = [None] * len(grid)
+        if s.l == 0:
+            side, alpha, ts = grid > 0, s.alpha, grid
+        elif s.m == 0:
+            side, alpha, ts = grid < 0, -self.min_re, -grid
+        else:
+            return col
+        values = bnd.van_loan_grid(alpha, self.norm_n, self.n, ts[side])
+        for i, v in zip(np.flatnonzero(side), values):
+            col[i] = v
+        return col
+
+    def _bound_qtds18(self):
+        s = self.split
+        if s.m < 1 or s.l < 1:
+            return [None] * len(self.grid)
+        norm_a = induced_norm(self.tri, self.p)
+        qp = bnd.QtdsParams(norm_a, s.m, s.l, s.gamma_minus, s.gamma_plus)
+        return bnd.qtds18_grid(qp, self.grid)
+
+    def _ratio_triangular(self) -> list:
+        cols = self.columns
+        return [tri / exact if exact > 0 else None
+                for tri, exact in zip(cols["bound_triangular"],
+                                      cols["exact_norm"])]
+
+    def tabulate(self, grid: np.ndarray, names) -> None:
+        """Compute the named columns (in order) on the grid."""
+        self.grid = grid
+        self.columns = {"t": grid}
+        for name in names:
+            self.columns[name] = getattr(self, "_" + name)()
+
+    def row(self, i: int) -> dict:
+        return {name: col[i] for name, col in self.columns.items()}
 
 
 def _write_rows(rows, columns, output):
@@ -244,46 +288,42 @@ def _grid_problem(args):
     return problem, grid
 
 
-def cmd_exact(args) -> int:
+def _tabulate(args, columns) -> int:
     problem, grid = _grid_problem(args)
-    rows = [problem.row(t) for t in grid]
-    _write_rows(rows, ("t", "exact_norm"), args.output)
+    problem.tabulate(grid, columns[1:])
+    rows = [problem.row(i) for i in range(len(grid))]
+    _write_rows(rows, columns, args.output)
     return 0
+
+
+def cmd_exact(args) -> int:
+    return _tabulate(args, ("t", "exact_norm"))
 
 
 def cmd_bound(args) -> int:
-    problem, grid = _grid_problem(args)
-    rows = [problem.row(t) for t in grid]
     if args.bound == "all":
-        cols = ("t", "bound_triangular", "bound_entrywise_norm",
-                "bound_vanloan", "bound_qtds18")
-    else:
-        cols = ("t", {
-            "triangular": "bound_triangular",
-            "entrywise": "bound_entrywise_norm",
-            "vanloan": "bound_vanloan",
-            "qtds18": "bound_qtds18",
-        }[args.bound])
-    _write_rows(rows, cols, args.output)
-    return 0
+        return _tabulate(args, ("t",) + BOUND_COLUMNS)
+    return _tabulate(args, ("t", {
+        "triangular": "bound_triangular",
+        "entrywise": "bound_entrywise_norm",
+        "vanloan": "bound_vanloan",
+        "qtds18": "bound_qtds18",
+    }[args.bound]))
 
 
 def cmd_compare(args) -> int:
-    problem, grid = _grid_problem(args)
-    rows = [problem.row(t) for t in grid]
-    _write_rows(rows, COLUMNS, args.output)
-    return 0
+    return _tabulate(args, COLUMNS)
 
 
 def cmd_check(args) -> int:
     problem, grid = _grid_problem(args)
     scale = args.bound_scale
-    s = problem.split
-    for t in grid:
-        row = problem.row(t)
-        exact = row["exact_norm"]
-        for col in ("bound_triangular", "bound_entrywise_norm",
-                    "bound_vanloan", "bound_qtds18"):
+    problem.tabulate(grid, BOUND_COLUMNS)
+    for k, t in enumerate(grid):
+        g = problem.kernel.at(t)
+        exact = induced_norm(g, problem.p)
+        row = problem.row(k)
+        for col in BOUND_COLUMNS:
             bound = row[col]
             if bound is None:
                 continue
@@ -296,9 +336,8 @@ def cmd_check(args) -> int:
         if problem.was_triangular:
             # the entrywise inequality holds entry by entry; checking it
             # directly makes corrupted bounds detectable on every matrix
-            abs_g = np.abs(problem.kernel.at(t))
-            ew = bnd.entrywise_bound(problem.d_mat, problem.n_mat,
-                                     s.gamma_minus, s.gamma_plus, t)
+            abs_g = np.abs(g)
+            ew = problem.entrywise[k]
             bad = abs_g > ew * scale + 1e-10
             if np.any(bad):
                 i, j = np.argwhere(bad)[0]
@@ -332,6 +371,10 @@ def main(argv=None) -> int:
     except SpectrumOnAxis as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except GreenboundError as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Independent brute-force computations backing the closed forms.
 
 Nothing here shares a code path with the quantities it checks: convolution
-powers are computed by grid convolution, the Green's function by resolvent
-contour quadrature, and the perturbation identity by direct quadrature with
-an eigendecomposition-based kernel evaluator.
+powers are computed by grid convolution and by the Bessel-product form, the
+Green's function by resolvent contour quadrature, and the perturbation
+identity by direct quadrature with an eigendecomposition-based kernel
+evaluator.
 """
 
 from __future__ import annotations
@@ -15,9 +16,49 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.signal import fftconvolve
 
-from .errors import SingularResolvent
+from .bounds import h_eval
+from .errors import DomainError, SingularResolvent
 from .green import GreenKernel, QuadSpec, _panel_nodes, spectral_gaps_from_eigenvalues
 from .matcore import as_matrix, induced_norm
+
+
+def bessel_k_half(m: int, x: float) -> float:
+    """K_{m+1/2}(x) via the exact finite sum for half-integer order."""
+    if x <= 0:
+        raise DomainError("bessel_k_half requires x > 0")
+    if m < 0:
+        raise DomainError("order index must be nonnegative")
+    total = 0.0
+    for j in range(m + 1):
+        total += (
+            math.factorial(m + j)
+            / (math.factorial(j) * math.factorial(m - j) * (2.0 * x) ** j)
+        )
+    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * total
+
+
+def conv_power_bessel(k: int, t: float, gamma_minus: float, gamma_plus: float) -> float:
+    """h^{*k}(t) from the Bessel-product form
+
+        h(t) |t|^(k-1) sqrt(gamma |t|) e^x K_{k-1/2}(x) / (sqrt(pi) (k-1)!),
+        x = gamma |t| / 2.
+
+    Cross-check of the closed form only: singular at t = 0, and the
+    prefactor overflows for large gamma |t|.
+    """
+    at = abs(t)
+    if at == 0:
+        raise DomainError("Bessel path is singular at t = 0")
+    gamma = gamma_minus + gamma_plus
+    x = 0.5 * gamma * at
+    return (
+        h_eval(t, gamma_minus, gamma_plus)
+        * at ** (k - 1)
+        * math.sqrt(gamma * at)
+        * math.exp(x)
+        * bessel_k_half(k - 1, x)
+        / (math.sqrt(math.pi) * math.factorial(k - 1))
+    )
 
 
 def default_conv_quad(gamma_minus: float, gamma_plus: float, t_max: float = 10.0) -> QuadSpec:

@@ -1,7 +1,10 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 from greenbound import (
     BoundParams,
@@ -11,9 +14,11 @@ from greenbound import (
     QtdsParams,
     UndefinedAtZero,
     bessel_k_half,
+    conv_power_bessel,
     conv_power_closed,
     conv_power_poly,
     entrywise_bound,
+    envelope_table,
     h_eval,
     qtds18_bound,
     triangular_bound,
@@ -91,7 +96,7 @@ def test_conv_power_bessel_agrees_with_poly():
             for gm, gp in ((0.5, 0.5), (0.3, 1.1), (2.0, 0.25)):
                 t = x / (gm + gp)
                 a = conv_power_closed(k, t, gm, gp, "poly")
-                b = conv_power_closed(k, t, gm, gp, "bessel")
+                b = conv_power_bessel(k, t, gm, gp)
                 assert b == pytest.approx(a, rel=1e-10)
 
 
@@ -215,3 +220,153 @@ def test_qtds18_inapplicable():
         qtds18_bound(QtdsParams(1.0, 0, 2, INF, 1.0), 1.0)
     with pytest.raises(UndefinedAtZero):
         qtds18_bound(QtdsParams(1.0, 1, 1, 1.0, 1.0), 0.0)
+
+
+# --- the envelope table against exact arithmetic ---------------------------
+
+def exact_weight_factor(k, u, gamma):
+    """W[t, k] / h(t) in exact rationals: h^{*(k+1)} / h for a finite gamma,
+    u^k / k! for a one-sided spectrum (gamma None)."""
+    u = Fraction(u)
+    if gamma is None:
+        return u ** k / math.factorial(k)
+    g = Fraction(gamma)
+    # (k+j)! / (k! j! (k-j)!) = C(k+j, j) / (k-j)!
+    return sum(Fraction(math.comb(k + j, j), math.factorial(k - j))
+               * u ** (k - j) / g ** j for j in range(k + 1))
+
+
+@pytest.mark.parametrize("gm,gp", [
+    (0.2, 0.3), (1.0, 5.0), (1e-3, 2e-3),  # two-sided, near-axis
+    (0.4, INF), (INF, 0.7), (1e-3, INF),   # one-sided mirrors
+])
+@pytest.mark.parametrize("n", [1, 7, 60])
+def test_envelope_table_matches_exact_reference(n, gm, gp):
+    ts = np.array([-10.0, -2.5, -0.1, 0.01, 0.3, 1.7, 10.0])
+    table = envelope_table(n, gm, gp, ts)
+    got = table.values()
+    gamma = gm + gp if math.isfinite(gm + gp) else None
+    for i, t in enumerate(ts):
+        rate = gm if t > 0 else gp
+        if rate == INF:
+            assert np.all(got[i] == 0.0)
+            continue
+        h = math.exp(-rate * abs(t))
+        factors = [exact_weight_factor(k, abs(t), gamma) for k in range(n)]
+        want = np.array([float(f) * h for f in factors])
+        np.testing.assert_allclose(got[i], want, rtol=1e-13, atol=0.0)
+        for norm_n in (0.3, 7.0):
+            series = float(sum(Fraction(norm_n) ** k * f
+                               for k, f in enumerate(factors))) * h
+            assert table.series(norm_n)[i] == pytest.approx(series, rel=1e-13)
+            params = BoundParams(n, norm_n, gm, gp)
+            assert triangular_bound(params, float(t)) == pytest.approx(
+                series, rel=1e-13)
+
+
+# --- large n: finite where the value fits, +inf where it does not ------------
+
+LOG_MAX = math.log(np.finfo(float).max)
+TINY = np.finfo(float).tiny  # smallest normal float
+LARGE_SPECTRA = {"two-sided": (0.2, 0.3), "one-sided": (0.2, INF),
+                 "mirrored": (INF, 0.3)}
+
+
+def assert_matches_log(value, log_ref):
+    """value == exp(log_ref) to 1e-9 relative, +inf above the float range,
+    and below the smallest normal float at most that."""
+    assert not math.isnan(value)
+    if log_ref > LOG_MAX + 1e-6:
+        assert value == INF
+    elif log_ref < math.log(TINY):
+        assert 0.0 <= value <= TINY
+    else:
+        assert math.isfinite(value) and value > 0
+        assert math.log(value) == pytest.approx(log_ref, abs=1e-9)
+
+
+def log_triangular(n, norm_n, gm, gp, t):
+    """log sum_k ||N||^k W[t, k] from the explicit double sum."""
+    u = abs(t)
+    rate, other = (gm, gp) if t > 0 else (gp, gm)
+    k = np.arange(n)
+    if other == INF:
+        terms = k * math.log(norm_n * u) - gammaln(k + 1)
+    else:
+        kk, jj = np.tril_indices(n)
+        terms = (kk * math.log(norm_n) + gammaln(kk + jj + 1)
+                 - gammaln(kk + 1) - gammaln(jj + 1) - gammaln(kk - jj + 1)
+                 - jj * math.log(gm + gp) + (kk - jj) * math.log(u))
+    return -rate * u + logsumexp(terms)
+
+
+def log_qtds18(norm_a, m, l, gm, gp, t):
+    """log of the qtds18 double sum, term by term."""
+    outer, inner, gap = (m, l, gm) if t > 0 else (l, m, gp)
+    u = abs(t)
+    jj, ii = np.tril_indices(outer)
+    terms = (gammaln(inner + ii) - gammaln(inner) - gammaln(ii + 1)
+             + (jj - ii) * math.log(u) - gammaln(jj - ii + 1)
+             + (inner + jj) * math.log(2.0 * norm_a)
+             - (inner + ii) * math.log(gm + gp))
+    return -gap * u + logsumexp(terms)
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_SPECTRA))
+@pytest.mark.parametrize("n", [100, 200, 500])
+def test_triangular_and_van_loan_large_n(n, kind):
+    gm, gp = LARGE_SPECTRA[kind]
+    for norm_n in (1e-2, 1.0, 1e3):
+        params = BoundParams(n, norm_n, gm, gp)
+        for t in (-10.0, -0.1, 0.1, 10.0):
+            value = triangular_bound(params, t)
+            if (gm if t > 0 else gp) == INF:
+                assert value == 0.0
+            else:
+                assert_matches_log(value, log_triangular(n, norm_n, gm, gp, t))
+        for alpha in (-0.2, 0.5):
+            for t in (0.1, 10.0):
+                k = np.arange(n)
+                log_ref = alpha * t + logsumexp(k * math.log(norm_n * t)
+                                                - gammaln(k + 1))
+                assert_matches_log(van_loan_bound(alpha, norm_n, n, t), log_ref)
+
+
+@pytest.mark.parametrize("n", [100, 200, 500])
+def test_qtds18_large_n(n):
+    gm, gp = LARGE_SPECTRA["two-sided"]
+    for m in (1, n // 2, n - 1):
+        for norm_a in (1e-2, 1.0, 1e3):
+            params = QtdsParams(norm_a, m, n - m, gm, gp)
+            for t in (-10.0, -0.1, 0.1, 10.0):
+                assert_matches_log(qtds18_bound(params, t),
+                                   log_qtds18(norm_a, m, n - m, gm, gp, t))
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_SPECTRA))
+@pytest.mark.parametrize("n", [100, 200, 500])
+def test_entrywise_bound_large_n(n, kind):
+    gm, gp = LARGE_SPECTRA[kind]
+    rng = np.random.default_rng(n)
+    # at n = 500 only a trailing block is coupled, which keeps the matrix
+    # powers cheap while the nilpotency index (180) stays large
+    block = n if n < 500 else 180
+    coupling = np.triu(rng.normal(size=(block, block)), 1)
+    # scale 1e-2 keeps every entry finite; at 1e2 most entries exceed the
+    # float range while the diagonal stays h(t)
+    for scale, t in itertools.product((1e-2, 1e2), (-2000.0, -0.5, 0.5, 2000.0)):
+        n_mat = np.zeros((n, n))
+        n_mat[n - block:, n - block:] = scale * coupling
+        norm_inf = np.abs(n_mat).sum(axis=1).max()
+        out = entrywise_bound(np.zeros((n, n)), n_mat, gm, gp, t)
+        assert not np.any(np.isnan(out))
+        assert np.all(out >= 0.0)
+        assert np.all(np.tril(out, -1) == 0.0)
+        rate = gm if t > 0 else gp
+        h = 0.0 if rate == INF else math.exp(-rate * abs(t))
+        np.testing.assert_allclose(np.diag(out), h, rtol=1e-14)
+        if scale < 1.0 and h > 0.0:
+            assert np.all(np.isfinite(out))
+        # ||sum_k W_k |N|^k||_inf <= sum_k W_k ||N||_inf^k
+        tri = triangular_bound(BoundParams(n, norm_inf, gm, gp), t)
+        assert out.sum(axis=1).max() <= tri * (1.0 + 1e-12)

@@ -2,13 +2,23 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import greenbound.bounds as bounds
+from greenbound import ConvergenceFailure, GreenKernel
 from greenbound.cli import main, make_grid
 
-from conftest import random_triangular, random_unitary
+from conftest import random_dense, random_triangular, random_unitary
+
+# `compare` CSV for the matrices used in this file, as printed by the
+# per-time bound evaluation that the envelope table replaced
+REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "cli_compare_reference.json").read_text()
+)
+REFERENCE_GRID = ("--t-min", "-3", "--t-max", "3", "--steps", "8")
 
 
 def write_matrix(path, a):
@@ -247,3 +257,96 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "gamma_minus=1" in proc.stdout
+
+
+def assert_rows_close(rows, expected, columns, rel):
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        for col in columns:
+            if want[col] is None:
+                assert row[col] is None
+            else:
+                assert row[col] == pytest.approx(want[col], rel=rel)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_tables_agree_with_reference(tmp_path, capsys, name):
+    ref = REFERENCE[name]
+    a = [[complex(re, im) for re, im in row] for row in ref["data"]]
+    path = write_matrix(tmp_path / "m.json", a)
+    for norm in ("inf", "2"):
+        header, expected = parse_csv("\n".join(ref[norm]))
+        code, out, _ = run_cli(capsys, "compare", path, "--norm", norm,
+                               *REFERENCE_GRID)
+        assert code == 0
+        got_header, rows = parse_csv(out)
+        assert got_header == header
+        assert_rows_close(rows, expected, header, rel=1e-13)
+        code, out, _ = run_cli(capsys, "bound", path, "--norm", norm,
+                               *REFERENCE_GRID)
+        assert code == 0
+        got_header, rows = parse_csv(out)
+        assert got_header == ["t"] + [c for c in header if c.startswith("bound_")]
+        assert_rows_close(rows, expected, got_header, rel=1e-13)
+        code, out, _ = run_cli(capsys, "check", path, "--norm", norm,
+                               *REFERENCE_GRID)
+        assert (code, out) == (0, "ok\n")
+
+
+def test_check_large_triangular(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    path = write_matrix(tmp_path / "m.json", random_triangular(rng, 200))
+    code, out, _ = run_cli(
+        capsys, "check", path, "--norm", "inf", "--t-min", "-10",
+        "--t-max", "10", "--steps", "6",
+    )
+    assert code == 0
+    assert out == "ok\n"
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("computed something the command does not print")
+
+
+def test_each_command_computes_only_what_it_prints(tmp_path, capsys,
+                                                   monkeypatch):
+    rng = np.random.default_rng(43)
+    path = write_matrix(tmp_path / "m.json", random_triangular(rng, 4))
+    grid = ("--t-min", "-2", "--t-max", "2", "--steps", "6", "--norm", "inf")
+    with monkeypatch.context() as m:
+        for name in ("envelope_table", "van_loan_grid", "qtds18_grid"):
+            m.setattr(bounds, name, _forbidden)
+        code, out, _ = run_cli(capsys, "exact", path, *grid)
+        assert code == 0 and len(out.splitlines()) == 7
+    with monkeypatch.context() as m:
+        m.setattr(GreenKernel, "__init__", _forbidden)
+        m.setattr(GreenKernel, "at", _forbidden)
+        code, out, _ = run_cli(capsys, "bound", path, *grid)
+        assert code == 0 and len(out.splitlines()) == 7
+        m.setattr(bounds.EnvelopeTable, "matrix_series", _forbidden)
+        code, _, _ = run_cli(capsys, "bound", path, "--bound", "triangular",
+                             *grid)
+        assert code == 0
+    calls = []
+    real_at = GreenKernel.at
+    with monkeypatch.context() as m:
+        m.setattr(GreenKernel, "at",
+                  lambda self, t: calls.append(t) or real_at(self, t))
+        code, out, _ = run_cli(capsys, "check", path, *grid)
+        assert (code, out) == (0, "ok\n")
+    assert len(calls) == len(set(calls)) == 6
+
+
+def test_exit_code_library_failure(tmp_path, capsys, monkeypatch):
+    def no_convergence(a):
+        raise ConvergenceFailure("QR iteration did not converge\nin 30 steps")
+
+    monkeypatch.setattr("greenbound.cli.schur_decompose", no_convergence)
+    rng = np.random.default_rng(47)
+    path = write_matrix(tmp_path / "a.json", random_dense(rng, 3))
+    for command in ("gaps", "exact"):
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "did not converge" in err
