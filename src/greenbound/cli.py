@@ -262,12 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gaps(args) -> int:
-    a = load_matrix(args.matrix)
-    try:
-        d, n_mat = split_triangular(a)
-        tri = d + n_mat
-    except NotTriangular:
-        tri = schur_decompose(a).t
+    tri = schur_decompose(load_matrix(args.matrix)).t
     try:
         s = spectral_gaps(tri)
     except SpectrumOnAxis as exc:

@@ -14,7 +14,7 @@ squaring with a degree-13 Pade approximant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,29 +153,19 @@ def matrix_exp(a) -> np.ndarray:
     return r
 
 
-@dataclass
 class GreenKernel:
     """Green's function evaluator for a fixed coefficient matrix.
 
-    Precomputes the spectral projectors once; evaluations at distinct times
-    are independent.  The optional exponential memo trades memory for speed on
-    repeated grids; disable it (``cache=False``) under concurrent use.
+    Precomputes the spectral projectors once and keeps no other state, so
+    evaluations at distinct times are independent and every call returns a
+    fresh array.
     """
 
-    a: np.ndarray
-    split: SpectralSplit = field(init=False)
-    p_minus: np.ndarray = field(init=False)
-    p_plus: np.ndarray = field(init=False)
-    cache: bool = True
-    _memo: dict = field(default_factory=dict, repr=False)
-
-    def __init__(self, a, split: SpectralSplit | None = None, cache: bool = True):
+    def __init__(self, a, split: SpectralSplit | None = None):
         self.a = as_matrix(a)
         if split is None:
             split = spectral_gaps_from_eigenvalues(np.linalg.eigvals(self.a))
         self.split = split
-        self.cache = cache
-        self._memo = {}
         if split.m == 0:
             self.p_minus = np.zeros_like(self.a)
             self.p_plus = np.eye(self.a.shape[0], dtype=complex)
@@ -185,15 +175,7 @@ class GreenKernel:
         else:
             self.p_minus, self.p_plus = spectral_projectors(self.a)
 
-    def expm_at(self, t: float) -> np.ndarray:
-        if self.cache and t in self._memo:
-            return self._memo[t]
-        e = matrix_exp(self.a * t)
-        if self.cache:
-            self._memo[t] = e
-        return e
-
-    def _exp_projected(self, t: float, p: np.ndarray, side: str) -> np.ndarray:
+    def _exp_projected(self, t: float, p: np.ndarray) -> np.ndarray:
         """e^{At} P for an A-commuting spectral projector P.
 
         Plain matrix_exp(A t) @ P cancels catastrophically once the discarded
@@ -201,24 +183,19 @@ class GreenKernel:
         argument and reproject after every squaring; the retained modes decay
         and the contamination of the others cannot amplify.
         """
-        key = (side, t)
-        if self.cache and key in self._memo:
-            return self._memo[key]
         norm = induced_norm(self.a, np.inf) * abs(t)
         s = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
         r = matrix_exp(self.a * (t / 2.0 ** s)) @ p
         for _ in range(s):
             r = p @ (r @ r)
-        if self.cache:
-            self._memo[key] = r
         return r
 
     def at(self, t: float) -> np.ndarray:
         if t == 0:
             raise UndefinedAtZero("Green's function is undefined at t = 0")
         if t > 0:
-            return self._exp_projected(t, self.p_minus, "-")
-        return -self._exp_projected(t, self.p_plus, "+")
+            return self._exp_projected(t, self.p_minus)
+        return -self._exp_projected(t, self.p_plus)
 
 
 def green_function(a, t: float) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Complex Schur decomposition A = Q T Q^H.
 
-Two-stage algorithm: Householder reduction to upper Hessenberg form followed
-by single-shift QR iteration with Wilkinson shifts and standard relative
-deflation.  Everything is complex throughout, so no 2x2 real blocks arise.
+Already-triangular inputs take a fast path with Q = I.  Everything else goes
+to LAPACK through ``scipy.linalg.schur`` (Hessenberg reduction plus shifted
+QR); the complex output has no 2x2 real blocks.  A Schur form is unique only
+up to the order of the eigenvalues on the diagonal of T, and LAPACK's order
+is the one returned.
 """
 
 from __future__ import annotations
@@ -10,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConvergenceFailure, NotTriangular
 from .matcore import as_matrix, induced_norm, split_triangular
-
-DEFLATION_FACTOR = 1e-14
-MAX_SWEEPS_PER_N = 60
 
 
 @dataclass(frozen=True)
@@ -36,123 +36,26 @@ class SchurForm:
 
 def hessenberg(a) -> tuple[np.ndarray, np.ndarray]:
     """Reduce A to upper Hessenberg H with unitary Q0, A = Q0 H Q0^H."""
-    h = as_matrix(a).copy()
-    n = h.shape[0]
-    q = np.eye(n, dtype=complex)
-    for k in range(n - 2):
-        x = h[k + 1:, k]
-        xnorm = np.linalg.norm(x)
-        if xnorm == 0.0:
-            continue
-        alpha = -(x[0] / abs(x[0]) if x[0] != 0 else 1.0) * xnorm
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        # apply the reflector I - 2 v v^H from both sides
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
-        q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, v.conj())
-    if n > 2:
-        h[np.tril_indices(n, -2)] = 0.0
+    h, q = scipy.linalg.hessenberg(as_matrix(a), calc_q=True)
     return q, h
 
 
-def _givens(a: complex, b: complex) -> tuple[float, complex]:
-    """Unitary [[c, s], [-conj(s), c]] with c real zeroing b in (a, b)^T."""
-    if b == 0:
-        return 1.0, 0.0 + 0.0j
-    r = np.hypot(abs(a), abs(b))
-    if a == 0:
-        return 0.0, np.conj(b) / abs(b)
-    alpha = a / abs(a)
-    return abs(a) / r, alpha * np.conj(b) / r
-
-
-def _wilkinson_shift(block: np.ndarray) -> complex:
-    """Eigenvalue of the trailing 2x2 block closest to its (1,1) entry."""
-    a, b = block[0, 0], block[0, 1]
-    c, d = block[1, 0], block[1, 1]
-    tr2 = (a + d) / 2.0
-    disc = np.sqrt(((a - d) / 2.0) ** 2 + b * c + 0j)
-    lam1, lam2 = tr2 + disc, tr2 - disc
-    return lam1 if abs(lam1 - d) <= abs(lam2 - d) else lam2
-
-
-def _subdiag_tol(h: np.ndarray, i: int) -> float:
-    t = DEFLATION_FACTOR * (abs(h[i - 1, i - 1]) + abs(h[i, i]))
-    return max(t, 1e-150)
-
-
 def schur_decompose(a) -> SchurForm:
-    """Schur decomposition by Hessenberg reduction + shifted QR iteration.
+    """Schur decomposition of A; triangular inputs come back with Q = I.
 
-    Already-triangular inputs take a fast path with Q = I.
+    Raises ConvergenceFailure when LAPACK's QR iteration does not converge.
     """
     a = as_matrix(a)
-    n = a.shape[0]
     try:
         d, nil = split_triangular(a)
-        return SchurForm(np.eye(n, dtype=complex), d + nil)
+        return SchurForm(np.eye(a.shape[0], dtype=complex), d + nil)
     except NotTriangular:
         pass
-
-    q, h = hessenberg(a)
-    hi = n - 1
-    sweeps = 0
-    stuck = 0
-    while hi > 0:
-        if abs(h[hi, hi - 1]) <= _subdiag_tol(h, hi):
-            h[hi, hi - 1] = 0.0
-            hi -= 1
-            stuck = 0
-            continue
-        lo = hi
-        while lo > 0 and abs(h[lo, lo - 1]) > _subdiag_tol(h, lo):
-            lo -= 1
-        if sweeps >= MAX_SWEEPS_PER_N * n:
-            raise ConvergenceFailure(
-                f"QR iteration stalled at subdiagonal index {hi}"
-            )
-        if stuck > 0 and stuck % 10 == 0:
-            # exceptional shift to break symmetric stagnation
-            mu = h[hi, hi] + abs(h[hi, hi - 1]) * (0.75 + 0.5j)
-        else:
-            mu = _wilkinson_shift(h[hi - 1: hi + 1, hi - 1: hi + 1])
-        _qr_step(h, q, lo, hi, mu)
-        sweeps += 1
-        stuck += 1
-    if n > 1:
-        h[np.tril_indices(n, -1)] = 0.0
-    return SchurForm(q, h)
-
-
-def _qr_step(h: np.ndarray, q: np.ndarray, lo: int, hi: int, mu: complex) -> None:
-    """One explicit shifted QR sweep on the active block h[lo:hi+1, lo:hi+1]."""
-    idx = range(lo, hi + 1)
-    for i in idx:
-        h[i, i] -= mu
-    rots = []
-    for i in range(lo, hi):
-        c, s = _givens(h[i, i], h[i + 1, i])
-        rots.append((c, s))
-        ri, rj = h[i, :].copy(), h[i + 1, :].copy()
-        h[i, :] = c * ri + s * rj
-        h[i + 1, :] = -np.conj(s) * ri + c * rj
-    for i, (c, s) in zip(range(lo, hi), rots):
-        ci, cj = h[:, i].copy(), h[:, i + 1].copy()
-        h[:, i] = c * ci + np.conj(s) * cj
-        h[:, i + 1] = -s * ci + c * cj
-        qi, qj = q[:, i].copy(), q[:, i + 1].copy()
-        q[:, i] = c * qi + np.conj(s) * qj
-        q[:, i + 1] = -s * qi + c * qj
-    for i in idx:
-        h[i, i] += mu
-    # keep the Hessenberg profile exact
-    for i in range(max(lo + 2, 2), hi + 1):
-        h[i, lo: i - 1] = 0.0
+    try:
+        t, q = scipy.linalg.schur(a, output="complex")
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"LAPACK Schur reduction failed: {exc}") from exc
+    return SchurForm(q, t)
 
 
 def reconstruction_residual(a, form: SchurForm) -> float:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import greenbound.bounds as bounds
+import greenbound.schur
 from greenbound import ConvergenceFailure, GreenKernel
 from greenbound.cli import main, make_grid
 
@@ -350,3 +351,27 @@ def test_exit_code_library_failure(tmp_path, capsys, monkeypatch):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "did not converge" in err
+
+
+def test_lapack_schur_failure_is_typed(tmp_path, capsys, monkeypatch):
+    def no_schur(*args, **kwargs):
+        raise np.linalg.LinAlgError("Schur form not found.\nIll-conditioned.")
+
+    monkeypatch.setattr(greenbound.schur.scipy.linalg, "schur", no_schur)
+    rng = np.random.default_rng(53)
+    path = write_matrix(tmp_path / "a.json", random_dense(rng, 4))
+    code, out, err = run_cli(capsys, "gaps", path)
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: ConvergenceFailure: ")
+    assert err.count("\n") == 1
+
+
+def test_check_large_dense(tmp_path, capsys):
+    rng = np.random.default_rng(59)
+    path = write_matrix(tmp_path / "a.json",
+                        random_dense(rng, 100) / np.sqrt(200.0))
+    code, out, _ = run_cli(capsys, "check", path, "--t-min", "-10",
+                           "--t-max", "10", "--steps", "40")
+    assert code == 0
+    assert out == "ok\n"

@@ -122,6 +122,14 @@ def test_green_semigroup(rng):
         assert np.abs(lhs - rhs).max() < 1e-9
 
 
+def test_kernel_returns_fresh_arrays(rng):
+    b = random_triangular(rng, 5)
+    k = GreenKernel(b)
+    g = k.at(1.0)
+    g *= 0.0
+    assert np.array_equal(k.at(1.0), GreenKernel(b).at(1.0))
+
+
 def test_green_unitary_invariance(rng):
     b = random_triangular(rng, 5)
     q = random_unitary(rng, 5)

@@ -58,7 +58,7 @@ def test_schur_spectrum_invariance(rng):
     assert np.abs(got - want).max() < 1e-9
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 20])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 20, 100, 200])
 def test_schur_residuals(n):
     rng = np.random.default_rng(n)
     for _ in range(5):
