@@ -21,7 +21,12 @@ import numpy as np
 
 from . import bounds as bnd
 from .errors import GreenboundError, NotTriangular, SpectrumOnAxis
-from .green import GreenKernel, SpectralSplit, spectral_gaps
+from .green import (
+    GreenKernel,
+    SpectralSplit,
+    spectral_gaps,
+    spectral_gaps_from_eigenvalues,
+)
 from .matcore import induced_norm, norm_kind, split_triangular
 from .schur import schur_decompose
 
@@ -50,16 +55,12 @@ def load_matrix(path: str) -> np.ndarray:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         n = obj["n"]
-        data = obj["data"]
         if not isinstance(n, int) or n < 1:
             raise ValueError("n must be a positive integer")
-        if len(data) != n or any(len(row) != n for row in data):
-            raise ValueError("data must be an n x n array")
-        a = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in data]
-        )
-    except CliError:
-        raise
+        pairs = np.array(obj["data"])
+        if pairs.dtype.kind not in "biuf" or pairs.shape != (n, n, 2):
+            raise ValueError("data must be an n x n array of [re, im] pairs")
+        a = pairs[..., 0] + 1j * pairs[..., 1]
     except Exception as exc:
         raise CliError(1, f"cannot parse matrix file {path}: {exc}") from exc
     if not np.all(np.isfinite(a)):
@@ -105,14 +106,11 @@ class Problem:
     """
 
     def __init__(self, a: np.ndarray, p, gm_override=None, gp_override=None):
-        self.original = a
         try:
-            d, n_mat = split_triangular(a)
-            self.tri = d + n_mat
+            d, self.n_mat = split_triangular(a)
             self.was_triangular = True
         except NotTriangular:
-            form = schur_decompose(a)
-            self.tri = form.t
+            d, self.n_mat = split_triangular(schur_decompose(a).t)
             self.was_triangular = False
             if norm_kind(p) != 2:
                 print(
@@ -121,15 +119,13 @@ class Problem:
                     file=sys.stderr,
                 )
             p = 2
+        self.tri = d + self.n_mat
         self.p = norm_kind(p)
-        try:
-            self.max_split = spectral_gaps(self.tri)
-        except SpectrumOnAxis as exc:
-            raise CliError(2, str(exc)) from exc
+        eigs = np.diag(d)
+        self.max_split = spectral_gaps_from_eigenvalues(eigs)
         self.split = self._apply_overrides(gm_override, gp_override)
-        _, self.n_mat = split_triangular(self.tri)
         self.n = self.tri.shape[0]
-        self.min_re = float(np.diag(self.tri).real.min())
+        self.min_re = float(eigs.real.min())
         self.grid = None
         self.columns = {}
 
@@ -263,10 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_gaps(args) -> int:
     tri = schur_decompose(load_matrix(args.matrix)).t
-    try:
-        s = spectral_gaps(tri)
-    except SpectrumOnAxis as exc:
-        raise CliError(2, str(exc)) from exc
+    s = spectral_gaps(tri)
     eigs = np.diag(tri)
     print("eigenvalues:", " ".join(repr(complex(e)) for e in eigs))
     print(

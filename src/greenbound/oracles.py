@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.signal import fftconvolve
 
 from .bounds import h_eval
 from .errors import DomainError, SingularResolvent
@@ -76,6 +74,9 @@ def conv_power_grid(
     the Euler-Maclaurin kink correction -gamma*dx/12 so the trapezoid-style
     discrete convolution stays O(dx^4) accurate.
     """
+    # imported here so that `import greenbound` does not load it
+    from scipy.signal import fftconvolve
+
     if k < 1:
         raise ValueError("convolution power must be >= 1")
     gamma = gamma_minus + gamma_plus
@@ -109,6 +110,9 @@ def conv_power_numeric(
         if quad is None:
             quad = default_conv_quad(gamma_minus, gamma_plus, abs(t))
         _grid = conv_power_grid(k, gamma_minus, gamma_plus, quad)
+    # imported here so that `import greenbound` does not load it
+    from scipy.interpolate import CubicSpline
+
     x, c = _grid
     m = (len(x) - 1) // 2
     # splines fitted one-sidedly: h^{*k} is piecewise smooth with the only

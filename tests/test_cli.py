@@ -206,9 +206,22 @@ def test_check_negative_control(tmp_path, capsys):
     assert out.startswith("violation:")
 
 
-def test_exit_code_parse_error(tmp_path, capsys):
+# a 2x2 matrix file whose entry (0, 1) is the given JSON text
+ENTRY_01 = '{"n": 2, "data": [[[1, 0], %s], [[0, 0], [1, 0]]]}'
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("{not json", id="not-json"),
+    pytest.param(ENTRY_01 % '["1", 0]', id="string-entry"),
+    pytest.param(ENTRY_01 % "[2]", id="one-number"),
+    pytest.param(ENTRY_01 % "[2, 0, 5]", id="three-numbers"),
+    pytest.param(ENTRY_01 % "[null, 0]", id="null-entry"),
+    pytest.param('{"n": 2, "data": [[[1, 0], [0, 0]], [[1, 0]]]}',
+                 id="ragged-row"),
+])
+def test_exit_code_parse_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text(text)
     code, _, err = run_cli(capsys, "gaps", str(bad))
     assert code == 1 and "error:" in err
 
@@ -218,9 +231,10 @@ def test_exit_code_missing_file(capsys):
     assert code == 1
 
 
-def test_exit_code_spectrum_on_axis(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["gaps", "compare"])
+def test_exit_code_spectrum_on_axis(tmp_path, capsys, command):
     path = write_matrix(tmp_path / "m.json", np.diag([1j, -1.0]))
-    code, _, err = run_cli(capsys, "gaps", str(path))
+    code, _, err = run_cli(capsys, command, str(path))
     assert code == 2
 
 
@@ -258,6 +272,19 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "gamma_minus=1" in proc.stdout
+
+
+def test_import_leaves_test_only_scipy_modules_unloaded():
+    code = (
+        "import sys, greenbound; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.interpolate') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
 
 
 def assert_rows_close(rows, expected, columns, rel):
