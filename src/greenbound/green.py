@@ -132,13 +132,14 @@ def matrix_exp(a) -> np.ndarray:
 class GreenKernel:
     """Green's function evaluator for a fixed coefficient matrix.
 
-    Precomputes the spectral projectors once and keeps no other state, so
-    evaluations at distinct times are independent and every call returns a
-    fresh array.
+    Precomputes the spectral projectors and ‖A‖∞ once and keeps no other
+    state, so evaluations at distinct times are independent and every call
+    returns a fresh array.
     """
 
     def __init__(self, a, split: SpectralSplit | None = None):
         self.a = as_matrix(a)
+        self.norm_inf = induced_norm(self.a, np.inf)
         if split is None:
             split = spectral_gaps_from_eigenvalues(np.linalg.eigvals(self.a))
         self.split = split
@@ -159,7 +160,7 @@ class GreenKernel:
         argument and reproject after every squaring; the retained modes decay
         and the contamination of the others cannot amplify.
         """
-        norm = induced_norm(self.a, np.inf) * abs(t)
+        norm = self.norm_inf * abs(t)
         s = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
         r = matrix_exp(self.a * (t / 2.0 ** s)) @ p
         for _ in range(s):
@@ -188,11 +189,11 @@ class QuadSpec:
     nodes_per_panel: int = 16
 
 
-def default_quad(split: SpectralSplit, extra: float = 0.0) -> QuadSpec:
+def default_quad(split: SpectralSplit) -> QuadSpec:
     """Truncation so the h-envelope tail drops below 1e-12."""
     finite = [g for g in (split.gamma_minus, split.gamma_plus) if g != INF]
     gmin = min(finite)
-    radius = -math.log(1e-12) / gmin + extra
+    radius = -math.log(1e-12) / gmin
     width = min(1.0, 1.0 / sum(finite))
     return QuadSpec(radius, max(1, math.ceil(radius / width)), 16)
 

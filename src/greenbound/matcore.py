@@ -1,5 +1,5 @@
 """Dense complex matrix helpers: validation, the D+N triangular split,
-entrywise absolute values, and induced matrix norms.
+entrywise absolute values, and induced matrix norms (numpy/LAPACK).
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 Upper triangular is the canonical orientation throughout; lower-triangular
@@ -77,61 +77,14 @@ def abs_power(nabs, k: int) -> np.ndarray:
 def induced_norm(a, p) -> float:
     """Operator norm induced by the 1, 2 or infinity vector norm.
 
-    The two-norm is the largest singular value, found by power iteration on
-    A^H A with a deterministic start vector.
+    ``numpy.linalg.norm``: the largest absolute column or row sum for 1 and
+    infinity, the largest singular value from LAPACK's SVD for 2.  An SVD
+    that does not converge raises :class:`ConvergenceFailure`.
     """
-    a = as_matrix(a)
-    p = norm_kind(p)
-    if p == 1:
-        return float(np.abs(a).sum(axis=0).max())
-    if p == np.inf:
-        return float(np.abs(a).sum(axis=1).max())
-    return _two_norm_power(a)
-
-
-def _two_norm_power(a: np.ndarray) -> float:
-    n = a.shape[0]
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return 0.0
-    b = a.conj().T @ a
-    # sigma_max >= ||A||_F / sqrt(n); any ||A v|| with unit v is a lower
-    # bound, so the best candidate is still a certified underestimate.  A
-    # candidate below the floor means the start vector missed the dominant
-    # direction; retry from a second deterministic start.
-    floor = fro / np.sqrt(n)
-    starts = [
-        np.ones(n, dtype=complex),
-        1.0 + np.arange(1, n + 1, dtype=float) / (n + 1) + 0j,
-    ]
-    best = None
-    for v0 in starts:
-        sigma = _power_iterate(a, b, v0 / np.linalg.norm(v0), n)
-        if sigma is not None:
-            best = sigma if best is None else max(best, sigma)
-            if best >= floor * (1.0 - 1e-8):
-                return max(best, floor)
-    if best is None:
-        raise ConvergenceFailure("two-norm power iteration failed to converge")
-    return max(best, floor)
-
-
-def _power_iterate(a, b, v, n):
-    rho_prev = None
-    # a 10 n^2 budget is too small for small n; keep the cap deterministic
-    # but large enough for near-degenerate top singular values
-    for _ in range(max(10 * n * n, 2000)):
-        w = b @ v
-        rho = float(np.real(np.vdot(v, w)))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return None
-        v = w / nw
-        if rho_prev is not None and abs(rho - rho_prev) < 1e-12 * abs(rho):
-            # verification multiply: sigma from the vector itself
-            return float(np.linalg.norm(a @ v))
-        rho_prev = rho
-    return None
+    try:
+        return float(np.linalg.norm(as_matrix(a), norm_kind(p)))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"two-norm SVD failed: {exc}") from exc
 
 
 def require_strictly_triangular(n) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +16,21 @@ from greenbound.cli import main, make_grid
 from conftest import random_dense, random_triangular, random_unitary
 
 # `compare` CSV for the matrices used in this file, as printed by the
-# per-time bound evaluation that the envelope table replaced
+# per-time bound evaluation that the envelope table replaced.  The two-norm
+# lines of triangular(11,4) and triangular(37,3) and both lines of
+# dense(23,4) were refreshed for the SVD two-norm: the power iteration it
+# replaced missed sigma_max by up to 5.1e-12 relative there, the SVD agrees
+# with 40-digit mpmath to 1e-15.
 REFERENCE = json.loads(
     (Path(__file__).parent / "data" / "cli_compare_reference.json").read_text()
 )
 REFERENCE_GRID = ("--t-min", "-3", "--t-max", "3", "--steps", "8")
+
+# child interpreters import the package from where this one found it
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(greenbound.__file__).parents[1]),
+    os.environ.get("PYTHONPATH"),
+]))}
 
 
 def write_matrix(path, a):
@@ -268,7 +279,7 @@ def test_console_script_entry_point(tmp_path):
     path = write_matrix(tmp_path / "m.json", np.diag([-1.0, 2.0]))
     proc = subprocess.run(
         [sys.executable, "-m", "greenbound", "gaps", path],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert "gamma_minus=1" in proc.stdout
@@ -282,6 +293,7 @@ def test_import_leaves_test_only_scipy_modules_unloaded():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[]"
@@ -380,14 +392,34 @@ def test_exit_code_library_failure(tmp_path, capsys, monkeypatch):
         assert "did not converge" in err
 
 
-def test_lapack_schur_failure_is_typed(tmp_path, capsys, monkeypatch):
+def _no_schur(monkeypatch):
     def no_schur(*args, **kwargs):
         raise np.linalg.LinAlgError("Schur form not found.\nIll-conditioned.")
 
     monkeypatch.setattr(greenbound.schur.scipy.linalg, "schur", no_schur)
+
+
+def _no_svd(monkeypatch):
+    norm = np.linalg.norm
+
+    def no_svd(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", no_svd)
+
+
+@pytest.mark.parametrize("break_lapack, command", [
+    pytest.param(_no_schur, "gaps", id="schur"),
+    pytest.param(_no_svd, "compare", id="svd"),
+])
+def test_lapack_failure_is_typed(tmp_path, capsys, monkeypatch, break_lapack,
+                                 command):
+    break_lapack(monkeypatch)
     rng = np.random.default_rng(53)
     path = write_matrix(tmp_path / "a.json", random_dense(rng, 4))
-    code, out, err = run_cli(capsys, "gaps", path)
+    code, out, err = run_cli(capsys, command, path)
     assert code == 5
     assert out == ""
     assert err.startswith("error: ConvergenceFailure: ")
@@ -402,3 +434,27 @@ def test_check_large_dense(tmp_path, capsys):
                            "--t-max", "10", "--steps", "40")
     assert code == 0
     assert out == "ok\n"
+
+
+# two close singular values: the power iteration that the SVD replaced
+# raised ConvergenceFailure (exit 5) on both at the default two-norm
+@pytest.mark.parametrize("diag", [
+    pytest.param((-1.0, -1.0005, 1.0), id="diag(-1,-1.0005,1)"),
+    pytest.param((-1.0, 2.0, -2.002), id="diag(-1,2,-2.002)"),
+])
+def test_near_degenerate_singular_values(tmp_path, capsys, diag):
+    path = write_matrix(tmp_path / "m.json", np.diag(diag))
+    for command in ("exact", "bound", "compare"):
+        code, out, _ = run_cli(capsys, command, path)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert len(rows) == 40
+        if "exact_norm" in header:
+            # the default grid has t > 0 only, where the slowest decaying
+            # mode of G(t) is e^{-t}
+            for row in rows:
+                assert row["exact_norm"] == pytest.approx(
+                    math.exp(-row["t"]), rel=1e-14
+                )
+    code, out, _ = run_cli(capsys, "check", path)
+    assert (code, out) == (0, "ok\n")

@@ -11,7 +11,7 @@ from greenbound import (
     split_triangular,
 )
 
-from conftest import random_dense
+from conftest import random_dense, random_unitary
 
 
 def test_split_basic():
@@ -78,11 +78,26 @@ def test_two_norm_start_vector_escape():
 
 def test_diagonal_norm_is_max_abs_entry():
     rng = np.random.default_rng(1)
-    for _ in range(10):
-        d = np.diag(rng.normal(size=5) + 1j * rng.normal(size=5))
+    diagonals = [rng.normal(size=5) + 1j * rng.normal(size=5)
+                 for _ in range(10)]
+    # two close singular values, on which a power iteration stalls
+    diagonals += [[-1.0, -1.0005, 1.0], [-1.0, 2.0, -2.002]]
+    for entries in diagonals:
+        d = np.diag(entries)
         expected = np.abs(np.diag(d)).max()
         for p in (1, 2, "inf"):
             assert induced_norm(d, p) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [8, 30])
+@pytest.mark.parametrize("gap", [1e-3, 1e-9])
+def test_two_norm_with_close_top_singular_values(n, gap):
+    rng = np.random.default_rng(n)
+    sigma = np.sort(rng.uniform(0.1, 0.5, size=n))[::-1]
+    sigma[:2] = [1.0, 1.0 - gap]
+    u, w = random_unitary(rng, n), random_unitary(rng, n)
+    a = u @ np.diag(sigma) @ w.conj().T
+    assert induced_norm(a, 2) == pytest.approx(1.0, rel=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
