@@ -39,7 +39,6 @@ from .green import (
     spectral_projectors,
 )
 from .matcore import (
-    abs_power,
     as_matrix,
     entrywise_abs,
     induced_norm,

@@ -52,6 +52,8 @@ _EXP_ZERO = -(1 << 20)
 _BAND = 1000
 # Matrix entries per batch of stacked powers in matrix sums (1 MiB).
 _BATCH_ENTRIES = 1 << 17
+# exp(y) saturates beyond this |y|: exponents near 2**60 cannot wrap an int64
+_EXP_ARG_MAX = 2.0 ** 60 * LN2
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,6 @@ class BoundParams:
             raise ValueError("dimension must be >= 1")
         if self.norm_n < 0:
             raise ValueError("||N|| must be nonnegative")
-
-    @property
-    def gamma(self) -> float:
-        return self.gamma_minus + self.gamma_plus
 
 
 @dataclass(frozen=True)
@@ -113,6 +111,7 @@ def _sum(m, e):
 
 def _exp(y):
     """exp(y) as (mantissa, exponent), also far outside the float range."""
+    y = np.clip(y, -_EXP_ARG_MAX, _EXP_ARG_MAX)
     q = np.where(np.abs(y) > 700.0, np.rint(y / LN2), 0.0)
     m, e = np.frexp(np.exp(y - q * LN2))
     return m, e + q.astype(np.int64)

@@ -21,12 +21,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .errors import GreenboundError, NotTriangular, SpectrumOnAxis
-from .green import (
-    GreenKernel,
-    SpectralSplit,
-    spectral_gaps,
-    spectral_gaps_from_eigenvalues,
-)
+from .green import GreenKernel, SpectralSplit, spectral_gaps_from_eigenvalues
 from .matcore import induced_norm, norm_kind, split_triangular
 from .schur import schur_decompose
 
@@ -71,6 +66,8 @@ def load_matrix(path: str) -> np.ndarray:
 def make_grid(t_min: float, t_max: float, steps: int) -> np.ndarray:
     if steps < 1:
         raise CliError(1, "steps must be >= 1")
+    if not np.isfinite([t_min, t_max]).all():
+        raise CliError(1, "t-min and t-max must be finite")
     if t_min > t_max:
         raise CliError(1, "t-min must not exceed t-max")
     if t_min < 0.0 < t_max:
@@ -97,7 +94,7 @@ def _fmt(x) -> str:
 
 
 class Problem:
-    """Matrix plus derived data shared by the tabulating subcommands.
+    """Matrix plus derived data shared by every subcommand.
 
     ``tabulate`` computes each requested column once for the whole grid and
     ``row(i)`` reads grid point i back out of the columns.  The kernel, the
@@ -121,11 +118,9 @@ class Problem:
             p = 2
         self.tri = d + self.n_mat
         self.p = norm_kind(p)
-        eigs = np.diag(d)
-        self.max_split = spectral_gaps_from_eigenvalues(eigs)
+        self.max_split = spectral_gaps_from_eigenvalues(np.diag(d))
         self.split = self._apply_overrides(gm_override, gp_override)
         self.n = self.tri.shape[0]
-        self.min_re = float(eigs.real.min())
         self.grid = None
         self.columns = {}
 
@@ -135,7 +130,7 @@ class Problem:
             return ms
         gm = ms.gamma_minus if gm is None else gm
         gp = ms.gamma_plus if gp is None else gp
-        if gm <= 0 or gp <= 0 or gm > ms.gamma_minus or gp > ms.gamma_plus:
+        if not (0 < gm <= ms.gamma_minus and 0 < gp <= ms.gamma_plus):
             raise CliError(
                 3,
                 "gap override places an eigenvalue inside the strip "
@@ -171,7 +166,9 @@ class Problem:
     def _bound_entrywise_norm(self):
         if not (self.was_triangular and self.p in (1, INF)):
             return [None] * len(self.grid)
-        return self.entrywise.sum(axis=2 if self.p == INF else 1).max(axis=1)
+        with np.errstate(over="ignore"):  # an overflowing row sum is inf
+            sums = self.entrywise.sum(axis=2 if self.p == INF else 1)
+        return sums.max(axis=1)
 
     def _bound_vanloan(self) -> list:
         s, grid = self.split, self.grid
@@ -179,7 +176,7 @@ class Problem:
         if s.l == 0:
             side, alpha, ts = grid > 0, s.alpha, grid
         elif s.m == 0:
-            side, alpha, ts = grid < 0, -self.min_re, -grid
+            side, alpha, ts = grid < 0, -self.max_split.gamma_plus, -grid
         else:
             return col
         values = bnd.van_loan_grid(alpha, self.norm_n, self.n, ts[side])
@@ -215,8 +212,7 @@ class Problem:
 def _write_rows(rows, columns, output):
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt(row[c]) if c != "t" else repr(float(row[c]))
-                              for c in columns))
+        lines.append(",".join(_fmt(row[c]) for c in columns))
     text = "\n".join(lines) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -258,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gaps(args) -> int:
-    tri = schur_decompose(load_matrix(args.matrix)).t
-    s = spectral_gaps(tri)
-    eigs = np.diag(tri)
+    problem = Problem(load_matrix(args.matrix), 2)
+    s = problem.max_split
+    eigs = np.diag(problem.tri)
     print("eigenvalues:", " ".join(repr(complex(e)) for e in eigs))
     print(
         f"gamma_minus={s.gamma_minus:g} gamma_plus={s.gamma_plus:g} "

@@ -30,6 +30,7 @@ from .matcore import as_matrix, induced_norm, split_triangular
 AXIS_RTOL = 1e-12
 SIGN_RTOL = 1e-13
 SIGN_MAX_ITER = 100
+GAUSS_NODES = 16
 
 INF = float("inf")
 
@@ -52,10 +53,6 @@ class SpectralSplit:
     @property
     def gamma(self) -> float:
         return self.gamma_minus + self.gamma_plus
-
-    @property
-    def n(self) -> int:
-        return self.m + self.l
 
 
 def spectral_gaps_from_eigenvalues(eigs) -> SpectralSplit:
@@ -186,7 +183,6 @@ class QuadSpec:
 
     truncation_radius: float
     panels: int
-    nodes_per_panel: int = 16
 
 
 def default_quad(split: SpectralSplit) -> QuadSpec:
@@ -195,12 +191,12 @@ def default_quad(split: SpectralSplit) -> QuadSpec:
     gmin = min(finite)
     radius = -math.log(1e-12) / gmin
     width = min(1.0, 1.0 / sum(finite))
-    return QuadSpec(radius, max(1, math.ceil(radius / width)), 16)
+    return QuadSpec(radius, max(1, math.ceil(radius / width)))
 
 
-def _panel_nodes(lo: float, hi: float, panels: int, order: int):
+def _panel_nodes(lo: float, hi: float, panels: int):
     """Composite Gauss-Legendre nodes/weights on [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = np.polynomial.legendre.leggauss(GAUSS_NODES)
     edges = np.linspace(lo, hi, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -209,21 +205,20 @@ def _panel_nodes(lo: float, hi: float, panels: int, order: int):
     return nodes, weights
 
 
-def bounded_solution(a, f, t: float, quad: QuadSpec | None = None) -> np.ndarray:
+def bounded_solution(a, f, t: float) -> np.ndarray:
     """Bounded solution x(t) = integral of G(A, s) f(t - s) ds.
 
     f maps a real time to a vector of length n and must be bounded and
-    continuous.
+    continuous.  The quadrature is ``default_quad`` of the spectral split.
     """
     kernel = GreenKernel(a)
-    if quad is None:
-        quad = default_quad(kernel.split)
+    quad = default_quad(kernel.split)
     r = quad.truncation_radius
     pieces = []
     if kernel.split.m > 0:
-        pieces.append(_panel_nodes(0.0, r, quad.panels, quad.nodes_per_panel))
+        pieces.append(_panel_nodes(0.0, r, quad.panels))
     if kernel.split.l > 0:
-        pieces.append(_panel_nodes(-r, 0.0, quad.panels, quad.nodes_per_panel))
+        pieces.append(_panel_nodes(-r, 0.0, quad.panels))
     x = np.zeros(kernel.a.shape[0], dtype=complex)
     for nodes, weights in pieces:
         for s, w in zip(nodes, weights):

@@ -15,11 +15,7 @@ from .errors import ConvergenceFailure, NotStrictlyTriangular, NotTriangular
 # Subdiagonal noise below this (relative to the inf-norm) is treated as zero.
 TRIANGULAR_ATOL_FACTOR = 1e-13
 
-_NORM_ALIASES = {
-    1: 1, "1": 1, "one": 1,
-    2: 2, "2": 2, "two": 2,
-    np.inf: np.inf, float("inf"): np.inf, "inf": np.inf, "infinity": np.inf,
-}
+_NORM_ALIASES = {1: 1, "1": 1, 2: 2, "2": 2, np.inf: np.inf, "inf": np.inf}
 
 
 def norm_kind(p) -> float:
@@ -64,14 +60,6 @@ def split_triangular(b) -> tuple[np.ndarray, np.ndarray]:
 def entrywise_abs(a) -> np.ndarray:
     """|A|: the real matrix of entry magnitudes."""
     return np.abs(as_matrix(a))
-
-
-def abs_power(nabs, k: int) -> np.ndarray:
-    """k-th power of an entrywise-absolute matrix; |N|^0 is the identity."""
-    nabs = np.asarray(nabs, dtype=float)
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    return np.linalg.matrix_power(nabs, k)
 
 
 def induced_norm(a, p) -> float:

@@ -62,7 +62,7 @@ def conv_power_bessel(k: int, t: float, gamma_minus: float, gamma_plus: float) -
 def default_conv_quad(gamma_minus: float, gamma_plus: float, t_max: float = 10.0) -> QuadSpec:
     """Truncation radius covering the envelope tail plus the largest |t|."""
     gmin = min(gamma_minus, gamma_plus)
-    return QuadSpec(truncation_radius=30.0 / gmin + t_max, panels=1, nodes_per_panel=16)
+    return QuadSpec(truncation_radius=30.0 / gmin + t_max, panels=1)
 
 
 def conv_power_grid(
@@ -128,7 +128,6 @@ def conv_power_numeric(
 class ContourSpec:
     """Rectangular integration contour around one half-plane's spectrum."""
 
-    half_plane: str  # "left" or "right"
     rect: tuple | None  # (re_min, re_max, im_min, im_max); None when empty
     nodes_per_edge: int = 400
 
@@ -147,18 +146,16 @@ def contour_for(a, t: float, nodes_per_edge: int = 400) -> ContourSpec:
     pad = gamma / 4.0
     if t > 0:
         sel = eigs[eigs.real < 0]
-        half = "left"
         if sel.size == 0:
-            return ContourSpec(half, None, nodes_per_edge)
+            return ContourSpec(None, nodes_per_edge)
         re_min, re_max = sel.real.min() - pad, -split.gamma_minus + pad
     else:
         sel = eigs[eigs.real > 0]
-        half = "right"
         if sel.size == 0:
-            return ContourSpec(half, None, nodes_per_edge)
+            return ContourSpec(None, nodes_per_edge)
         re_min, re_max = split.gamma_plus - pad, sel.real.max() + pad
     im_min, im_max = sel.imag.min() - pad, sel.imag.max() + pad
-    return ContourSpec(half, (re_min, re_max, im_min, im_max), nodes_per_edge)
+    return ContourSpec((re_min, re_max, im_min, im_max), nodes_per_edge)
 
 
 def green_contour(a, t: float, spec: ContourSpec | None = None) -> np.ndarray:
@@ -244,7 +241,7 @@ def perturbation_residual(
             ka.split.gamma_minus, ka.split.gamma_plus,
             kb.split.gamma_minus, kb.split.gamma_plus) if math.isfinite(g))
         radius = 30.0 / gmin + abs(t)
-        quad = QuadSpec(radius, max(4, math.ceil(radius)), 16)
+        quad = QuadSpec(radius, max(4, math.ceil(radius)))
     lhs = ka.at(t) - kb.at(t)
     breaks = sorted({-quad.truncation_radius, 0.0, t, quad.truncation_radius})
     fa = _eig_green_factors(a)
@@ -255,7 +252,7 @@ def perturbation_residual(
         if hi - lo <= 0:
             continue
         panels = max(1, math.ceil((hi - lo) / (quad.truncation_radius / quad.panels)))
-        nodes, weights = _panel_nodes(lo, hi, panels, quad.nodes_per_panel)
+        nodes, weights = _panel_nodes(lo, hi, panels)
         ga = _eig_green_batch(fa, nodes)
         gb = _eig_green_batch(fb, t - nodes)
         rhs += np.einsum("s,sij,jk,skl->il", weights.astype(complex), ga, diff, gb)

@@ -1,10 +1,10 @@
 """Complex Schur decomposition A = Q T Q^H.
 
-Already-triangular inputs take a fast path with Q = I.  Everything else goes
-to LAPACK through ``scipy.linalg.schur`` (Hessenberg reduction plus shifted
-QR); the complex output has no 2x2 real blocks.  A Schur form is unique only
-up to the order of the eigenvalues on the diagonal of T, and LAPACK's order
-is the one returned.
+The reduction is LAPACK's, through ``scipy.linalg.schur`` (Hessenberg
+reduction plus shifted QR); the complex output has no 2x2 real blocks.  An
+exactly upper triangular input comes back unchanged, with T = A and Q = I.
+A Schur form is unique only up to the order of the eigenvalues on the
+diagonal of T, and LAPACK's order is the one returned.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceFailure, NotTriangular
-from .matcore import as_matrix, induced_norm, split_triangular
+from .errors import ConvergenceFailure
+from .matcore import as_matrix, induced_norm
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,6 @@ class SchurForm:
 
     q: np.ndarray
     t: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.t.shape[0]
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -41,18 +37,12 @@ def hessenberg(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def schur_decompose(a) -> SchurForm:
-    """Schur decomposition of A; triangular inputs come back with Q = I.
+    """Schur decomposition of A.
 
     Raises ConvergenceFailure when LAPACK's QR iteration does not converge.
     """
-    a = as_matrix(a)
     try:
-        d, nil = split_triangular(a)
-        return SchurForm(np.eye(a.shape[0], dtype=complex), d + nil)
-    except NotTriangular:
-        pass
-    try:
-        t, q = scipy.linalg.schur(a, output="complex")
+        t, q = scipy.linalg.schur(as_matrix(a), output="complex")
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"LAPACK Schur reduction failed: {exc}") from exc
     return SchurForm(q, t)
@@ -66,5 +56,5 @@ def reconstruction_residual(a, form: SchurForm) -> float:
 
 def unitarity_residual(form: SchurForm) -> float:
     """norm_inf(Q^H Q - I)."""
-    n = form.n
-    return induced_norm(form.q.conj().T @ form.q - np.eye(n), np.inf)
+    eye = np.eye(form.t.shape[0])
+    return induced_norm(form.q.conj().T @ form.q - eye, np.inf)

@@ -201,6 +201,9 @@ def test_van_loan_bound():
     )
     assert van_loan_bound(0.3, 0.0, 4, 2.0) == pytest.approx(math.exp(0.6))
     assert van_loan_bound(5.0, 7.0, 3, 0.0) == 1.0
+    # alpha t = +-1e20: the binary exponent of e^{alpha t} overflows an int64
+    assert van_loan_bound(1.0, 0.0, 1, 1e20) == math.inf
+    assert van_loan_bound(-1.0, 0.0, 1, 1e20) == 0.0
     with pytest.raises(DomainError):
         van_loan_bound(0.0, 1.0, 2, -0.5)
 

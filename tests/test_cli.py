@@ -11,7 +11,7 @@ import pytest
 import greenbound.bounds as bounds
 import greenbound.schur
 from greenbound import ConvergenceFailure, GreenKernel
-from greenbound.cli import main, make_grid
+from greenbound.cli import CliError, main, make_grid
 
 from conftest import random_dense, random_triangular, random_unitary
 
@@ -161,6 +161,11 @@ def test_make_grid_validation():
     grid = make_grid(-1.0, 1.0, 9)
     assert len(grid) == 9 and 0.0 not in grid
     assert np.all(np.diff(grid) > 0)
+    for t_min, t_max in ((math.nan, math.nan), (0.1, math.inf),
+                         (-math.inf, 1.0)):
+        with pytest.raises(CliError) as exc:
+            make_grid(t_min, t_max, 1)
+        assert exc.value.code == 1
 
 
 def test_dense_input_goes_through_schur(tmp_path, capsys):
@@ -259,6 +264,14 @@ def test_exit_code_bad_override(tmp_path, capsys):
         capsys, "compare", str(path), "--gamma-plus", "-1.0", "--steps", "2",
     )
     assert code == 3
+    one_sided = write_matrix(tmp_path / "l.json", [[-1.0, 1.0], [0.0, -2.0]])
+    for matrix, flag in ((path, "--gamma-minus"), (path, "--gamma-plus"),
+                         (one_sided, "--gamma-minus")):
+        code, out, _ = run_cli(
+            capsys, "compare", str(matrix), flag, "nan", "--norm", "inf",
+            "--steps", "2",
+        )
+        assert (code, out) == (3, "")
 
 
 def test_override_widens_bound(tmp_path, capsys):
@@ -342,6 +355,17 @@ def test_check_large_triangular(tmp_path, capsys):
     )
     assert code == 0
     assert out == "ok\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_entrywise_row_sums_overflow_quietly(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    path = write_matrix(tmp_path / "m.json", random_triangular(rng, 320))
+    code, out, err = run_cli(
+        capsys, "bound", path, "--bound", "entrywise", "--norm", "inf",
+        "--t-min", "3", "--t-max", "3", "--steps", "1",
+    )
+    assert (code, out, err) == (0, "t,bound_entrywise_norm\n3.0,inf\n", "")
 
 
 def _forbidden(*args, **kwargs):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from greenbound import (
     NotTriangular,
-    abs_power,
     entrywise_abs,
     induced_norm,
     split_triangular,
@@ -119,11 +118,3 @@ def test_entrywise_abs_submultiplicative(n, seed):
     assert np.all(
         entrywise_abs(a @ b) <= entrywise_abs(a) @ entrywise_abs(b) + 1e-12
     )
-
-
-def test_abs_power():
-    n = np.array([[0, 1, 1], [0, 0, 1], [0, 0, 0]], dtype=float)
-    assert np.array_equal(abs_power(n, 0), np.eye(3))
-    assert np.array_equal(abs_power(n, 2), [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-    for k in (3, 4, 7):
-        assert not abs_power(n, k).any()

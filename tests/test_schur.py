@@ -33,11 +33,12 @@ def test_hessenberg_reconstruction(rng):
     assert np.abs(np.tril(h, -2)).max() == 0.0
 
 
-def test_schur_triangular_fast_path():
-    a = np.array([[1.0, 2.0], [0.0, -3.0]])
-    form = schur_decompose(a)
-    assert np.array_equal(form.q, np.eye(2))
-    assert np.array_equal(form.t, a)
+@pytest.mark.parametrize("n", [5, 50, 200])
+def test_schur_returns_triangular_input_unchanged(n):
+    b = random_triangular(np.random.default_rng(n), n)
+    form = schur_decompose(b)
+    assert np.array_equal(form.q, np.eye(n))
+    assert np.array_equal(form.t, b)
 
 
 def test_schur_rotation_matrix():
