@@ -18,6 +18,7 @@ from .bounds import (
 from .errors import (
     ConvergenceFailure,
     DomainError,
+    FloatOverflow,
     GreenboundError,
     Inapplicable,
     NotStrictlyTriangular,

@@ -104,9 +104,9 @@ def _ldexp(m, e):
 
 
 def _sum(m, e):
-    """Sum of m * 2**e over the last axis, as floats."""
+    """Sum of m * 2**e over the last axis, as (mantissa, exponent)."""
     top = np.where(m != 0, e, _EXP_ZERO).max(axis=-1)
-    return _ldexp(np.ldexp(m, e - top[..., None]).sum(axis=-1), top)
+    return np.ldexp(m, e - top[..., None]).sum(axis=-1), top
 
 
 def _exp(y):
@@ -132,20 +132,6 @@ def _powers(x: float, n: int):
     return _cumprod([float(x)] * (n - 1))
 
 
-def _prefix_sums(m, e):
-    """sum_{i<=k} m[i] * 2**e[i] for every k, each at its own scale."""
-    out_m, out_e = [], []
-    total, top = 0.0, _EXP_ZERO
-    for mi, ei in zip(m.tolist(), e.tolist()):
-        new_top = max(top, ei) if mi != 0 else top
-        total = (math.ldexp(total, top - new_top)
-                 + math.ldexp(mi, max(ei - new_top, _EXP_ZERO)))
-        top = new_top
-        out_m.append(total)
-        out_e.append(top)
-    return np.array(out_m), np.array(out_e, dtype=np.int64)
-
-
 # --- the envelope-weight table -----------------------------------------------
 
 def _series(u, n: int, gamma=None):
@@ -163,13 +149,16 @@ def _series(u, n: int, gamma=None):
 
     Every coefficient is nonnegative, so the forward recurrence loses no
     accuracy; the carried values are rescaled by a power of two after every
-    step.
+    step.  A u >= 1 enters as its mantissa u 2^-e, through
+    P_k(u; gamma) = 2^(ke) P_k(u 2^-e; gamma 2^e), so u^2 cannot overflow.
     """
     k = np.arange(1, n)[:, None]
     if gamma is None:
-        a, b = u / k, None
+        a, b, e = u / k, None, 0
     else:
-        a = 2.0 * (2 * k - 1) / (gamma * k)
+        e = np.maximum(np.frexp(u)[1], 0)
+        u = np.ldexp(u, -e)
+        a = np.ldexp(2.0 * (2 * k - 1) / (gamma * k), -e)
         b = u * u / np.maximum(k * (k - 1), 1)
         if n > 1:
             b[0] = u  # P_1 = a_1 P_0 + u P_0
@@ -183,7 +172,8 @@ def _series(u, n: int, gamma=None):
         cur = nxt
         mants.append(cur)
         shifts.append(shift)
-    return np.array(mants).T, np.cumsum(np.array(shifts), axis=0).T
+    expo = np.cumsum(np.array(shifts), axis=0) + np.outer(np.arange(n), e)
+    return np.array(mants).T, expo.T
 
 
 def _matrix_powers(nabs):
@@ -236,7 +226,7 @@ class EnvelopeTable:
 
     def dot(self, wm, we) -> np.ndarray:
         """sum_k W[:, k] * wm[k] * 2**we[k], shape (T,)."""
-        return _sum(self.mant * wm, self.expo + we)
+        return _ldexp(*_sum(self.mant * wm, self.expo + we))
 
     def series(self, x: float) -> np.ndarray:
         """sum_k W[:, k] x^k for a scalar x >= 0, shape (T,)."""
@@ -290,7 +280,8 @@ def envelope_table(n: int, gamma_minus: float, gamma_plus: float,
     fm, fe = _series(u, n, gamma if gamma < INF else None)
     rate = np.where(ts >= 0, gamma_minus, gamma_plus)
     live = rate < INF
-    hm, he = _exp(-np.where(live, rate, 0.0) * u)
+    with np.errstate(over="ignore"):  # rate * u beyond the range is inf
+        hm, he = _exp(-np.where(live, rate, 0.0) * u)
     return EnvelopeTable(fm * np.where(live, hm, 0.0)[:, None],
                          fe + he[:, None])
 
@@ -387,9 +378,11 @@ def _qtds_weights(outer: int, inner: int, two_a: float, gamma: float):
     a = two_a / gamma
     bm, be = _cumprod([(inner + i) / (i + 1) * a for i in range(outer - 1)])
     am, ae = _powers(a, inner + 1)
-    sm, se = _prefix_sums(bm * am[-1], be + ae[-1])
+    # row p sums the terms i < outer - p
+    sm, se = _sum(np.where(np.tri(outer, dtype=bool)[::-1], bm * am[-1], 0.0),
+                  be + ae[-1])
     pm, pe = _powers(two_a, outer)
-    return pm * sm[::-1], pe + se[::-1]
+    return pm * sm, pe + se
 
 
 def qtds18_grid(params: QtdsParams, ts) -> np.ndarray:

@@ -14,18 +14,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cached_property
 
 import numpy as np
 
 from . import bounds as bnd
-from .errors import GreenboundError, NotTriangular, SpectrumOnAxis
+from .errors import (FloatOverflow, GreenboundError, NotTriangular,
+                     SpectrumOnAxis)
 from .green import GreenKernel, SpectralSplit, spectral_gaps_from_eigenvalues
 from .matcore import induced_norm, norm_kind, split_triangular
 from .schur import schur_decompose
-
-INF = float("inf")
 
 BOUND_COLUMNS = (
     "bound_triangular", "bound_entrywise_norm", "bound_vanloan",
@@ -41,6 +41,12 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option starts with a digit, so "-" then a digit (or ".digit")
+        # is a negative number such as -1e2, not just -1 and -.5
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # usage problems are parse errors (exit 1)
         raise CliError(1, message)
 
@@ -96,13 +102,13 @@ def _fmt(x) -> str:
 class Problem:
     """Matrix plus derived data shared by every subcommand.
 
-    ``tabulate`` computes each requested column once for the whole grid and
-    ``row(i)`` reads grid point i back out of the columns.  The kernel, the
-    norms and the bound tables are built on first use, so a command computes
+    ``t`` is the grid of times (None for ``gaps``) and each CSV column is a
+    cached property over it; ``row(i, names)`` reads grid point i.  Columns,
+    kernel, norms and tables are built on first use, so a command computes
     only what it prints.
     """
 
-    def __init__(self, a: np.ndarray, p, gm_override=None, gp_override=None):
+    def __init__(self, a, p, t=None, gm_override=None, gp_override=None):
         try:
             d, self.n_mat = split_triangular(a)
             self.was_triangular = True
@@ -110,24 +116,18 @@ class Problem:
             d, self.n_mat = split_triangular(schur_decompose(a).t)
             self.was_triangular = False
             if norm_kind(p) != 2:
-                print(
-                    "note: input is not triangular; Schur form applied and "
-                    "the two-norm forced",
-                    file=sys.stderr,
-                )
+                print("note: input is not triangular; Schur form applied and "
+                      "the two-norm forced", file=sys.stderr)
             p = 2
         self.tri = d + self.n_mat
         self.p = norm_kind(p)
         self.max_split = spectral_gaps_from_eigenvalues(np.diag(d))
         self.split = self._apply_overrides(gm_override, gp_override)
         self.n = self.tri.shape[0]
-        self.grid = None
-        self.columns = {}
+        self.t = t
 
     def _apply_overrides(self, gm, gp) -> SpectralSplit:
         ms = self.max_split
-        if gm is None and gp is None:
-            return ms
         gm = ms.gamma_minus if gm is None else gm
         gp = ms.gamma_plus if gp is None else gp
         if not (0 < gm <= ms.gamma_minus and 0 < gp <= ms.gamma_plus):
@@ -143,6 +143,16 @@ class Problem:
     def kernel(self) -> GreenKernel:
         return GreenKernel(self.tri, split=self.max_split)
 
+    def kernels(self):
+        """Yield G(t) along the grid with numpy's overflow warnings off; a
+        G(t) beyond the float range raises FloatOverflow instead."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in self.t:
+                g = self.kernel.at(t)
+                if not np.isfinite(g).all():
+                    raise FloatOverflow(f"G(t) overflows at t={float(t)!r}")
+                yield g
+
     @cached_property
     def norm_n(self) -> float:
         return induced_norm(self.n_mat, self.p)
@@ -150,75 +160,60 @@ class Problem:
     @cached_property
     def table(self) -> bnd.EnvelopeTable:
         s = self.split
-        return bnd.envelope_table(self.n, s.gamma_minus, s.gamma_plus, self.grid)
+        return bnd.envelope_table(self.n, s.gamma_minus, s.gamma_plus, self.t)
 
     @cached_property
     def entrywise(self) -> np.ndarray:
         """sum_k W[t, k] |N|^k for every grid time, shape (T, n, n)."""
         return self.table.matrix_series(np.abs(self.n_mat))
 
-    def _exact_norm(self) -> list:
-        return [induced_norm(self.kernel.at(t), self.p) for t in self.grid]
+    @cached_property
+    def exact_norm(self) -> list:
+        return [induced_norm(g, self.p) for g in self.kernels()]
 
-    def _bound_triangular(self) -> np.ndarray:
+    @cached_property
+    def bound_triangular(self) -> np.ndarray:
         return self.table.series(self.norm_n)
 
-    def _bound_entrywise_norm(self):
-        if not (self.was_triangular and self.p in (1, INF)):
-            return [None] * len(self.grid)
+    @cached_property
+    def bound_entrywise_norm(self):
+        if not (self.was_triangular and self.p in (1, np.inf)):
+            return [None] * len(self.t)
         with np.errstate(over="ignore"):  # an overflowing row sum is inf
-            sums = self.entrywise.sum(axis=2 if self.p == INF else 1)
+            sums = self.entrywise.sum(axis=2 if self.p == np.inf else 1)
         return sums.max(axis=1)
 
-    def _bound_vanloan(self) -> list:
-        s, grid = self.split, self.grid
-        col = [None] * len(grid)
+    @cached_property
+    def bound_vanloan(self) -> np.ndarray:
+        s, grid = self.split, self.t
+        col = np.full(len(grid), None)
         if s.l == 0:
             side, alpha, ts = grid > 0, s.alpha, grid
         elif s.m == 0:
             side, alpha, ts = grid < 0, -self.max_split.gamma_plus, -grid
         else:
             return col
-        values = bnd.van_loan_grid(alpha, self.norm_n, self.n, ts[side])
-        for i, v in zip(np.flatnonzero(side), values):
-            col[i] = v
+        col[side] = bnd.van_loan_grid(alpha, self.norm_n, self.n, ts[side])
         return col
 
-    def _bound_qtds18(self):
+    @cached_property
+    def bound_qtds18(self):
         s = self.split
         if s.m < 1 or s.l < 1:
-            return [None] * len(self.grid)
+            return [None] * len(self.t)
         norm_a = induced_norm(self.tri, self.p)
         qp = bnd.QtdsParams(norm_a, s.m, s.l, s.gamma_minus, s.gamma_plus)
-        return bnd.qtds18_grid(qp, self.grid)
+        return bnd.qtds18_grid(qp, self.t)
 
-    def _ratio_triangular(self) -> list:
-        cols = self.columns
-        return [tri / exact if exact > 0 else None
-                for tri, exact in zip(cols["bound_triangular"],
-                                      cols["exact_norm"])]
+    @cached_property
+    def ratio_triangular(self) -> list:
+        with np.errstate(over="ignore"):  # a ratio beyond the range is inf
+            return [tri / exact if exact > 0 else None
+                    for tri, exact in zip(self.bound_triangular,
+                                          self.exact_norm)]
 
-    def tabulate(self, grid: np.ndarray, names) -> None:
-        """Compute the named columns (in order) on the grid."""
-        self.grid = grid
-        self.columns = {"t": grid}
-        for name in names:
-            self.columns[name] = getattr(self, "_" + name)()
-
-    def row(self, i: int) -> dict:
-        return {name: col[i] for name, col in self.columns.items()}
-
-
-def _write_rows(rows, columns, output):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    def row(self, i: int, names) -> dict:
+        return {name: getattr(self, name)[i] for name in names}
 
 
 def _add_grid_args(p: argparse.ArgumentParser):
@@ -237,11 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gaps = sub.add_parser("gaps", help="report spectral gaps and counts")
     p_gaps.add_argument("matrix")
+    p_gaps.set_defaults(run=cmd_gaps)
 
     for name in ("exact", "bound", "compare", "check"):
         p = sub.add_parser(name)
         p.add_argument("matrix")
         _add_grid_args(p)
+        p.set_defaults(run=cmd_check if name == "check" else cmd_table)
         if name == "bound":
             p.add_argument(
                 "--bound", default="all",
@@ -265,48 +262,41 @@ def cmd_gaps(args) -> int:
     return 0
 
 
-def _grid_problem(args):
-    a = load_matrix(args.matrix)
-    problem = Problem(a, args.norm, args.gamma_minus, args.gamma_plus)
-    grid = make_grid(args.t_min, args.t_max, args.steps)
-    return problem, grid
+def _grid_problem(args) -> Problem:
+    return Problem(load_matrix(args.matrix), args.norm,
+                   make_grid(args.t_min, args.t_max, args.steps),
+                   args.gamma_minus, args.gamma_plus)
 
 
-def _tabulate(args, columns) -> int:
-    problem, grid = _grid_problem(args)
-    problem.tabulate(grid, columns[1:])
-    rows = [problem.row(i) for i in range(len(grid))]
-    _write_rows(rows, columns, args.output)
+def _table_columns(args) -> tuple:
+    """Columns of ``exact``, ``compare`` and ``bound --bound B`` (bound_B*)."""
+    if args.command != "bound":
+        return COLUMNS if args.command == "compare" else COLUMNS[:2]
+    return ("t",) + tuple(c for c in BOUND_COLUMNS
+                          if args.bound in ("all", c.split("_")[1]))
+
+
+def cmd_table(args) -> int:
+    columns = _table_columns(args)
+    problem = _grid_problem(args)
+    lines = [",".join(columns)]
+    for i in range(len(problem.t)):
+        lines.append(",".join(map(_fmt, problem.row(i, columns).values())))
+    text = "\n".join(lines) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
-def cmd_exact(args) -> int:
-    return _tabulate(args, ("t", "exact_norm"))
-
-
-def cmd_bound(args) -> int:
-    if args.bound == "all":
-        return _tabulate(args, ("t",) + BOUND_COLUMNS)
-    return _tabulate(args, ("t", {
-        "triangular": "bound_triangular",
-        "entrywise": "bound_entrywise_norm",
-        "vanloan": "bound_vanloan",
-        "qtds18": "bound_qtds18",
-    }[args.bound]))
-
-
-def cmd_compare(args) -> int:
-    return _tabulate(args, COLUMNS)
-
-
 def cmd_check(args) -> int:
-    problem, grid = _grid_problem(args)
+    problem = _grid_problem(args)
     scale = args.bound_scale
-    problem.tabulate(grid, BOUND_COLUMNS)
-    for k, t in enumerate(grid):
-        g = problem.kernel.at(t)
+    for k, (t, g) in enumerate(zip(problem.t, problem.kernels())):
+        row = problem.row(k, BOUND_COLUMNS)
         exact = induced_norm(g, problem.p)
-        row = problem.row(k)
         for col in BOUND_COLUMNS:
             bound = row[col]
             if bound is None:
@@ -335,20 +325,11 @@ def cmd_check(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gaps": cmd_gaps,
-    "exact": cmd_exact,
-    "bound": cmd_bound,
-    "compare": cmd_compare,
-    "check": cmd_check,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

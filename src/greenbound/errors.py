@@ -17,6 +17,10 @@ class ConvergenceFailure(GreenboundError):
     """An iterative algorithm did not converge within its iteration budget."""
 
 
+class FloatOverflow(GreenboundError):
+    """A result does not fit in the floating-point range."""
+
+
 class SpectrumOnAxis(GreenboundError):
     """An eigenvalue lies on (or numerically on) the imaginary axis; the
     bounded-solutions problem is ill-posed."""

@@ -21,6 +21,7 @@ import scipy.linalg
 
 from .errors import (
     ConvergenceFailure,
+    FloatOverflow,
     SingularIteration,
     SpectrumOnAxis,
     UndefinedAtZero,
@@ -91,21 +92,24 @@ def matrix_sign(a) -> np.ndarray:
     """Matrix sign function by Newton iteration with determinant scaling."""
     s = as_matrix(a).copy()
     n = s.shape[0]
-    for _ in range(SIGN_MAX_ITER):
-        sign_det, logabsdet = np.linalg.slogdet(s)
-        if sign_det == 0 or not np.isfinite(logabsdet):
-            raise SingularIteration("sign iteration hit a singular iterate")
-        mu = math.exp(-logabsdet / n)
-        ms = mu * s
-        try:
-            inv = np.linalg.inv(ms)
-        except np.linalg.LinAlgError as exc:
-            raise SingularIteration(str(exc)) from exc
-        s_next = 0.5 * (ms + inv)
-        delta = induced_norm(s_next - s, np.inf)
-        s = s_next
-        if delta <= SIGN_RTOL * induced_norm(s, np.inf):
-            return s
+    with np.errstate(over="ignore", invalid="ignore"):  # checked per step
+        for _ in range(SIGN_MAX_ITER):
+            sign_det, logabsdet = np.linalg.slogdet(s)
+            if sign_det == 0 or not np.isfinite(logabsdet):
+                raise SingularIteration("sign iteration hit a singular iterate")
+            mu = math.exp(-logabsdet / n)
+            ms = mu * s
+            try:
+                inv = np.linalg.inv(ms)
+            except np.linalg.LinAlgError as exc:
+                raise SingularIteration(str(exc)) from exc
+            s_next = 0.5 * (ms + inv)
+            if not np.isfinite(s_next).all():
+                raise FloatOverflow("matrix sign iterate overflows")
+            delta = induced_norm(s_next - s, np.inf)
+            s = s_next
+            if delta <= SIGN_RTOL * induced_norm(s, np.inf):
+                return s
     raise ConvergenceFailure("matrix sign Newton iteration did not converge")
 
 

@@ -267,6 +267,29 @@ def test_envelope_table_matches_exact_reference(n, gm, gp):
                 series, rel=1e-13)
 
 
+# |t| at both ends of the float range: u^2 and gap * u overflow there, and the
+# table must still hold exact weights, zeros or finite numbers, never NaN
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gm,gp", [(1.0, 2.0), (2.0, INF), (INF, 0.5)])
+def test_envelope_table_at_extreme_times(gm, gp):
+    ts = np.array([-1.7e308, -1e200, -1e-310, 1e-310, 1e200, 1.7e308])
+    table = envelope_table(8, gm, gp, ts)
+    got = table.values()
+    assert not np.isnan(table.mant).any()
+    gamma = gm + gp if math.isfinite(gm + gp) else None
+    for i, t in enumerate(ts):
+        rate = gm if t > 0 else gp
+        if rate == INF or abs(t) > 1.0:
+            assert np.all(got[i] == 0.0)
+        else:  # h(t) = 1 to double precision
+            want = [float(exact_weight_factor(k, abs(t), gamma))
+                    for k in range(8)]
+            np.testing.assert_allclose(got[i], want, rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(table.series(3.0)[[0, 1, 4, 5]], 0.0)
+    # P_1(u) = 2/gamma + u fits although u^2 does not
+    assert conv_power_poly(2, 1e300, 1.0) == 1e300
+
+
 # --- large n: finite where the value fits, +inf where it does not ------------
 
 LOG_MAX = math.log(np.finfo(float).max)

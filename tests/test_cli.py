@@ -482,3 +482,65 @@ def test_near_degenerate_singular_values(tmp_path, capsys, diag):
                 )
     code, out, _ = run_cli(capsys, "check", path)
     assert (code, out) == (0, "ok\n")
+
+
+def test_huge_times_give_zero_bounds(tmp_path, capsys):
+    # u^2 overflowed in the envelope recurrence at |t| = 1e200: compare
+    # printed bound_triangular = inf (true value 0) and a NaN entrywise bound
+    path = write_matrix(tmp_path / "m.json",
+                        [[-1, 1, 1], [0, 2, 1], [0, 0, -3]])
+    grid = ("--t-min", "1e200", "--t-max", "1e200", "--steps", "1",
+            "--norm", "inf")
+    code, out, err = run_cli(capsys, "compare", path, *grid)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "1e+200,0.0,0.0,0.0,,0.0,"
+    assert run_cli(capsys, "check", path, *grid) == (0, "ok\n", "")
+
+
+@pytest.mark.parametrize("argv, code, lines", [
+    pytest.param(("--t-min", "-1e2", "--t-max", "1", "--steps", "2"), 0, 3,
+                 id="t-min"),
+    pytest.param(("--gamma-minus", "-1e-3"), 3, 0, id="gamma-minus"),
+])
+def test_negative_numbers_in_scientific_notation(tmp_path, capsys, argv,
+                                                 code, lines):
+    path = write_matrix(tmp_path / "m.json",
+                        [[-1, 1, 1], [0, 2, 1], [0, 0, -3]])
+    got, out, err = run_cli(capsys, "compare", path, *argv)
+    assert got == code
+    assert len(out.splitlines()) == lines
+    assert code == 0 or err.startswith("error: gap override")
+
+
+def scaled_nilpotent(seed, n, scale):
+    b = random_triangular(np.random.default_rng(seed), n)
+    d = np.diag(np.diag(b))
+    return d + (b - d) * scale
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed, n, scale, command, message", [
+    pytest.param(0, 3, 1e200, "exact", "matrix sign iterate overflows",
+                 id="sign"),
+    pytest.param(1, 5, 1e50, "exact", "G(t) overflows at t=0.1",
+                 id="kernel-exact"),
+    pytest.param(1, 5, 1e50, "check", "G(t) overflows at t=0.1",
+                 id="kernel-check"),
+])
+def test_overflow_is_a_typed_error(tmp_path, capsys, seed, n, scale, command,
+                                   message):
+    path = write_matrix(tmp_path / "m.json", scaled_nilpotent(seed, n, scale))
+    code, out, err = run_cli(capsys, command, path, "--steps", "6",
+                             "--norm", "inf")
+    assert (code, out, err) == (5, "", f"error: FloatOverflow: {message}\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ratio_beyond_float_range_is_quiet_inf(tmp_path, capsys):
+    path = write_matrix(tmp_path / "m.json",
+                        random_triangular(np.random.default_rng(5), 90))
+    code, out, err = run_cli(capsys, "compare", path, "--t-min", "1000",
+                             "--t-max", "1000", "--steps", "1", "--norm", "1")
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert rows[0]["ratio_triangular"] == math.inf
