@@ -21,8 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bounds as bnd
-from .errors import (FloatOverflow, GreenboundError, NotTriangular,
-                     SpectrumOnAxis)
+from .errors import GreenboundError, NotTriangular, SpectrumOnAxis
 from .green import GreenKernel, SpectralSplit, spectral_gaps_from_eigenvalues
 from .matcore import induced_norm, norm_kind, split_triangular
 from .schur import schur_decompose
@@ -143,16 +142,6 @@ class Problem:
     def kernel(self) -> GreenKernel:
         return GreenKernel(self.tri, split=self.max_split)
 
-    def kernels(self):
-        """Yield G(t) along the grid with numpy's overflow warnings off; a
-        G(t) beyond the float range raises FloatOverflow instead."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in self.t:
-                g = self.kernel.at(t)
-                if not np.isfinite(g).all():
-                    raise FloatOverflow(f"G(t) overflows at t={float(t)!r}")
-                yield g
-
     @cached_property
     def norm_n(self) -> float:
         return induced_norm(self.n_mat, self.p)
@@ -169,7 +158,7 @@ class Problem:
 
     @cached_property
     def exact_norm(self) -> list:
-        return [induced_norm(g, self.p) for g in self.kernels()]
+        return [induced_norm(g, self.p) for g in self.kernel.along(self.t)]
 
     @cached_property
     def bound_triangular(self) -> np.ndarray:
@@ -294,16 +283,18 @@ def cmd_table(args) -> int:
 def cmd_check(args) -> int:
     problem = _grid_problem(args)
     scale = args.bound_scale
-    for k, (t, g) in enumerate(zip(problem.t, problem.kernels())):
+    unchecked = 0  # times with no finite norm bound (None reads as NaN)
+    for k, g in enumerate(problem.kernel.along(problem.t)):
         row = problem.row(k, BOUND_COLUMNS)
         exact = induced_norm(g, problem.p)
+        unchecked += not np.isfinite(np.array([*row.values()], float)).any()
         for col in BOUND_COLUMNS:
             bound = row[col]
             if bound is None:
                 continue
             if exact > bound * scale * (1.0 + 1e-9):
                 print(
-                    f"violation: t={float(t)!r} exact={exact!r} "
+                    f"violation: t={float(problem.t[k])!r} exact={exact!r} "
                     f"{col}={float(bound * scale)!r}"
                 )
                 return 4
@@ -316,11 +307,14 @@ def cmd_check(args) -> int:
             if np.any(bad):
                 i, j = np.argwhere(bad)[0]
                 print(
-                    f"violation: t={float(t)!r} entry=({i},{j}) "
+                    f"violation: t={float(problem.t[k])!r} entry=({i},{j}) "
                     f"exact={float(abs_g[i, j])!r} "
                     f"bound_entrywise={float(ew[i, j] * scale)!r}"
                 )
                 return 4
+    if unchecked:
+        print(f"note: every norm bound is inf or nan at {unchecked} of "
+              f"{len(problem.t)} times", file=sys.stderr)
     print("ok")
     return 0
 

@@ -153,32 +153,40 @@ class GreenKernel:
         else:
             self.p_minus, self.p_plus = spectral_projectors(self.a)
 
-    def _exp_projected(self, t: float, p: np.ndarray) -> np.ndarray:
-        """e^{At} P for an A-commuting spectral projector P.
+    def at(self, t: float) -> np.ndarray:
+        """G(t); inf/NaN where it leaves the float range (``along`` checks).
 
         Plain matrix_exp(A t) @ P cancels catastrophically once the discarded
-        half of the spectrum makes e^{At} large, so square up from a small
-        argument and reproject after every squaring; the retained modes decay
-        and the contamination of the others cannot amplify.
+        half of the spectrum makes e^{At} large, so square up s times from
+        A t / 2^s, s = ceil(log2 ‖A t‖∞) (from the binary exponents where that
+        exceeds the float range), and reproject after every squaring; the
+        retained modes decay and the others' contamination cannot amplify.
         """
-        norm = self.norm_inf * abs(t)
-        s = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
-        r = matrix_exp(self.a * (t / 2.0 ** s)) @ p
-        for _ in range(s):
-            r = p @ (r @ r)
-        return r
-
-    def at(self, t: float) -> np.ndarray:
         if t == 0:
             raise UndefinedAtZero("Green's function is undefined at t = 0")
-        if t > 0:
-            return self._exp_projected(t, self.p_minus)
-        return -self._exp_projected(t, self.p_plus)
+        p = self.p_minus if t > 0 else self.p_plus
+        norm = self.norm_inf * abs(t)
+        s = (math.ceil(math.log2(max(norm, 1.0))) if norm < INF
+             else math.frexp(self.norm_inf)[1] + math.frexp(t)[1])
+        r = matrix_exp(self.a * math.ldexp(t, -s)) @ p
+        for _ in range(s):
+            r = p @ (r @ r)
+        return r if t > 0 else -r
+
+    def along(self, ts):
+        """Yield G(t) for each t in ts with numpy's overflow warnings off; a
+        G(t) beyond the float range raises FloatOverflow instead."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in ts:
+                g = self.at(t)
+                if not np.isfinite(g).all():
+                    raise FloatOverflow(f"G(t) overflows at t={float(t)!r}")
+                yield g
 
 
 def green_function(a, t: float) -> np.ndarray:
     """G(A, t) for a single time; builds a throwaway kernel."""
-    return GreenKernel(a).at(t)
+    return next(GreenKernel(a).along([t]))
 
 
 @dataclass(frozen=True)
@@ -224,7 +232,10 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
     if kernel.split.l > 0:
         pieces.append(_panel_nodes(-r, 0.0, quad.panels))
     x = np.zeros(kernel.a.shape[0], dtype=complex)
-    for nodes, weights in pieces:
-        for s, w in zip(nodes, weights):
-            x += w * (kernel.at(s) @ np.asarray(f(t - s), dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once below
+        for nodes, weights in pieces:
+            for s, w in zip(nodes, weights):
+                x += w * (kernel.at(s) @ np.asarray(f(t - s), dtype=complex))
+    if not np.isfinite(x).all():
+        raise FloatOverflow(f"bounded solution overflows at t={float(t)!r}")
     return x

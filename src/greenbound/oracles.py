@@ -96,8 +96,7 @@ def conv_power_grid(
 
 
 def conv_power_numeric(
-    k: int, t: float, gamma_minus: float, gamma_plus: float,
-    quad: QuadSpec | None = None, _grid=None,
+    k: int, t: float, gamma_minus: float, gamma_plus: float, _grid=None,
 ) -> float:
     """h^{*k}(t) by grid convolution and per-side cubic spline interpolation.
 
@@ -107,8 +106,7 @@ def conv_power_numeric(
     if k == 1:
         return float(np.exp(-gamma_minus * t)) if t >= 0 else float(np.exp(gamma_plus * t))
     if _grid is None:
-        if quad is None:
-            quad = default_conv_quad(gamma_minus, gamma_plus, abs(t))
+        quad = default_conv_quad(gamma_minus, gamma_plus, abs(t))
         _grid = conv_power_grid(k, gamma_minus, gamma_plus, quad)
     # imported here so that `import greenbound` does not load it
     from scipy.interpolate import CubicSpline
@@ -221,9 +219,7 @@ def _eig_green_batch(factors, s: np.ndarray) -> np.ndarray:
     return np.einsum("ij,sj,jk->sik", v, g, vinv)
 
 
-def perturbation_residual(
-    a, b, t: float, quad: QuadSpec | None = None
-) -> float:
+def perturbation_residual(a, b, t: float) -> float:
     """Defect of the identity
     G(A,t) - G(B,t) = integral G(A,s) (A-B) G(B,t-s) ds, in the inf-norm.
 
@@ -236,14 +232,13 @@ def perturbation_residual(
     if t == 0:
         raise ValueError("t must be nonzero")
     ka, kb = GreenKernel(a), GreenKernel(b)
-    if quad is None:
-        gmin = min(g for g in (
-            ka.split.gamma_minus, ka.split.gamma_plus,
-            kb.split.gamma_minus, kb.split.gamma_plus) if math.isfinite(g))
-        radius = 30.0 / gmin + abs(t)
-        quad = QuadSpec(radius, max(4, math.ceil(radius)))
+    gmin = min(g for g in (
+        ka.split.gamma_minus, ka.split.gamma_plus,
+        kb.split.gamma_minus, kb.split.gamma_plus) if math.isfinite(g))
+    radius = 30.0 / gmin + abs(t)
+    width = radius / max(4, math.ceil(radius))  # of a full panel
     lhs = ka.at(t) - kb.at(t)
-    breaks = sorted({-quad.truncation_radius, 0.0, t, quad.truncation_radius})
+    breaks = sorted({-radius, 0.0, t, radius})
     fa = _eig_green_factors(a)
     fb = _eig_green_factors(b)
     diff = a - b
@@ -251,7 +246,7 @@ def perturbation_residual(
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         if hi - lo <= 0:
             continue
-        panels = max(1, math.ceil((hi - lo) / (quad.truncation_radius / quad.panels)))
+        panels = max(1, math.ceil((hi - lo) / width))
         nodes, weights = _panel_nodes(lo, hi, panels)
         ga = _eig_green_batch(fa, nodes)
         gb = _eig_green_batch(fb, t - nodes)

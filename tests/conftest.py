@@ -12,6 +12,13 @@ def random_triangular(rng, n, gap=0.2):
     return b
 
 
+def scaled_nilpotent(seed, n, scale):
+    """random_triangular(default_rng(seed), n) with N multiplied by scale."""
+    b = random_triangular(np.random.default_rng(seed), n)
+    d = np.diag(np.diag(b))
+    return d + (b - d) * scale
+
+
 def random_dense(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 

@@ -13,7 +13,8 @@ import greenbound.schur
 from greenbound import ConvergenceFailure, GreenKernel
 from greenbound.cli import CliError, main, make_grid
 
-from conftest import random_dense, random_triangular, random_unitary
+from conftest import (random_dense, random_triangular, random_unitary,
+                      scaled_nilpotent)
 
 # `compare` CSV for the matrices used in this file, as printed by the
 # per-time bound evaluation that the envelope table replaced.  The two-norm
@@ -349,12 +350,14 @@ def test_tables_agree_with_reference(tmp_path, capsys, name):
 def test_check_large_triangular(tmp_path, capsys):
     rng = np.random.default_rng(5)
     path = write_matrix(tmp_path / "m.json", random_triangular(rng, 200))
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "check", path, "--norm", "inf", "--t-min", "-10",
         "--t-max", "10", "--steps", "6",
     )
     assert code == 0
     assert out == "ok\n"
+    # bound_entrywise_norm is finite at every t, so check notes nothing
+    assert err == ""
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -484,17 +487,38 @@ def test_near_degenerate_singular_values(tmp_path, capsys, diag):
     assert (code, out) == (0, "ok\n")
 
 
-def test_huge_times_give_zero_bounds(tmp_path, capsys):
+@pytest.mark.parametrize("t", ["1e200", "3e307", "1e308"])
+def test_huge_times_give_zero_bounds(tmp_path, capsys, t):
     # u^2 overflowed in the envelope recurrence at |t| = 1e200: compare
-    # printed bound_triangular = inf (true value 0) and a NaN entrywise bound
+    # printed bound_triangular = inf (true value 0) and a NaN entrywise bound;
+    # from ‖A‖∞|t| ≈ 9e307 on the kernel's squaring count overflowed and
+    # exact ended in an OverflowError traceback
     path = write_matrix(tmp_path / "m.json",
                         [[-1, 1, 1], [0, 2, 1], [0, 0, -3]])
-    grid = ("--t-min", "1e200", "--t-max", "1e200", "--steps", "1",
-            "--norm", "inf")
+    grid = ("--t-min", t, "--t-max", t, "--steps", "1", "--norm", "inf")
     code, out, err = run_cli(capsys, "compare", path, *grid)
     assert (code, err) == (0, "")
-    assert out.splitlines()[1] == "1e+200,0.0,0.0,0.0,,0.0,"
+    assert out.splitlines()[1] == f"{float(t)!r},0.0,0.0,0.0,,0.0,"
     assert run_cli(capsys, "check", path, *grid) == (0, "ok\n", "")
+
+
+@pytest.mark.parametrize("b, argv, note", [
+    # gaps of 1e-300 make every norm bound inf
+    pytest.param([[-1, 1, 1], [0, 2, 1], [0, 0, -3]],
+                 ("--steps", "4", "--gamma-minus", "1e-300",
+                  "--gamma-plus", "1e-300"), "4 of 4", id="tiny-gaps"),
+    # a large non-normal N: every bound column exceeds the float range
+    pytest.param(random_triangular(np.random.default_rng(5), 300),
+                 ("--steps", "6", "--t-min", "-10", "--t-max", "10"),
+                 "6 of 6", id="n300"),
+])
+def test_check_notes_times_without_a_finite_norm_bound(tmp_path, capsys, b,
+                                                       argv, note):
+    # an inf bound checks nothing, so only the entrywise matrix test can
+    # fail there: check says at how many times it checked no norm bound
+    path = write_matrix(tmp_path / "m.json", b)
+    assert run_cli(capsys, "check", path, "--norm", "inf", *argv) == (
+        0, "ok\n", f"note: every norm bound is inf or nan at {note} times\n")
 
 
 @pytest.mark.parametrize("argv, code, lines", [
@@ -510,12 +534,6 @@ def test_negative_numbers_in_scientific_notation(tmp_path, capsys, argv,
     assert got == code
     assert len(out.splitlines()) == lines
     assert code == 0 or err.startswith("error: gap override")
-
-
-def scaled_nilpotent(seed, n, scale):
-    b = random_triangular(np.random.default_rng(seed), n)
-    d = np.diag(np.diag(b))
-    return d + (b - d) * scale
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

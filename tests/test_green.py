@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from greenbound import (
+    FloatOverflow,
     GreenKernel,
     SpectrumOnAxis,
     UndefinedAtZero,
@@ -15,7 +17,7 @@ from greenbound import (
     spectral_projectors,
 )
 
-from conftest import random_triangular, random_unitary
+from conftest import random_triangular, random_unitary, scaled_nilpotent
 
 
 def test_spectral_gaps_two_sided():
@@ -175,3 +177,17 @@ def test_bounded_solution_residual():
     xdot = (xp - xm) / (2 * dh)
     residual = xdot - a @ x0 - f(t0)
     assert np.abs(residual).max() < 1e-4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("evaluate, message", [
+    pytest.param(lambda a: green_function(a, 0.1),
+                 "G(t) overflows at t=0.1", id="green_function"),
+    pytest.param(lambda a: bounded_solution(a, lambda s: np.ones(5), 0.1),
+                 "bounded solution overflows at t=0.1", id="bounded_solution"),
+])
+def test_library_overflow_is_a_typed_error(evaluate, message):
+    # the CLI's FloatOverflow input: the library returned inf/NaN with
+    # numpy overflow warnings where the CLI printed one error line
+    with pytest.raises(FloatOverflow, match=f"^{re.escape(message)}$"):
+        evaluate(scaled_nilpotent(1, 5, 1e50))
