@@ -13,7 +13,6 @@ from .bounds import (
     qtds18_grid,
     triangular_bound,
     van_loan_bound,
-    van_loan_grid,
 )
 from .errors import (
     ConvergenceFailure,

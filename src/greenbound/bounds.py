@@ -187,9 +187,6 @@ def _matrix_powers(nabs):
     """
     size = nabs.shape[0]
     nonzero = nabs != 0
-    if not nonzero.any():
-        yield np.eye(size), 0
-        return
     r0 = int(nonzero.any(axis=1).argmax())
     c1 = size - int(nonzero.any(axis=0)[::-1].argmax())
     step = math.frexp(float(nabs.max()))[1]
@@ -356,17 +353,11 @@ def entrywise_bound(
     return table.matrix_series(np.abs(strict))[0]
 
 
-def van_loan_grid(alpha: float, norm_n: float, n: int, ts) -> np.ndarray:
-    """van_loan_bound on a grid of times t >= 0."""
-    ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0):
-        raise DomainError("van_loan_bound requires t >= 0")
-    return envelope_table(n, -alpha, INF, ts).series(norm_n)
-
-
 def van_loan_bound(alpha: float, norm_n: float, n: int, t: float) -> float:
     """||e^{At}|| <= e^{alpha t} sum_{k<n} ||N t||^k / k!  for t >= 0."""
-    return float(van_loan_grid(alpha, norm_n, n, [t])[0])
+    if t < 0:
+        raise DomainError("van_loan_bound requires t >= 0")
+    return float(envelope_table(n, -alpha, INF, [t]).series(norm_n)[0])
 
 
 def _qtds_weights(outer: int, inner: int, two_a: float, gamma: float):

@@ -173,17 +173,16 @@ class Problem:
         return sums.max(axis=1)
 
     @cached_property
-    def bound_vanloan(self) -> np.ndarray:
-        s, grid = self.split, self.t
-        col = np.full(len(grid), None)
-        if s.l == 0:
-            side, alpha, ts = grid > 0, s.alpha, grid
-        elif s.m == 0:
-            side, alpha, ts = grid < 0, -self.max_split.gamma_plus, -grid
-        else:
-            return col
-        col[side] = bnd.van_loan_grid(alpha, self.norm_n, self.n, ts[side])
-        return col
+    def bound_vanloan(self):
+        """Van Loan's bound is the one-sided triangular bound at the maximal
+        gap, on the side where the spectrum decays."""
+        ms = self.max_split
+        if ms.m and ms.l:
+            return [None] * len(self.t)
+        table = bnd.envelope_table(self.n, ms.gamma_minus, ms.gamma_plus,
+                                   self.t)
+        return np.where((self.t > 0) == (ms.l == 0),
+                        table.series(self.norm_n), None)
 
     @cached_property
     def bound_qtds18(self):

@@ -174,14 +174,15 @@ class GreenKernel:
         return r if t > 0 else -r
 
     def along(self, ts):
-        """Yield G(t) for each t in ts with numpy's overflow warnings off; a
-        G(t) beyond the float range raises FloatOverflow instead."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in ts:
+        """Yield G(t) for each t in ts, computed with numpy's overflow
+        warnings off; a G(t) beyond the float range raises FloatOverflow
+        instead.  The caller's settings hold while a G(t) is yielded."""
+        for t in ts:
+            with np.errstate(over="ignore", invalid="ignore"):
                 g = self.at(t)
-                if not np.isfinite(g).all():
-                    raise FloatOverflow(f"G(t) overflows at t={float(t)!r}")
-                yield g
+            if not np.isfinite(g).all():
+                raise FloatOverflow(f"G(t) overflows at t={float(t)!r}")
+            yield g
 
 
 def green_function(a, t: float) -> np.ndarray:

@@ -289,6 +289,38 @@ def test_override_widens_bound(tmp_path, capsys):
     assert rows["narrow"] == pytest.approx(math.exp(-1))
 
 
+@pytest.mark.parametrize("a", [
+    pytest.param([[-1, 1, 1], [0, -2, 1], [0, 0, -3]], id="left"),
+    pytest.param([[1, 1, 1], [0, 2, 1], [0, 0, 3]], id="right"),
+])
+def test_van_loan_is_the_one_sided_triangular_bound(tmp_path, capsys, a):
+    # on a one-sided spectrum Van Loan's sum is the triangular bound at the
+    # maximal gap; a gap override narrows the strip of the triangular bound
+    # only, so it can only widen that column
+    path = write_matrix(tmp_path / "m.json", a)
+    grid = ("--t-min", "-10", "--t-max", "10", "--steps", "40",
+            "--norm", "inf")
+    tables = {}
+    for flag in (None, "--gamma-minus", "--gamma-plus"):
+        extra = () if flag is None else (flag, "0.05")
+        code, out, _ = run_cli(capsys, "compare", path, *grid, *extra)
+        assert code == 0
+        header, *lines = out.splitlines()
+        names = header.split(",")
+        tables[flag] = [dict(zip(names, ln.split(","))) for ln in lines]
+    plain = tables[None]
+    decaying = [r for r in plain if (float(r["t"]) > 0) == (a[0][0] < 0)]
+    assert len(decaying) == 20
+    assert all(r["bound_vanloan"] == r["bound_triangular"] for r in decaying)
+    assert sum(r["bound_vanloan"] == "" for r in plain) == 20
+    for flag in ("--gamma-minus", "--gamma-plus"):
+        rows = tables[flag]
+        assert [r["bound_vanloan"] for r in rows] == \
+            [r["bound_vanloan"] for r in plain]
+        assert all(float(r["bound_vanloan"]) <= float(r["bound_triangular"])
+                   for r in rows if r["bound_vanloan"])
+
+
 def test_console_script_entry_point(tmp_path):
     path = write_matrix(tmp_path / "m.json", np.diag([-1.0, 2.0]))
     proc = subprocess.run(
@@ -381,7 +413,7 @@ def test_each_command_computes_only_what_it_prints(tmp_path, capsys,
     path = write_matrix(tmp_path / "m.json", random_triangular(rng, 4))
     grid = ("--t-min", "-2", "--t-max", "2", "--steps", "6", "--norm", "inf")
     with monkeypatch.context() as m:
-        for name in ("envelope_table", "van_loan_grid", "qtds18_grid"):
+        for name in ("envelope_table", "qtds18_grid"):
             m.setattr(bounds, name, _forbidden)
         code, out, _ = run_cli(capsys, "exact", path, *grid)
         assert code == 0 and len(out.splitlines()) == 7

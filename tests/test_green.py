@@ -132,6 +132,17 @@ def test_kernel_returns_fresh_arrays(rng):
     assert np.array_equal(k.at(1.0), GreenKernel(b).at(1.0))
 
 
+def test_along_restores_error_settings_while_suspended():
+    # the caller's loop body runs between two yields under its own settings
+    before = np.geterr()
+    kernel = GreenKernel(np.array([[-1.0, 1.0], [0.0, 2.0]]))
+    steps = kernel.along([1.0, 2.0])
+    next(steps)
+    assert np.geterr() == before
+    next(steps)
+    assert np.geterr() == before
+
+
 def test_green_unitary_invariance(rng):
     b = random_triangular(rng, 5)
     q = random_unitary(rng, 5)
