@@ -173,7 +173,7 @@ def _series(u, n: int, gamma=None):
         mants.append(cur)
         shifts.append(shift)
     expo = np.cumsum(np.array(shifts), axis=0) + np.outer(np.arange(n), e)
-    return np.array(mants).T, expo.T
+    return np.stack(mants, axis=1), np.ascontiguousarray(expo.T)
 
 
 def _matrix_powers(nabs):

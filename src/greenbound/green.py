@@ -223,20 +223,41 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
 
     f maps a real time to a vector of length n and must be bounded and
     continuous.  The quadrature is ``default_quad`` of the spectral split.
+
+    On one side of 0 the kernel is a semigroup: G(a + d) = G(a) G(d) for
+    a, d > 0 and G(a + d) = -G(a) G(d) for a, d < 0.  The panels are
+    uniform, so with a_j the edge of panel j nearest 0 and d_i the nodes of
+    the panel next to 0,
+
+        x(t) = sum_j H_j sum_i w_i G(d_i) f(t - a_j - d_i),
+
+    where H_j = +-G(a_j), the sign of the side, and H_0 = I for the panel
+    next to 0 (P G(d) = G(d), so G is never asked for at 0).  Each
+    occupied side costs GAUSS_NODES + panels - 1 kernel evaluations; every
+    G(a_j) is its own ``GreenKernel.at``, not a power of G(h), which would
+    compound the rounding error where the projectors are large.
     """
     kernel = GreenKernel(a)
     quad = default_quad(kernel.split)
-    r = quad.truncation_radius
-    pieces = []
+    r, panels = quad.truncation_radius, quad.panels
+    sides = []
     if kernel.split.m > 0:
-        pieces.append(_panel_nodes(0.0, r, quad.panels))
+        sides.append((1.0, _panel_nodes(0.0, r, panels)))
     if kernel.split.l > 0:
-        pieces.append(_panel_nodes(-r, 0.0, quad.panels))
+        sides.append((-1.0, _panel_nodes(-r, 0.0, panels)))
     x = np.zeros(kernel.a.shape[0], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # checked once below
-        for nodes, weights in pieces:
-            for s, w in zip(nodes, weights):
-                x += w * (kernel.at(s) @ np.asarray(f(t - s), dtype=complex))
+        for sign, pair in sides:
+            # panel j counted from 0 outward, a_j = edges[j]
+            nodes, weights = (v.reshape(panels, GAUSS_NODES)[::int(sign)]
+                              for v in pair)
+            edges = np.linspace(0.0, sign * r, panels + 1)
+            inner = np.array([kernel.at(d) for d in nodes[0]])
+            inner *= weights[0][:, None, None]
+            for j, (edge, panel) in enumerate(zip(edges, nodes)):
+                vals = np.array([f(t - s) for s in panel], dtype=complex)
+                y = np.einsum("ikl,il->k", inner, vals)
+                x += y if j == 0 else sign * (kernel.at(edge) @ y)
     if not np.isfinite(x).all():
         raise FloatOverflow(f"bounded solution overflows at t={float(t)!r}")
     return x

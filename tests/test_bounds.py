@@ -396,3 +396,15 @@ def test_entrywise_bound_large_n(n, kind):
         # ||sum_k W_k |N|^k||_inf <= sum_k W_k ||N||_inf^k
         tri = triangular_bound(BoundParams(n, norm_inf, gm, gp), t)
         assert out.sum(axis=1).max() <= tri * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("gm,gp", [(INF, 0.2), (0.2, INF), (0.3, 0.5)])
+@pytest.mark.parametrize("n", [8, 20])
+def test_envelope_table_row_is_independent_of_the_grid(n, gm, gp):
+    # a one-point bound must read the same bits as that time on a grid
+    ts = np.array([-1e-5, -0.4, 1.0, 2.0, 7.5])
+    grid = envelope_table(n, gm, gp, ts)
+    for i, t in enumerate(ts):
+        row = envelope_table(n, gm, gp, [t])
+        for x in (0.7, 5.5):
+            assert row.series(x)[0] == grid.series(x)[i]

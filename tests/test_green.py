@@ -16,6 +16,7 @@ from greenbound import (
     spectral_gaps,
     spectral_projectors,
 )
+from greenbound.green import GAUSS_NODES, default_quad
 
 from conftest import random_triangular, random_unitary, scaled_nilpotent
 
@@ -188,6 +189,57 @@ def test_bounded_solution_residual():
     xdot = (xp - xm) / (2 * dh)
     residual = xdot - a @ x0 - f(t0)
     assert np.abs(residual).max() < 1e-4
+
+
+def _left(seed, n):
+    """random_triangular(default_rng(seed), n) with every eigenvalue in the
+    left half-plane."""
+    b = random_triangular(np.random.default_rng(seed), n)
+    return b - 2.0 * np.diag(np.maximum(np.diag(b).real, 0.0))
+
+
+def _dense(seed, n):
+    rng = np.random.default_rng(seed)
+    q = random_unitary(rng, n)
+    return q @ random_triangular(rng, n) @ q.conj().T
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param(_left(3, 6), id="one-sided-left"),
+    pytest.param(-_left(4, 6), id="one-sided-right"),
+    pytest.param(random_triangular(np.random.default_rng(7), 8), id="two-sided"),
+    pytest.param(scaled_nilpotent(8, 6, 10.0), id="non-normal"),
+    pytest.param(_dense(9, 7), id="dense"),
+    # ||P-||_inf = 2.9e5: the projectors carry large cancelling entries
+    pytest.param(random_triangular(np.random.default_rng(30), 30),
+                 id="large-projectors"),
+])
+def test_bounded_solution_matches_closed_form(a):
+    # f(s) = e^{i w s} c has the bounded solution (i w I - A)^{-1} c e^{i w t}
+    n = a.shape[0]
+    c = np.random.default_rng(n).normal(size=n) + 0j
+    omega, t = 0.7, 0.5
+    x = bounded_solution(a, lambda s: np.exp(1j * omega * s) * c, t)
+    exact = np.linalg.solve(1j * omega * np.eye(n) - a, c) * np.exp(1j * omega * t)
+    assert np.abs(x - exact).max() <= 1e-9 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("a, sides", [
+    pytest.param(np.diag([-1.0, -2.0]), 1, id="one-sided"),
+    pytest.param(np.array([[-1.0, 1.0], [0.0, 2.0]]), 2, id="two-sided"),
+])
+def test_bounded_solution_kernel_evaluations(monkeypatch, a, sides):
+    # the semigroup form: the nodes of one panel plus one anchor per further
+    # panel, where one evaluation per node would take panels * GAUSS_NODES
+    calls = []
+    at = GreenKernel.at
+    monkeypatch.setattr(GreenKernel, "at",
+                        lambda self, t: calls.append(t) or at(self, t))
+    bounded_solution(a, lambda s: np.ones(2), 0.3)
+    panels = default_quad(GreenKernel(a).split).panels
+    assert panels > 1
+    assert len(calls) <= sides * (panels + GAUSS_NODES)
+    assert 0.0 not in calls
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
