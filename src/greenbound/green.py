@@ -32,6 +32,8 @@ AXIS_RTOL = 1e-12
 SIGN_RTOL = 1e-13
 SIGN_MAX_ITER = 100
 GAUSS_NODES = 16
+# Gauss-Legendre nodes and weights on [-1, 1], built once
+GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
 
 INF = float("inf")
 
@@ -209,12 +211,11 @@ def default_quad(split: SpectralSplit) -> QuadSpec:
 
 def _panel_nodes(lo: float, hi: float, panels: int):
     """Composite Gauss-Legendre nodes/weights on [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(GAUSS_NODES)
     edges = np.linspace(lo, hi, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    nodes = (mids[:, None] + half[:, None] * GAUSS_X[None, :]).ravel()
+    weights = (half[:, None] * GAUSS_W[None, :]).ravel()
     return nodes, weights
 
 
@@ -226,16 +227,16 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
 
     On one side of 0 the kernel is a semigroup: G(a + d) = G(a) G(d) for
     a, d > 0 and G(a + d) = -G(a) G(d) for a, d < 0.  The panels are
-    uniform, so with a_j the edge of panel j nearest 0 and d_i the nodes of
-    the panel next to 0,
+    uniform, of width h, so on the side of sign s panel j holds the nodes
+    s j h + d_i, with d_i the nodes of the panel next to 0, and
+    s G(s j h) = M^j with M = s G(s h).  With
+    y_j = sum_i w_i G(d_i) f(t - s j h - d_i), each side is a Horner sum,
+    evaluated from the far panel inward:
 
-        x(t) = sum_j H_j sum_i w_i G(d_i) f(t - a_j - d_i),
+        x_side = y_0 + M (y_1 + M (y_2 + ...)).
 
-    where H_j = +-G(a_j), the sign of the side, and H_0 = I for the panel
-    next to 0 (P G(d) = G(d), so G is never asked for at 0).  Each
-    occupied side costs GAUSS_NODES + panels - 1 kernel evaluations; every
-    G(a_j) is its own ``GreenKernel.at``, not a power of G(h), which would
-    compound the rounding error where the projectors are large.
+    Each occupied side costs GAUSS_NODES + 1 kernel evaluations, and the
+    carry only matrix-vector products; G is never asked for at 0.
     """
     kernel = GreenKernel(a)
     quad = default_quad(kernel.split)
@@ -248,16 +249,17 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
     x = np.zeros(kernel.a.shape[0], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # checked once below
         for sign, pair in sides:
-            # panel j counted from 0 outward, a_j = edges[j]
+            # panel j counted from 0 outward
             nodes, weights = (v.reshape(panels, GAUSS_NODES)[::int(sign)]
                               for v in pair)
-            edges = np.linspace(0.0, sign * r, panels + 1)
             inner = np.array([kernel.at(d) for d in nodes[0]])
             inner *= weights[0][:, None, None]
-            for j, (edge, panel) in enumerate(zip(edges, nodes)):
+            carry = sign * kernel.at(sign * r / panels)  # M
+            acc = np.zeros_like(x)
+            for panel in nodes[::-1]:
                 vals = np.array([f(t - s) for s in panel], dtype=complex)
-                y = np.einsum("ikl,il->k", inner, vals)
-                x += y if j == 0 else sign * (kernel.at(edge) @ y)
+                acc = np.einsum("ikl,il->k", inner, vals) + carry @ acc
+            x += acc
     if not np.isfinite(x).all():
         raise FloatOverflow(f"bounded solution overflows at t={float(t)!r}")
     return x

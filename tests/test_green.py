@@ -16,7 +16,7 @@ from greenbound import (
     spectral_gaps,
     spectral_projectors,
 )
-from greenbound.green import GAUSS_NODES, default_quad
+from greenbound.green import GAUSS_NODES, _panel_nodes, default_quad
 
 from conftest import random_triangular, random_unitary, scaled_nilpotent
 
@@ -213,6 +213,10 @@ def _dense(seed, n):
     # ||P-||_inf = 2.9e5: the projectors carry large cancelling entries
     pytest.param(random_triangular(np.random.default_rng(30), 30),
                  id="large-projectors"),
+    # ||P-||_inf = 6.24e6: the Horner carry must not amplify the error it
+    # leaves in the discarded range
+    pytest.param(random_triangular(np.random.default_rng(45), 45),
+                 id="larger-projectors"),
 ])
 def test_bounded_solution_matches_closed_form(a):
     # f(s) = e^{i w s} c has the bounded solution (i w I - A)^{-1} c e^{i w t}
@@ -229,8 +233,8 @@ def test_bounded_solution_matches_closed_form(a):
     pytest.param(np.array([[-1.0, 1.0], [0.0, 2.0]]), 2, id="two-sided"),
 ])
 def test_bounded_solution_kernel_evaluations(monkeypatch, a, sides):
-    # the semigroup form: the nodes of one panel plus one anchor per further
-    # panel, where one evaluation per node would take panels * GAUSS_NODES
+    # the Horner form: the nodes of one panel plus the one-panel carry per
+    # side, where one evaluation per node would take panels * GAUSS_NODES
     calls = []
     at = GreenKernel.at
     monkeypatch.setattr(GreenKernel, "at",
@@ -238,8 +242,23 @@ def test_bounded_solution_kernel_evaluations(monkeypatch, a, sides):
     bounded_solution(a, lambda s: np.ones(2), 0.3)
     panels = default_quad(GreenKernel(a).split).panels
     assert panels > 1
-    assert len(calls) <= sides * (panels + GAUSS_NODES)
+    assert len(calls) <= sides * (GAUSS_NODES + 1)
     assert 0.0 not in calls
+
+
+@pytest.mark.parametrize("a, sides", [
+    pytest.param(np.diag([-1.0, -2.0]), 1, id="one-sided"),
+    pytest.param(np.array([[-1.0, 1.0], [0.0, 2.0]]), 2, id="two-sided"),
+])
+def test_bounded_solution_calls_f_once_per_node(a, sides):
+    # at t = 0 the forcing is asked for at exactly the negated nodes
+    calls = []
+    bounded_solution(a, lambda s: calls.append(-s) or np.ones(2), 0.0)
+    quad = default_quad(GreenKernel(a).split)
+    r, panels = quad.truncation_radius, quad.panels
+    nodes = [_panel_nodes(0.0, r, panels)[0], _panel_nodes(-r, 0.0, panels)[0]]
+    assert len(calls) == sides * panels * GAUSS_NODES
+    assert sorted(calls) == sorted(np.concatenate(nodes[:sides]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
