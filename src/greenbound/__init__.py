@@ -50,6 +50,7 @@ from .oracles import (
     conv_power_bessel,
     conv_power_numeric,
     green_contour,
+    green_parlett,
     perturbation_residual,
 )
 from .schur import SchurForm, hessenberg, schur_decompose

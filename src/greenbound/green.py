@@ -7,8 +7,11 @@ unique bounded solution is the convolution of f with the kernel
 
 where P-/P+ are the spectral projectors onto the invariant subspaces of the
 left/right half-plane eigenvalues.  The projectors come from the matrix sign
-function via a scaled Newton iteration; the exponential is scipy's expm
-(Al-Mohy & Higham scaling and squaring with a Pade degree of 3 to 13).
+function via a scaled Newton iteration.  The exponential is scaling and
+squaring around a degree-18 Taylor polynomial: A is scaled once by a power
+of two to B with norm_inf(B) < 1, the powers of B are tabulated, and each
+time reads e^{cB}, |c| norm_inf(B) <= 1, off the table (the Taylor degree
+versus norm argument of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
     SpectrumOnAxis,
     UndefinedAtZero,
 )
-from .matcore import as_matrix, induced_norm, split_triangular
+from .matcore import as_matrix, binary_scale, induced_norm, split_triangular
 
 AXIS_RTOL = 1e-12
 SIGN_RTOL = 1e-13
@@ -34,6 +37,13 @@ SIGN_MAX_ITER = 100
 GAUSS_NODES = 16
 # Gauss-Legendre nodes and weights on [-1, 1], built once
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
+# e^X = sum_j X^j / j! to this degree: for norm_inf(X) <= 1 the tail is at
+# most e / 19! < 2.4e-17, below the unit roundoff.  The terms are summed
+# from the highest power down, smallest first.
+TAYLOR_DEGREE = 18
+TAYLOR_POWERS = np.arange(TAYLOR_DEGREE, -1, -1)
+TAYLOR_FACTORIALS = np.array(
+    [float(math.factorial(j)) for j in TAYLOR_POWERS])
 
 INF = float("inf")
 
@@ -135,14 +145,15 @@ def matrix_exp(a) -> np.ndarray:
 class GreenKernel:
     """Green's function evaluator for a fixed coefficient matrix.
 
-    Precomputes the spectral projectors and ‖A‖∞ once and keeps no other
-    state, so evaluations at distinct times are independent and every call
-    returns a fresh array.
+    Precomputes the spectral projectors and the Taylor table of A once and
+    keeps no other state, so evaluations at distinct times are independent
+    and every call returns a fresh array.  The table holds B^0 .. B^18 for
+    B = A / 2^k, 2^k the power of two just above norm_inf(A); the scaling is
+    exact, and k is found where norm_inf(A) itself overflows.
     """
 
     def __init__(self, a, split: SpectralSplit | None = None):
         self.a = as_matrix(a)
-        self.norm_inf = induced_norm(self.a, np.inf)
         if split is None:
             split = spectral_gaps_from_eigenvalues(np.linalg.eigvals(self.a))
         self.split = split
@@ -154,23 +165,38 @@ class GreenKernel:
             self.p_plus = np.zeros_like(self.a)
         else:
             self.p_minus, self.p_plus = spectral_projectors(self.a)
+        self.k, b = binary_scale(self.a)
+        self.norm_b = induced_norm(b, np.inf)
+        # row i of the table is B^TAYLOR_POWERS[i], flattened
+        n = b.shape[0]
+        self.table = np.empty((TAYLOR_DEGREE + 1, n * n), dtype=complex)
+        powers = self.table.reshape(-1, n, n)
+        powers[-1] = np.eye(n)
+        for i in range(TAYLOR_DEGREE, 0, -1):
+            np.matmul(powers[i], b, out=powers[i - 1])
 
     def at(self, t: float) -> np.ndarray:
         """G(t); inf/NaN where it leaves the float range (``along`` checks).
 
-        Plain matrix_exp(A t) @ P cancels catastrophically once the discarded
-        half of the spectrum makes e^{At} large, so square up s times from
-        A t / 2^s, s = ceil(log2 ‖A t‖∞) (from the binary exponents where that
-        exceeds the float range), and reproject after every squaring; the
-        retained modes decay and the others' contamination cannot amplify.
+        Plain e^{At} P cancels catastrophically once the discarded half of
+        the spectrum makes e^{At} large, so square up s times from
+        e^{At/2^s}, s = ceil(log2 norm_inf(A t)) (0 when that is <= 1), and
+        reproject after every squaring; the retained modes decay and the
+        others' contamination cannot amplify.  At / 2^s = cB with the exact
+        scalar c = t 2^(k-s), |c| norm_inf(B) <= 1, and e^{cB} is the Taylor
+        sum over the table.  s comes from binary exponents, so it holds
+        where norm_inf(A t) overflows.
         """
         if t == 0:
             raise UndefinedAtZero("Green's function is undefined at t = 0")
         p = self.p_minus if t > 0 else self.p_plus
-        norm = self.norm_inf * abs(t)
-        s = (math.ceil(math.log2(max(norm, 1.0))) if norm < INF
-             else math.frexp(self.norm_inf)[1] + math.frexp(t)[1])
-        r = matrix_exp(self.a * math.ldexp(t, -s)) @ p
+        # norm_inf(A t) = m 2^(e + k + et), the product taken as floats
+        mt, et = math.frexp(abs(t))
+        m, e = math.frexp(self.norm_b * mt)
+        s = max(0, e + self.k + et - (m == 0.5))
+        c = math.ldexp(t, self.k - s)
+        coef = c ** TAYLOR_POWERS / TAYLOR_FACTORIALS
+        r = (coef @ self.table).reshape(p.shape) @ p
         for _ in range(s):
             r = p @ (r @ r)
         return r if t > 0 else -r

@@ -8,6 +8,8 @@ inputs are rejected rather than silently transposed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConvergenceFailure, NotStrictlyTriangular, NotTriangular
@@ -36,21 +38,41 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _ldexp(a, e: int) -> np.ndarray:
+    """A * 2^e entry by entry, exact unless an entry underflows."""
+    return np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e)
+
+
+def binary_scale(a) -> tuple[int, np.ndarray]:
+    """(k, A * 2^-k) with 2^(k-1) <= norm_inf(A) < 2^k.
+
+    norm_inf(A) itself overflows once a row sum of finite entries leaves the
+    float range, so k is read off A * 2^-e, e the binary exponent of its
+    largest entry, whose row sums stay below 2n.
+    """
+    a = as_matrix(a)
+    big = max(np.abs(a.real).max(), np.abs(a.imag).max())
+    e = math.frexp(big)[1]
+    k = e + math.frexp(induced_norm(_ldexp(a, -e), np.inf))[1]
+    return k, _ldexp(a, -k)
+
+
 def split_triangular(b) -> tuple[np.ndarray, np.ndarray]:
     """Split an upper triangular B into diagonal D and strictly upper N.
 
     Subdiagonal entries up to ``1e-13 * norm_inf(B)`` are hard-zeroed; anything
-    larger raises :class:`NotTriangular`.  D + N reproduces the hard-zeroed B
-    exactly.
+    larger raises :class:`NotTriangular`.  The comparison is made on
+    ``binary_scale(B)``, so it holds where norm_inf(B) overflows.  D + N
+    reproduces the hard-zeroed B exactly.
     """
     b = as_matrix(b)
-    atol = TRIANGULAR_ATOL_FACTOR * induced_norm(b, np.inf)
-    lower = np.tril(b, -1)
-    if lower.size and np.abs(lower).max() > atol:
-        i, j = np.unravel_index(np.argmax(np.abs(lower)), lower.shape)
-        raise NotTriangular(
-            f"subdiagonal entry ({i},{j}) = {b[i, j]} exceeds tolerance {atol:g}"
-        )
+    k, scaled = binary_scale(b)
+    atol = TRIANGULAR_ATOL_FACTOR * induced_norm(scaled, np.inf)
+    lower = np.abs(np.tril(scaled, -1))
+    if lower.size and lower.max() > atol:
+        i, j = np.unravel_index(np.argmax(lower), lower.shape)
+        raise NotTriangular(f"subdiagonal entry ({i},{j}) = {b[i, j]} "
+                            f"exceeds tolerance {math.ldexp(atol, k):g}")
     clean = np.triu(b)
     d = np.diag(np.diag(clean))
     n = clean - d

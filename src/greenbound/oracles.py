@@ -2,9 +2,9 @@
 
 Nothing here shares a code path with the quantities it checks: convolution
 powers are computed by grid convolution and by the Bessel-product form, the
-Green's function by resolvent contour quadrature, and the perturbation
-identity by direct quadrature with an eigendecomposition-based kernel
-evaluator.
+Green's function by resolvent contour quadrature and by Parlett's recurrence
+in extended precision, and the perturbation identity by direct quadrature
+with an eigendecomposition-based kernel evaluator.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import h_eval
 from .errors import DomainError, SingularResolvent
 from .green import GreenKernel, QuadSpec, _panel_nodes, spectral_gaps_from_eigenvalues
-from .matcore import as_matrix, induced_norm
+from .matcore import as_matrix, induced_norm, split_triangular
 
 
 def bessel_k_half(m: int, x: float) -> float:
@@ -201,6 +201,43 @@ def green_contour(a, t: float, spec: ContourSpec | None = None) -> np.ndarray:
     g = np.exp(lam * t) if t > 0 else -np.exp(lam * t)
     total = np.einsum("s,s,sij->ij", w, g, resolvents)
     return total / (2j * np.pi)
+
+
+def green_parlett(t_mat, t: float, dps: int = 100) -> np.ndarray:
+    """G(T, t) of an upper triangular T by Parlett's recurrence in mpmath.
+
+    G = f(T) with f(z) = e^{zt} on Re z < 0 for t > 0 and f(z) = -e^{zt} on
+    Re z > 0 for t < 0, zero elsewhere.  f(T) commutes with T, which gives
+    each superdiagonal from the ones below it (Higham, *Functions of
+    Matrices*, SIAM 2008, ch. 4):
+
+        f_ij (t_jj - t_ii) = t_ij (f_jj - f_ii)
+                             + sum_{i<k<j} (t_ik f_kj - f_ik t_kj).
+
+    The diagonal of T must be distinct.  Worked in ``dps`` decimal digits and
+    rounded to complex128 at the end.
+    """
+    # imported here so that `import greenbound` does not load it
+    import mpmath
+
+    d, n_mat = split_triangular(t_mat)
+    n = d.shape[0]
+    with mpmath.workdps(dps):
+        a = [[mpmath.mpc(z) for z in row] for row in (d + n_mat).tolist()]
+        time = mpmath.mpf(t)
+        f = [[mpmath.mpc(0)] * n for _ in range(n)]
+        for i in range(n):
+            if (a[i][i].real < 0) == (t > 0):
+                f[i][i] = mpmath.exp(a[i][i] * time) * (1 if t > 0 else -1)
+        for p in range(1, n):
+            for i in range(n - p):
+                j = i + p
+                mid = range(i + 1, j)
+                total = (a[i][j] * (f[j][j] - f[i][i])
+                         + mpmath.fdot((a[i][k], f[k][j]) for k in mid)
+                         - mpmath.fdot((f[i][k], a[k][j]) for k in mid))
+                f[i][j] = total / (a[j][j] - a[i][i])
+        return np.array([[complex(z) for z in row] for row in f])
 
 
 def _eig_green_factors(a):

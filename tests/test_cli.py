@@ -586,6 +586,31 @@ def test_overflow_is_a_typed_error(tmp_path, capsys, seed, n, scale, command,
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gaps_where_the_norm_overflows(tmp_path, capsys):
+    # norm_inf = 2e308: the triangularity test dropped the subdiagonal 1e307
+    # and printed the diagonal, -1e308 and 1e308, as the eigenvalues
+    a = np.array([[-1e308, 1e308], [1e307, 1e308]])
+    code, out, err = run_cli(capsys, "gaps", write_matrix(tmp_path / "m.json", a))
+    assert (code, err) == (0, "")
+    eigs = [complex(z) for z in out.splitlines()[0].split()[1:]]
+    assert np.allclose(sorted(eigs, key=lambda z: z.real),
+                       np.sort(np.linalg.eigvals(a)), rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exact_where_the_norm_overflows(tmp_path, capsys):
+    # the squaring count came from frexp(inf) = 0, so it was negative and
+    # exact reported a false FloatOverflow; G(t) = 0 to the float range
+    path = write_matrix(tmp_path / "m.json", [[-1e308, 1e308], [0, 1e308]])
+    code, out, err = run_cli(capsys, "exact", path, "--t-min", "-10",
+                             "--t-max", "10", "--steps", "6")
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert len(rows) == 6
+    assert all(row["exact_norm"] == 0.0 for row in rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ratio_beyond_float_range_is_quiet_inf(tmp_path, capsys):
     path = write_matrix(tmp_path / "m.json",
                         random_triangular(np.random.default_rng(5), 90))

@@ -3,7 +3,9 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import greenbound.green
 from greenbound import (
     FloatOverflow,
     GreenKernel,
@@ -17,8 +19,10 @@ from greenbound import (
     spectral_projectors,
 )
 from greenbound.green import GAUSS_NODES, _panel_nodes, default_quad
+from greenbound.oracles import green_parlett
 
-from conftest import random_triangular, random_unitary, scaled_nilpotent
+from conftest import (log_time_grid, random_triangular, random_unitary,
+                      scaled_nilpotent)
 
 
 def test_spectral_gaps_two_sided():
@@ -131,6 +135,57 @@ def test_kernel_returns_fresh_arrays(rng):
     g = k.at(1.0)
     g *= 0.0
     assert np.array_equal(k.at(1.0), GreenKernel(b).at(1.0))
+
+
+def _no_expm(*args, **kwargs):
+    raise AssertionError("the kernel called a matrix exponential routine")
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param(random_triangular(np.random.default_rng(11), 6),
+                 id="triangular"),
+    pytest.param(scaled_nilpotent(12, 6, 1e4), id="non-normal"),
+])
+def test_kernel_reads_its_table_without_expm(monkeypatch, a):
+    monkeypatch.setattr(greenbound.green, "matrix_exp", _no_expm)
+    monkeypatch.setattr(scipy.linalg, "expm", _no_expm)
+    times = list(log_time_grid(10)) + [-1e308, 1e308]
+    assert all(np.isfinite(g).all() for g in GreenKernel(a).along(times))
+
+
+@pytest.mark.parametrize("t", [0.25, -0.25])
+def test_taylor_sum_at_the_edge_of_its_range(t):
+    # norm_inf(A) = 4, so B = A / 8 has norm_inf(B) = 1/2, and at |t| = 1/4
+    # no squaring is needed: e^{At} is the Taylor sum at c = 8t = ±2,
+    # where |c| norm_inf(B) = 1
+    a = np.array([[-1.0, 2.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, -3.0]])
+    kernel = GreenKernel(a)
+    assert (kernel.k, kernel.norm_b) == (3, 0.5)
+    p = kernel.p_minus if t > 0 else kernel.p_plus
+    exact = np.sign(t) * scipy.linalg.expm(a * t) @ p
+    scale = induced_norm(scipy.linalg.expm(a * t), "inf") * induced_norm(p, "inf")
+    assert induced_norm(kernel.at(t) - exact, "inf") <= 1e-14 * scale
+
+
+# the largest entry error relative to the largest entry of G over
+# t = ±0.3, ±2, ±9, against 80-digit Parlett: twice what the kernel read
+# when it exponentiated with scipy's expm
+@pytest.mark.parametrize("a, rtol", [
+    pytest.param(scaled_nilpotent(12, 12, 1e4), 2 * 1.67e-10, id="Nx1e4-12"),
+    pytest.param(scaled_nilpotent(24, 24, 1e4), 2 * 4.16e-10, id="Nx1e4-24"),
+    pytest.param(random_triangular(np.random.default_rng(40), 40),
+                 2 * 3.06e-13, id="random-40"),
+    pytest.param(scaled_nilpotent(50, 50, 10.0), 2 * 8.16e-12,
+                 id="Nx10-50"),
+    pytest.param(random_triangular(np.random.default_rng(20), 20, gap=1e-3),
+                 2 * 1.51e-13, id="near-axis-20"),
+])
+def test_kernel_matches_parlett(a, rtol):
+    kernel = GreenKernel(a)
+    for t in (-9.0, -2.0, -0.3, 0.3, 2.0, 9.0):
+        exact = green_parlett(a, t, dps=80)
+        err = np.abs(kernel.at(t) - exact).max()
+        assert err <= rtol * np.abs(exact).max(), t
 
 
 def test_along_restores_error_settings_while_suspended():

@@ -31,6 +31,16 @@ def test_split_rejects_lower_triangular():
         split_triangular([[0, 0], [1, 0]])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_split_tolerance_where_the_norm_overflows():
+    # norm_inf = 2e308 overflowed the tolerance 1e-13 * norm_inf to inf, so
+    # any finite subdiagonal entry was dropped with an overflow warning
+    with pytest.raises(NotTriangular, match="exceeds tolerance 2e\\+295"):
+        split_triangular([[-1e308, 1e308], [1e307, 1e308]])
+    d, n = split_triangular([[-1e308, 1e308], [1e290, 1e308]])
+    assert np.array_equal(d + n, [[-1e308, 1e308], [0, 1e308]])
+
+
 def test_split_roundtrip_exact():
     rng = np.random.default_rng(0)
     for _ in range(20):

@@ -10,7 +10,8 @@ from greenbound import (
     green_function,
     perturbation_residual,
 )
-from greenbound.oracles import contour_for, conv_power_grid, default_conv_quad
+from greenbound.oracles import (contour_for, conv_power_grid, default_conv_quad,
+                                green_parlett)
 
 from conftest import random_triangular
 
@@ -104,3 +105,14 @@ def test_perturbation_identity_cases(rng):
         )
         assert perturbation_residual(a, b, 0.7) < 1e-5
         assert perturbation_residual(a, b, -0.7) < 1e-5
+
+
+@pytest.mark.parametrize("t, expected", [
+    # G(t) = e^{At} P- and -e^{At} P+ with P- = [[1, -1/3], [0, 0]]
+    pytest.param(1.0, [[math.exp(-1), -math.exp(-1) / 3], [0, 0]], id="t>0"),
+    pytest.param(-1.0, [[0, -math.exp(-2) / 3], [0, -math.exp(-2)]],
+                 id="t<0"),
+])
+def test_parlett_block_triangular(t, expected):
+    g = green_parlett(np.array([[-1.0, 1.0], [0.0, 2.0]]), t)
+    assert np.allclose(g, expected, rtol=1e-15, atol=0)
