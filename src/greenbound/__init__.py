@@ -29,7 +29,6 @@ from .errors import (
 )
 from .green import (
     GreenKernel,
-    QuadSpec,
     SpectralSplit,
     bounded_solution,
     green_function,

@@ -181,24 +181,18 @@ def _matrix_powers(nabs):
     for k = 0, 1, ... until the power vanishes, for a strictly upper
     triangular nabs.
 
-    With r0 the first nonzero row and c1 - 1 the last nonzero column of
-    nabs, the k-th power is zero outside rows [r0, c1 - k) and columns
-    [r0 + k, c1), so each product multiplies only that block.
+    The k-th power is zero outside rows [0, size - k) and columns
+    [k, size), so each product multiplies only that block.
     """
     size = nabs.shape[0]
-    nonzero = nabs != 0
-    r0 = int(nonzero.any(axis=1).argmax())
-    c1 = size - int(nonzero.any(axis=0)[::-1].argmax())
     step = math.frexp(float(nabs.max()))[1]
     base = np.ldexp(nabs, -step)
     power, e = np.eye(size), 0
     for k in itertools.count():
         yield power, e
-        lo, hi = r0 + k, c1 - k - 1  # rows of the next power: [r0, hi)
-        if hi <= r0:
-            return
+        hi = size - k - 1  # rows of the next power: [0, hi)
         nxt = np.zeros_like(power)
-        nxt[r0:hi, lo + 1:c1] = power[r0:hi, lo:c1] @ base[lo:c1, lo + 1:c1]
+        nxt[:hi, k + 1:] = power[:hi, k:] @ base[k:, k + 1:]
         peak = float(nxt.max())
         if peak == 0.0:
             return
@@ -240,8 +234,6 @@ class EnvelopeTable:
         """
         count, terms = self.mant.shape
         size = nabs.shape[0]
-        if not self.mant.any():
-            return np.zeros((count, size, size))
         batch = max(1, _BATCH_ENTRIES // (size * size))
         sums = {}
         powers = _matrix_powers(nabs)
@@ -384,10 +376,12 @@ def qtds18_grid(params: QtdsParams, ts) -> np.ndarray:
     m, l = params.m, params.l
     if m < 1 or l < 1:
         raise Inapplicable("bound requires eigenvalues in both half-planes")
-    gamma = params.gamma
-    if not math.isfinite(gamma):
+    if INF in (params.gamma_minus, params.gamma_plus):
         raise Inapplicable("bound requires finite gaps on both sides")
     two_a = 2.0 * params.norm_a
+    if two_a == INF:  # gamma <= 2 rho(A) <= 2 ||A|| may overflow too
+        return np.full(ts.shape, INF)
+    gamma = params.gamma
     out = np.empty(ts.shape)
     for side, outer, inner, gap in ((ts > 0, m, l, params.gamma_minus),
                                     (ts < 0, l, m, params.gamma_plus)):

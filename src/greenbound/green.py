@@ -8,9 +8,9 @@ unique bounded solution is the convolution of f with the kernel
 where P-/P+ are the spectral projectors onto the invariant subspaces of the
 left/right half-plane eigenvalues.  The projectors come from the matrix sign
 function via a scaled Newton iteration.  The exponential is scaling and
-squaring around a degree-18 Taylor polynomial: A is scaled once by a power
-of two to B with norm_inf(B) < 1, the powers of B are tabulated, and each
-time reads e^{cB}, |c| norm_inf(B) <= 1, off the table (the Taylor degree
+squaring around a degree-18 Taylor polynomial: A is balanced and scaled by
+powers of two to B with norm_inf(B) < 1, the powers of B are tabulated, and
+each time reads e^{cB}, |c| norm_inf(B) <= 1, off the table (the degree
 versus norm argument of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
 """
 
@@ -145,11 +145,12 @@ def matrix_exp(a) -> np.ndarray:
 class GreenKernel:
     """Green's function evaluator for a fixed coefficient matrix.
 
-    Precomputes the spectral projectors and the Taylor table of A once and
-    keeps no other state, so evaluations at distinct times are independent
-    and every call returns a fresh array.  The table holds B^0 .. B^18 for
-    B = A / 2^k, 2^k the power of two just above norm_inf(A); the scaling is
-    exact, and k is found where norm_inf(A) itself overflows.
+    Balances A once to S^-1 A S with S a diagonal of powers of two (LAPACK
+    gebal), so one large entry cannot set the squaring count, and builds
+    the projectors and the Taylor table of the balanced matrix; ``at`` maps
+    G back as S G S^-1, exactly.  No other state is kept, so every call
+    returns a fresh array.  The table holds B^0 .. B^18 for B the balanced
+    matrix over 2^k, 2^k the power of two just above its norm_inf.
     """
 
     def __init__(self, a, split: SpectralSplit | None = None):
@@ -157,6 +158,16 @@ class GreenKernel:
         if split is None:
             split = spectral_gaps_from_eigenvalues(np.linalg.eigvals(self.a))
         self.split = split
+        # scipy casts the scales into its permutation, which warns past 2^63
+        with np.errstate(invalid="ignore"):
+            balanced, (scale, _) = scipy.linalg.matrix_balance(
+                self.a, permute=False, separate=True)
+        # S G S^-1 = G 2^(e_i - e_j) as two exact factors 2^h of one sign:
+        # gebal keeps the scales within 2^±970, so each half h fits a float
+        e = np.frexp(scale)[1]
+        shift = e[:, None] - e[None, :]
+        half = shift // 2
+        self.unscale = np.ldexp(1.0, half), np.ldexp(1.0, shift - half)
         if split.m == 0:
             self.p_minus = np.zeros_like(self.a)
             self.p_plus = np.eye(self.a.shape[0], dtype=complex)
@@ -164,8 +175,8 @@ class GreenKernel:
             self.p_minus = np.eye(self.a.shape[0], dtype=complex)
             self.p_plus = np.zeros_like(self.a)
         else:
-            self.p_minus, self.p_plus = spectral_projectors(self.a)
-        self.k, b = binary_scale(self.a)
+            self.p_minus, self.p_plus = spectral_projectors(balanced)
+        self.k, b = binary_scale(balanced)
         self.norm_b = induced_norm(b, np.inf)
         # row i of the table is B^TAYLOR_POWERS[i], flattened
         n = b.shape[0]
@@ -185,7 +196,7 @@ class GreenKernel:
         others' contamination cannot amplify.  At / 2^s = cB with the exact
         scalar c = t 2^(k-s), |c| norm_inf(B) <= 1, and e^{cB} is the Taylor
         sum over the table.  s comes from binary exponents, so it holds
-        where norm_inf(A t) overflows.
+        where norm_inf(A t) overflows.  A is the balanced matrix here.
         """
         if t == 0:
             raise UndefinedAtZero("Green's function is undefined at t = 0")
@@ -199,6 +210,8 @@ class GreenKernel:
         r = (coef @ self.table).reshape(p.shape) @ p
         for _ in range(s):
             r = p @ (r @ r)
+        for factor in self.unscale:
+            r *= factor
         return r if t > 0 else -r
 
     def along(self, ts):
@@ -218,46 +231,28 @@ def green_function(a, t: float) -> np.ndarray:
     return next(GreenKernel(a).along([t]))
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Gauss-Legendre panel layout for convolution integrals."""
-
-    truncation_radius: float
-    panels: int
-
-
-def default_quad(split: SpectralSplit) -> QuadSpec:
-    """Truncation so the h-envelope tail drops below 1e-12."""
+def default_quad(split: SpectralSplit) -> tuple[float, int]:
+    """(radius, panels): the h-envelope tail beyond the radius is below 1e-12,
+    and the panels are at most min(1, 1/gamma) wide."""
     finite = [g for g in (split.gamma_minus, split.gamma_plus) if g != INF]
-    gmin = min(finite)
-    radius = -math.log(1e-12) / gmin
+    radius = -math.log(1e-12) / min(finite)
     width = min(1.0, 1.0 / sum(finite))
-    return QuadSpec(radius, max(1, math.ceil(radius / width)))
-
-
-def _panel_nodes(lo: float, hi: float, panels: int):
-    """Composite Gauss-Legendre nodes/weights on [lo, hi]."""
-    edges = np.linspace(lo, hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + half[:, None] * GAUSS_X[None, :]).ravel()
-    weights = (half[:, None] * GAUSS_W[None, :]).ravel()
-    return nodes, weights
+    return radius, max(1, math.ceil(radius / width))
 
 
 def bounded_solution(a, f, t: float) -> np.ndarray:
     """Bounded solution x(t) = integral of G(A, s) f(t - s) ds.
 
     f maps a real time to a vector of length n and must be bounded and
-    continuous.  The quadrature is ``default_quad`` of the spectral split.
+    continuous.  The panels have width h = radius / panels, both numbers
+    from ``default_quad`` of the spectral split.
 
     On one side of 0 the kernel is a semigroup: G(a + d) = G(a) G(d) for
-    a, d > 0 and G(a + d) = -G(a) G(d) for a, d < 0.  The panels are
-    uniform, of width h, so on the side of sign s panel j holds the nodes
-    s j h + d_i, with d_i the nodes of the panel next to 0, and
-    s G(s j h) = M^j with M = s G(s h).  With
-    y_j = sum_i w_i G(d_i) f(t - s j h - d_i), each side is a Horner sum,
-    evaluated from the far panel inward:
+    a, d > 0 and G(a + d) = -G(a) G(d) for a, d < 0.  On the side of sign s
+    panel j holds the nodes s (j h + d_i), d_i the 16 Gauss-Legendre nodes
+    of [0, h], and s G(s j h) = M^j with M = s G(s h).  With
+    y_j = sum_i w_i G(s d_i) f(t - s j h - s d_i), each side is a Horner
+    sum, evaluated from the far panel inward:
 
         x_side = y_0 + M (y_1 + M (y_2 + ...)).
 
@@ -265,25 +260,23 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
     carry only matrix-vector products; G is never asked for at 0.
     """
     kernel = GreenKernel(a)
-    quad = default_quad(kernel.split)
-    r, panels = quad.truncation_radius, quad.panels
-    sides = []
-    if kernel.split.m > 0:
-        sides.append((1.0, _panel_nodes(0.0, r, panels)))
-    if kernel.split.l > 0:
-        sides.append((-1.0, _panel_nodes(-r, 0.0, panels)))
+    radius, panels = default_quad(kernel.split)
+    h = radius / panels
+    delta = 0.5 * h * (1.0 + GAUSS_X)
+    weights = 0.5 * h * GAUSS_W
     x = np.zeros(kernel.a.shape[0], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # checked once below
-        for sign, pair in sides:
-            # panel j counted from 0 outward
-            nodes, weights = (v.reshape(panels, GAUSS_NODES)[::int(sign)]
-                              for v in pair)
-            inner = np.array([kernel.at(d) for d in nodes[0]])
-            inner *= weights[0][:, None, None]
-            carry = sign * kernel.at(sign * r / panels)  # M
+        for sign, occupied in ((1.0, kernel.split.m), (-1.0, kernel.split.l)):
+            if not occupied:
+                continue
+            inner = np.array([kernel.at(sign * d) for d in delta])
+            inner *= weights[:, None, None]
+            carry = sign * kernel.at(sign * h)  # M
+            first = t - sign * delta  # f's arguments on panel 0
             acc = np.zeros_like(x)
-            for panel in nodes[::-1]:
-                vals = np.array([f(t - s) for s in panel], dtype=complex)
+            for j in range(panels - 1, -1, -1):
+                vals = np.array([f(s) for s in first - sign * j * h],
+                                dtype=complex)
                 acc = np.einsum("ikl,il->k", inner, vals) + carry @ acc
             x += acc
     if not np.isfinite(x).all():

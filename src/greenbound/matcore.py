@@ -88,21 +88,25 @@ def induced_norm(a, p) -> float:
     """Operator norm induced by the 1, 2 or infinity vector norm.
 
     ``numpy.linalg.norm``: the largest absolute column or row sum for 1 and
-    infinity, the largest singular value from LAPACK's SVD for 2.  An SVD
-    that does not converge raises :class:`ConvergenceFailure`.
+    infinity, the largest singular value from LAPACK's SVD for 2.  A norm
+    of finite entries beyond the float range is +inf, without a warning.
+    An SVD that does not converge raises :class:`ConvergenceFailure`.
     """
     try:
-        return float(np.linalg.norm(as_matrix(a), norm_kind(p)))
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(as_matrix(a), norm_kind(p)))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"two-norm SVD failed: {exc}") from exc
 
 
 def require_strictly_triangular(n) -> np.ndarray:
-    """Validate that N is strictly upper triangular (within split tolerance)."""
-    n = as_matrix(n)
+    """Validate that N is strictly upper triangular: no diagonal entry above
+    1e-13 * max(1, norm_inf(N)), compared on ``binary_scale(N)`` so that it
+    holds where norm_inf(N) overflows."""
     d, strict = split_triangular(n)
-    if np.abs(np.diag(d)).max() > TRIANGULAR_ATOL_FACTOR * max(
-        1.0, induced_norm(n, np.inf)
-    ):
+    _, scaled = binary_scale(n)
+    if (np.abs(np.diag(d)).max() > TRIANGULAR_ATOL_FACTOR
+            and np.abs(np.diag(scaled)).max()
+            > TRIANGULAR_ATOL_FACTOR * induced_norm(scaled, np.inf)):
         raise NotStrictlyTriangular("matrix has nonzero diagonal entries")
     return strict

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import h_eval
 from .errors import DomainError, SingularResolvent
-from .green import GreenKernel, QuadSpec, _panel_nodes, spectral_gaps_from_eigenvalues
+from .green import GAUSS_W, GAUSS_X, GreenKernel, spectral_gaps_from_eigenvalues
 from .matcore import as_matrix, induced_norm, split_triangular
 
 
@@ -59,14 +59,13 @@ def conv_power_bessel(k: int, t: float, gamma_minus: float, gamma_plus: float) -
     )
 
 
-def default_conv_quad(gamma_minus: float, gamma_plus: float, t_max: float = 10.0) -> QuadSpec:
+def default_conv_quad(gamma_minus: float, gamma_plus: float, t_max: float = 10.0) -> float:
     """Truncation radius covering the envelope tail plus the largest |t|."""
-    gmin = min(gamma_minus, gamma_plus)
-    return QuadSpec(truncation_radius=30.0 / gmin + t_max, panels=1)
+    return 30.0 / min(gamma_minus, gamma_plus) + t_max
 
 
 def conv_power_grid(
-    k: int, gamma_minus: float, gamma_plus: float, quad: QuadSpec
+    k: int, gamma_minus: float, gamma_plus: float, radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sampled h^{*k} on a uniform grid by repeated FFT convolution.
 
@@ -81,7 +80,7 @@ def conv_power_grid(
         raise ValueError("convolution power must be >= 1")
     gamma = gamma_minus + gamma_plus
     dx = min(0.01, 0.1 / gamma)
-    m = int(math.ceil(quad.truncation_radius / dx))
+    m = int(math.ceil(radius / dx))
     x = np.arange(-m, m + 1) * dx
     h = np.where(x >= 0, np.exp(-gamma_minus * x), np.exp(gamma_plus * x))
     h_corr = h.copy()
@@ -106,8 +105,8 @@ def conv_power_numeric(
     if k == 1:
         return float(np.exp(-gamma_minus * t)) if t >= 0 else float(np.exp(gamma_plus * t))
     if _grid is None:
-        quad = default_conv_quad(gamma_minus, gamma_plus, abs(t))
-        _grid = conv_power_grid(k, gamma_minus, gamma_plus, quad)
+        radius = default_conv_quad(gamma_minus, gamma_plus, abs(t))
+        _grid = conv_power_grid(k, gamma_minus, gamma_plus, radius)
     # imported here so that `import greenbound` does not load it
     from scipy.interpolate import CubicSpline
 
@@ -254,6 +253,16 @@ def _eig_green_batch(factors, s: np.ndarray) -> np.ndarray:
     ew = np.exp(w[None, :] * s[:, None])
     g = np.where(pos, np.where(left, ew, 0.0), np.where(~left, -ew, 0.0))
     return np.einsum("ij,sj,jk->sik", v, g, vinv)
+
+
+def _panel_nodes(lo: float, hi: float, panels: int):
+    """Composite Gauss-Legendre nodes/weights on [lo, hi]."""
+    edges = np.linspace(lo, hi, panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mids[:, None] + half[:, None] * GAUSS_X[None, :]).ravel()
+    weights = (half[:, None] * GAUSS_W[None, :]).ravel()
+    return nodes, weights
 
 
 def perturbation_residual(a, b, t: float) -> float:

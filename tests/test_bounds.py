@@ -195,6 +195,20 @@ def test_entrywise_bound_rejects_nonstrict():
         entrywise_bound(np.eye(2), np.eye(2), 1.0, 1.0, 1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_entrywise_bound_where_the_norm_overflows():
+    # norm_inf(N) = 2e308 made the diagonal tolerance 1e-13 * inf, with an
+    # overflow warning, so no diagonal entry could be rejected
+    n = np.array([[0.0, 1e308, 1e308], [0.0, 0.0, 1e308], [0.0, 0.0, 0.0]])
+    d = np.diag([-1.0, 2.0, -3.0])
+    out = entrywise_bound(d, n, 1.0, 2.0, 0.5)
+    assert out[0, 1] == pytest.approx(1e308 * conv_power_closed(2, 0.5, 1.0, 2.0),
+                                      rel=1e-14)
+    assert out[0, 2] == INF
+    with pytest.raises(NotStrictlyTriangular):
+        entrywise_bound(d, n + np.diag([1e300, 0.0, 0.0]), 1.0, 2.0, 0.5)
+
+
 def test_van_loan_bound():
     assert van_loan_bound(-1.0, 2.0, 2, 1.0) == pytest.approx(
         3.0 * math.exp(-1), rel=1e-14
@@ -223,6 +237,13 @@ def test_qtds18_inapplicable():
         qtds18_bound(QtdsParams(1.0, 0, 2, INF, 1.0), 1.0)
     with pytest.raises(UndefinedAtZero):
         qtds18_bound(QtdsParams(1.0, 1, 1, 1.0, 1.0), 0.0)
+
+
+def test_qtds18_where_the_sums_overflow():
+    # both gaps are finite though their sum is not: the bound applies, and
+    # it reads inf once 2 ||A|| leaves the float range
+    assert qtds18_bound(QtdsParams(INF, 1, 1, 1e308, 1e308), 0.1) == INF
+    assert qtds18_bound(QtdsParams(1e308, 1, 1, 1e308, 1e308), 0.1) == INF
 
 
 # --- the envelope table against exact arithmetic ---------------------------

@@ -11,7 +11,7 @@ import pytest
 import greenbound.bounds as bounds
 import greenbound.schur
 from greenbound import ConvergenceFailure, GreenKernel
-from greenbound.cli import CliError, main, make_grid
+from greenbound.cli import BOUND_COLUMNS, CliError, main, make_grid
 
 from conftest import (random_dense, random_triangular, random_unitary,
                       scaled_nilpotent)
@@ -167,6 +167,50 @@ def test_make_grid_validation():
         with pytest.raises(CliError) as exc:
             make_grid(t_min, t_max, 1)
         assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["compare", "M", "--bogus"], None, id="unknown-option"),
+    pytest.param([], None, id="no-arguments"),
+    pytest.param(["compare", "M", "--norm", "3"], None, id="bad-norm"),
+    pytest.param(["compare", "M", "--steps", "0"], "steps must be >= 1",
+                 id="no-steps"),
+    pytest.param(["compare", "M", "--t-min", "2", "--t-max", "1"],
+                 "t-min must not exceed t-max", id="reversed-range"),
+    pytest.param(["compare", "M", "--t-min", "0", "--t-max", "0"],
+                 "grid may not contain t = 0", id="only-zero"),
+])
+def test_usage_errors_exit_1(tmp_path, capsys, argv, message):
+    # argparse alone would exit 2, the code of an ill-posed spectrum
+    path = write_matrix(tmp_path / "m.json", np.diag([-1.0, 2.0]))
+    argv = [path if arg == "M" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if message is not None:
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("t_min, t_max, steps, times", [
+    pytest.param("0", "10", "3", [0.01, 5.005, 10.0], id="from-zero"),
+    pytest.param("-10", "0", "2", [-10.0, -0.01], id="to-zero"),
+])
+def test_grid_ending_at_zero_starts_a_thousandth_away(tmp_path, capsys,
+                                                      t_min, t_max, steps,
+                                                      times):
+    path = write_matrix(tmp_path / "m.json", np.diag([-1.0, 2.0]))
+    code, out, _ = run_cli(capsys, "exact", path, "--t-min", t_min,
+                           "--t-max", t_max, "--steps", steps)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [row["t"] for row in rows] == times
+
+
+def test_non_finite_matrix_entry_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(ENTRY_01 % "[Infinity, 0]")
+    code, out, err = run_cli(capsys, "gaps", str(path))
+    assert (code, out, err) == (1, "", "error: matrix has non-finite entries\n")
 
 
 def test_dense_input_goes_through_schur(tmp_path, capsys):
@@ -334,8 +378,8 @@ def test_console_script_entry_point(tmp_path):
 def test_import_leaves_test_only_scipy_modules_unloaded():
     code = (
         "import sys, greenbound; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.interpolate') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.interpolate', "
+        "'mpmath') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
@@ -568,13 +612,16 @@ def test_negative_numbers_in_scientific_notation(tmp_path, capsys, argv,
     assert code == 0 or err.startswith("error: gap override")
 
 
+# 160-digit Parlett puts max|G(0.1)| at 3.7e399 for N x 1e200 (n = 3) and
+# at 2.2e317 for N x 1e80 (n = 5), both beyond the float range; the balanced
+# sign iteration of N x 1e200 stays finite, so G is what overflows there
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seed, n, scale, command, message", [
-    pytest.param(0, 3, 1e200, "exact", "matrix sign iterate overflows",
+    pytest.param(0, 3, 1e200, "exact", "G(t) overflows at t=0.1",
                  id="sign"),
-    pytest.param(1, 5, 1e50, "exact", "G(t) overflows at t=0.1",
+    pytest.param(1, 5, 1e80, "exact", "G(t) overflows at t=0.1",
                  id="kernel-exact"),
-    pytest.param(1, 5, 1e50, "check", "G(t) overflows at t=0.1",
+    pytest.param(1, 5, 1e80, "check", "G(t) overflows at t=0.1",
                  id="kernel-check"),
 ])
 def test_overflow_is_a_typed_error(tmp_path, capsys, seed, n, scale, command,
@@ -619,3 +666,38 @@ def test_ratio_beyond_float_range_is_quiet_inf(tmp_path, capsys):
     assert (code, err) == (0, "")
     _, rows = parse_csv(out)
     assert rows[0]["ratio_triangular"] == math.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("b", [1e4, 1e8, 1e12, 1e14])
+def test_check_accepts_a_large_off_diagonal_entry(tmp_path, capsys, b):
+    # the squaring count followed norm_inf(A) = b, and from b = 1e8 on the
+    # error in G(t) broke the entrywise bound, which is tight here
+    path = write_matrix(tmp_path / "m.json", [[-1.0, b], [0.0, 1.0]])
+    assert run_cli(capsys, "check", path) == (0, "ok\n", "")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a, argv", [
+    pytest.param([[-1e308, 1e308], [0, 1e308]], ["bound"], id="bound"),
+    pytest.param([[-1e308, 1e308], [0, 1e308]], ["check"], id="check"),
+    pytest.param([[-1e308, 1e308], [0, 1e308]],
+                 ["compare", "--norm", "inf", "--steps", "4"], id="compare"),
+    pytest.param([[-1, 1e308, 1e308], [0, 1, 1e308], [0, 0, -2]],
+                 ["bound", "--norm", "inf"], id="bound-3x3"),
+])
+def test_norms_beyond_the_float_range(tmp_path, capsys, a, argv):
+    # the norm sum overflowed with a warning, and qtds18 took the gap sum
+    # 2e308 = inf for a missing gap and exited 5
+    path = write_matrix(tmp_path / "m.json", a)
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert (code, err) == (0, "")
+    if argv[0] == "check":
+        assert out == "ok\n"
+        return
+    _, rows = parse_csv(out)
+    assert all(row["bound_qtds18"] == math.inf for row in rows)
+    for row in rows:
+        for col in BOUND_COLUMNS:
+            if row.get(col) is not None:
+                assert row[col] >= row.get("exact_norm", 0.0)

@@ -7,18 +7,21 @@ import scipy.linalg
 
 import greenbound.green
 from greenbound import (
+    ConvergenceFailure,
     FloatOverflow,
     GreenKernel,
+    SingularIteration,
     SpectrumOnAxis,
     UndefinedAtZero,
     bounded_solution,
     green_function,
     induced_norm,
     matrix_exp,
+    matrix_sign,
     spectral_gaps,
     spectral_projectors,
 )
-from greenbound.green import GAUSS_NODES, _panel_nodes, default_quad
+from greenbound.green import GAUSS_NODES, GAUSS_X, default_quad
 from greenbound.oracles import green_parlett
 
 from conftest import (log_time_grid, random_triangular, random_unitary,
@@ -43,6 +46,17 @@ def test_spectral_gaps_axis_eigenvalue():
         spectral_gaps(np.array([[5j]]))
     with pytest.raises(SpectrumOnAxis):
         spectral_gaps(np.diag([1.0, 1e-15]))
+
+
+def test_matrix_sign_singular_input():
+    with pytest.raises(SingularIteration):
+        matrix_sign(np.diag([-1.0, 0.0]))
+
+
+def test_matrix_sign_iteration_budget(monkeypatch):
+    monkeypatch.setattr(greenbound.green, "SIGN_MAX_ITER", 1)
+    with pytest.raises(ConvergenceFailure):
+        matrix_sign(np.array([[-1.0, 1.0], [0.0, 2.0]]))
 
 
 def test_projectors_diagonal():
@@ -155,10 +169,11 @@ def test_kernel_reads_its_table_without_expm(monkeypatch, a):
 
 @pytest.mark.parametrize("t", [0.25, -0.25])
 def test_taylor_sum_at_the_edge_of_its_range(t):
-    # norm_inf(A) = 4, so B = A / 8 has norm_inf(B) = 1/2, and at |t| = 1/4
-    # no squaring is needed: e^{At} is the Taylor sum at c = 8t = ±2,
-    # where |c| norm_inf(B) = 1
-    a = np.array([[-1.0, 2.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, -3.0]])
+    # A is symmetric, so its balancing scale is all ones; norm_inf(A) = 4,
+    # so B = A / 8 has norm_inf(B) = 1/2, and at |t| = 1/4 no squaring is
+    # needed: e^{At} is the Taylor sum at c = 8t = ±2, where
+    # |c| norm_inf(B) = 1
+    a = np.array([[-1.0, 2.0, 1.0], [2.0, 2.0, 0.0], [1.0, 0.0, -3.0]])
     kernel = GreenKernel(a)
     assert (kernel.k, kernel.norm_b) == (3, 0.5)
     p = kernel.p_minus if t > 0 else kernel.p_plus
@@ -168,14 +183,15 @@ def test_taylor_sum_at_the_edge_of_its_range(t):
 
 
 # the largest entry error relative to the largest entry of G over
-# t = ±0.3, ±2, ±9, against 80-digit Parlett: twice what the kernel read
-# when it exponentiated with scipy's expm
+# t = ±0.3, ±2, ±9, against 80-digit Parlett: twice what the balanced kernel
+# reads (the unbalanced one read 1.67e-10, 4.16e-10, 3.31e-13, 7.90e-12
+# and 1.51e-13)
 @pytest.mark.parametrize("a, rtol", [
-    pytest.param(scaled_nilpotent(12, 12, 1e4), 2 * 1.67e-10, id="Nx1e4-12"),
-    pytest.param(scaled_nilpotent(24, 24, 1e4), 2 * 4.16e-10, id="Nx1e4-24"),
+    pytest.param(scaled_nilpotent(12, 12, 1e4), 2 * 4.30e-14, id="Nx1e4-12"),
+    pytest.param(scaled_nilpotent(24, 24, 1e4), 2 * 1.78e-12, id="Nx1e4-24"),
     pytest.param(random_triangular(np.random.default_rng(40), 40),
-                 2 * 3.06e-13, id="random-40"),
-    pytest.param(scaled_nilpotent(50, 50, 10.0), 2 * 8.16e-12,
+                 2 * 1.78e-13, id="random-40"),
+    pytest.param(scaled_nilpotent(50, 50, 10.0), 2 * 7.25e-13,
                  id="Nx10-50"),
     pytest.param(random_triangular(np.random.default_rng(20), 20, gap=1e-3),
                  2 * 1.51e-13, id="near-axis-20"),
@@ -295,7 +311,7 @@ def test_bounded_solution_kernel_evaluations(monkeypatch, a, sides):
     monkeypatch.setattr(GreenKernel, "at",
                         lambda self, t: calls.append(t) or at(self, t))
     bounded_solution(a, lambda s: np.ones(2), 0.3)
-    panels = default_quad(GreenKernel(a).split).panels
+    panels = default_quad(GreenKernel(a).split)[1]
     assert panels > 1
     assert len(calls) <= sides * (GAUSS_NODES + 1)
     assert 0.0 not in calls
@@ -309,11 +325,12 @@ def test_bounded_solution_calls_f_once_per_node(a, sides):
     # at t = 0 the forcing is asked for at exactly the negated nodes
     calls = []
     bounded_solution(a, lambda s: calls.append(-s) or np.ones(2), 0.0)
-    quad = default_quad(GreenKernel(a).split)
-    r, panels = quad.truncation_radius, quad.panels
-    nodes = [_panel_nodes(0.0, r, panels)[0], _panel_nodes(-r, 0.0, panels)[0]]
+    radius, panels = default_quad(GreenKernel(a).split)
+    h = radius / panels
+    delta = 0.5 * h * (1.0 + GAUSS_X)
+    nodes = np.concatenate([delta + j * h for j in range(panels)])
     assert len(calls) == sides * panels * GAUSS_NODES
-    assert sorted(calls) == sorted(np.concatenate(nodes[:sides]))
+    assert sorted(calls) == sorted(np.concatenate([nodes, -nodes][:sides]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -325,6 +342,26 @@ def test_bounded_solution_calls_f_once_per_node(a, sides):
 ])
 def test_library_overflow_is_a_typed_error(evaluate, message):
     # the CLI's FloatOverflow input: the library returned inf/NaN with
-    # numpy overflow warnings where the CLI printed one error line
+    # numpy overflow warnings where the CLI printed one error line;
+    # 160-digit Parlett puts max|G(0.1)| at 2.2e317
     with pytest.raises(FloatOverflow, match=f"^{re.escape(message)}$"):
-        evaluate(scaled_nilpotent(1, 5, 1e50))
+        evaluate(scaled_nilpotent(1, 5, 1e80))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sign_iteration_overflow_is_a_typed_error():
+    # unbalanced, the Newton iterates of N x 1e200 leave the float range
+    with pytest.raises(FloatOverflow, match="^matrix sign iterate overflows$"):
+        matrix_sign(scaled_nilpotent(0, 3, 1e200))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernel_where_the_unbalanced_kernel_overflowed():
+    # the squaring count followed N's 1e50 entries and G(0.1) came out
+    # non-finite; 120-digit Parlett gives max|G| = 2.2048e197 there
+    a = scaled_nilpotent(1, 5, 1e50)
+    kernel = GreenKernel(a)
+    for t in (0.1, 1.0, -0.1):
+        exact = green_parlett(a, t, dps=120)
+        err = np.abs(next(kernel.along([t])) - exact).max()
+        assert err <= 1e-12 * np.abs(exact).max(), t

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,12 @@ def test_entrywise_abs_preserves_structure():
 def test_induced_norm_identity():
     for p in (1, 2, "inf"):
         assert induced_norm(np.eye(4), p) == pytest.approx(1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [1, "inf"])
+def test_induced_norm_beyond_the_float_range_is_quiet_inf(p):
+    assert induced_norm([[1e308, 1e308], [1e308, 1e308]], p) == math.inf
 
 
 def test_induced_norm_rank_one():
