@@ -16,7 +16,7 @@ import argparse
 import json
 import re
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -214,6 +214,7 @@ def _add_grid_args(p: argparse.ArgumentParser):
     p.add_argument("--output", default=None)
 
 
+@cache  # parsing leaves the parser unchanged; building it costs ~1 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="greenbound", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -44,6 +44,9 @@ TAYLOR_DEGREE = 18
 TAYLOR_POWERS = np.arange(TAYLOR_DEGREE, -1, -1)
 TAYLOR_FACTORIALS = np.array(
     [float(math.factorial(j)) for j in TAYLOR_POWERS])
+# bounded_solution holds at most this many complex values of f at once
+# (1 MiB), whatever the panel count; one panel's nodes if n > 4096
+FORCING_BLOCK = 2 ** 16
 
 INF = float("inf")
 
@@ -256,28 +259,42 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
 
         x_side = y_0 + M (y_1 + M (y_2 + ...)).
 
-    Each occupied side costs GAUSS_NODES + 1 kernel evaluations, and the
-    carry only matrix-vector products; G is never asked for at 0.
+    Each occupied side costs GAUSS_NODES + 1 kernel evaluations.  f is
+    evaluated a block of panels at a time, far panel first, the block
+    holding at most FORCING_BLOCK complex values, and one matrix product
+    gives y_j for every panel of the block; the carry, one matrix-vector
+    product, is the only per-panel step.  G is never asked for at 0.
+    Raises ValueError when f does not return shape (n,).
     """
     kernel = GreenKernel(a)
+    n = kernel.a.shape[0]
     radius, panels = default_quad(kernel.split)
     h = radius / panels
     delta = 0.5 * h * (1.0 + GAUSS_X)
     weights = 0.5 * h * GAUSS_W
-    x = np.zeros(kernel.a.shape[0], dtype=complex)
+    per_block = max(1, FORCING_BLOCK // (GAUSS_NODES * n))
+    far_first = np.arange(panels - 1, -1, -1)
+    x = np.zeros(n, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # checked once below
         for sign, occupied in ((1.0, kernel.split.m), (-1.0, kernel.split.l)):
             if not occupied:
                 continue
             inner = np.array([kernel.at(sign * d) for d in delta])
             inner *= weights[:, None, None]
+            # column i n + l is w_i G(s d_i)[:, l]: y_j = inner @ panel j's f
+            inner = inner.transpose(1, 0, 2).reshape(n, -1)
             carry = sign * kernel.at(sign * h)  # M
             first = t - sign * delta  # f's arguments on panel 0
             acc = np.zeros_like(x)
-            for j in range(panels - 1, -1, -1):
-                vals = np.array([f(s) for s in first - sign * j * h],
-                                dtype=complex)
-                acc = np.einsum("ikl,il->k", inner, vals) + carry @ acc
+            for lo in range(0, panels, per_block):
+                js = far_first[lo:lo + per_block]
+                args = first - (sign * js)[:, None] * h
+                vals = np.array([f(s) for s in args.ravel()], dtype=complex)
+                if vals.shape != (args.size, n):
+                    raise ValueError(f"f must return shape ({n},), "
+                                     f"got shape {vals.shape[1:]}")
+                for y in vals.reshape(js.size, -1) @ inner.T:
+                    acc = y + carry @ acc
             x += acc
     if not np.isfinite(x).all():
         raise FloatOverflow(f"bounded solution overflows at t={float(t)!r}")

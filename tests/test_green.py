@@ -21,7 +21,7 @@ from greenbound import (
     spectral_gaps,
     spectral_projectors,
 )
-from greenbound.green import GAUSS_NODES, GAUSS_X, default_quad
+from greenbound.green import FORCING_BLOCK, GAUSS_NODES, GAUSS_X, default_quad
 from greenbound.oracles import green_parlett
 
 from conftest import (log_time_grid, random_triangular, random_unitary,
@@ -331,6 +331,39 @@ def test_bounded_solution_calls_f_once_per_node(a, sides):
     nodes = np.concatenate([delta + j * h for j in range(panels)])
     assert len(calls) == sides * panels * GAUSS_NODES
     assert sorted(calls) == sorted(np.concatenate([nodes, -nodes][:sides]))
+
+
+def test_bounded_solution_across_forcing_blocks():
+    # gap 0.05 lays out 553 panels on the one side, three blocks of f at
+    # n = 16, the last one partial
+    n, t = 16, 0.37
+    a = _left(16, n)
+    a[0, 0] = -0.05 + 1j * a[0, 0].imag
+    radius, panels = default_quad(GreenKernel(a).split)
+    per_block = FORCING_BLOCK // (GAUSS_NODES * n)
+    assert panels > 2 * per_block and panels % per_block
+    c = np.random.default_rng(n).normal(size=n) + 0j
+    omega = 0.7
+    calls = []
+    x = bounded_solution(
+        a, lambda s: calls.append(s) or np.exp(1j * omega * s) * c, t)
+    exact = np.linalg.solve(1j * omega * np.eye(n) - a, c) * np.exp(1j * omega * t)
+    assert np.abs(x - exact).max() <= 1e-9 * np.abs(exact).max()
+    # one call per node, at exactly (t - delta_i) - j h
+    h = radius / panels
+    delta = 0.5 * h * (1.0 + GAUSS_X)
+    nodes = [(t - d) - j * h for j in range(panels) for d in delta]
+    assert sorted(calls) == sorted(nodes)
+
+
+@pytest.mark.parametrize("n, value", [
+    pytest.param(2, lambda s: np.ones(3), id="n+1-entries"),
+    pytest.param(2, lambda s: np.ones((2, 1)), id="column"),
+    pytest.param(1, lambda s: 1.0, id="scalar"),
+])
+def test_bounded_solution_rejects_misshapen_forcing(n, value):
+    with pytest.raises(ValueError):
+        bounded_solution(-np.eye(n), value, 0.3)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
