@@ -44,7 +44,6 @@ from .matcore import (
     split_triangular,
 )
 from .oracles import (
-    ContourSpec,
     bessel_k_half,
     conv_power_bessel,
     conv_power_numeric,

@@ -69,7 +69,7 @@ class BoundParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        if self.norm_n < 0:
+        if not self.norm_n >= 0:
             raise ValueError("||N|| must be nonnegative")
 
 
@@ -220,7 +220,14 @@ class EnvelopeTable:
         return _ldexp(*_sum(self.mant * wm, self.expo + we))
 
     def series(self, x: float) -> np.ndarray:
-        """sum_k W[:, k] x^k for a scalar x >= 0, shape (T,)."""
+        """sum_k W[:, k] x^k for a scalar x >= 0, shape (T,).
+
+        x = +inf gives W[:, 0] where every k >= 1 weight is 0 and +inf
+        elsewhere, not 0 * inf.
+        """
+        if x == INF:
+            return np.where((self.mant[:, 1:] == 0).all(axis=1),
+                            self.values()[:, 0], INF)
         return self.dot(*_powers(x, self.mant.shape[1]))
 
     def matrix_series(self, nabs) -> np.ndarray:
@@ -261,8 +268,10 @@ def envelope_table(n: int, gamma_minus: float, gamma_plus: float,
     Two-sided spectra (both gaps finite) give h^{*(k+1)}(t).  With one gap
     +inf the side it decays on gives h(t)|t|^k/k! and the other side 0; a
     negative gap there gives the growing envelope e^{alpha t} of the Van
-    Loan bound.
+    Loan bound.  A NaN gap raises DomainError.
     """
+    if math.isnan(gamma_minus) or math.isnan(gamma_plus):
+        raise DomainError("spectral gaps must not be NaN")
     ts = np.asarray(ts, dtype=float)
     u = np.abs(ts)
     gamma = gamma_minus + gamma_plus

@@ -78,6 +78,9 @@ def make_grid(t_min: float, t_max: float, steps: int) -> np.ndarray:
     if t_min < 0.0 < t_max:
         neg = steps // 2
         pos = steps - neg
+        if t_max / 100.0 == 0.0 or (neg and t_min / 100.0 == 0.0):
+            raise CliError(1, "t-min and t-max are too close to 0 for a grid "
+                              "that straddles it")
         parts = []
         if neg:
             parts.append(-np.geomspace(-t_min / 100.0, -t_min, neg))

@@ -10,12 +10,11 @@ with an eigendecomposition-based kernel evaluator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import h_eval
-from .errors import DomainError, SingularResolvent
+from .errors import ConvergenceFailure, DomainError, SingularResolvent
 from .green import GAUSS_W, GAUSS_X, GreenKernel, spectral_gaps_from_eigenvalues
 from .matcore import as_matrix, induced_norm, split_triangular
 
@@ -121,85 +120,67 @@ def conv_power_numeric(
     return float(spline(t))
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Rectangular integration contour around one half-plane's spectrum."""
+def contour_for(a, t: float, nodes_per_edge: int = 400):
+    """Trapezoid rules on a rectangle around the half of the spectrum that
+    G(t) keeps, or None when that half is empty.
 
-    rect: tuple | None  # (re_min, re_max, im_min, im_max); None when empty
-    nodes_per_edge: int = 400
-
-
-def contour_for(a, t: float, nodes_per_edge: int = 400) -> ContourSpec:
-    """Rectangle around the spectrum half relevant for the sign of t.
-
-    The axis-side edge sits gamma/4 beyond the nearest relevant eigenvalue;
-    the remaining edges get the same padding.
+    Every edge sits gamma/4 outside the eigenvalues of that half.
+    Returns the nodes of the four edges, ends included, and a (2, nodes)
+    weight array: the rule on every node, then the rule on every other node.
     """
+    if nodes_per_edge < 2 or nodes_per_edge % 2:
+        raise ValueError("nodes_per_edge must be a positive even number")
     eigs = np.linalg.eigvals(as_matrix(a))
     split = spectral_gaps_from_eigenvalues(eigs)
-    gamma_finite = [g for g in (split.gamma_minus, split.gamma_plus)
-                    if math.isfinite(g)]
-    gamma = sum(gamma_finite)
-    pad = gamma / 4.0
+    pad = sum(g for g in (split.gamma_minus, split.gamma_plus)
+              if math.isfinite(g)) / 4.0
+    sel = eigs[(eigs.real < 0) == (t > 0)]
+    if sel.size == 0:
+        return None
     if t > 0:
-        sel = eigs[eigs.real < 0]
-        if sel.size == 0:
-            return ContourSpec(None, nodes_per_edge)
-        re_min, re_max = sel.real.min() - pad, -split.gamma_minus + pad
+        re = sel.real.min() - pad, -split.gamma_minus + pad
     else:
-        sel = eigs[eigs.real > 0]
-        if sel.size == 0:
-            return ContourSpec(None, nodes_per_edge)
-        re_min, re_max = split.gamma_plus - pad, sel.real.max() + pad
-    im_min, im_max = sel.imag.min() - pad, sel.imag.max() + pad
-    return ContourSpec((re_min, re_max, im_min, im_max), nodes_per_edge)
+        re = split.gamma_plus - pad, sel.real.max() + pad
+    im = sel.imag.min() - pad, sel.imag.max() + pad
+    corners = [re[i] + 1j * im[j]
+               for i, j in ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0))]
+    # one edge's weights in units of its node spacing
+    fine = np.r_[0.5, np.ones(nodes_per_edge - 1), 0.5]
+    rule = np.array([fine, 2 * fine * (np.arange(fine.size) % 2 == 0)])
+    nodes, weights = zip(*[(np.linspace(c0, c1, nodes_per_edge + 1),
+                            (c1 - c0) / nodes_per_edge * rule)
+                           for c0, c1 in zip(corners, corners[1:])])
+    return np.concatenate(nodes), np.concatenate(weights, axis=1)
 
 
-def green_contour(a, t: float, spec: ContourSpec | None = None) -> np.ndarray:
+def green_contour(a, t: float, contour=None) -> np.ndarray:
     """G(A, t) by trapezoid quadrature of the resolvent contour integral.
 
     For t > 0 only the left-spectrum rectangle contributes (the kernel's
     symbol vanishes on the right half-plane for positive times) and the
     integrand is e^{lambda t} R(lambda); for t < 0 the right rectangle with
-    -e^{lambda t}.
+    -e^{lambda t}.  ``contour`` defaults to ``contour_for(a, t)``.  Raises
+    ConvergenceFailure when the error estimate |G_N - G_N/2| / 3 of the
+    O(h^2) rule passes 1e-5 max|G|.
     """
     a = as_matrix(a)
     if t == 0:
         raise ValueError("t must be nonzero")
-    eigs = np.linalg.eigvals(a)
-    split = spectral_gaps_from_eigenvalues(eigs)
-    if (t > 0 and split.m == 0) or (t < 0 and split.l == 0):
+    contour = contour_for(a, t) if contour is None else contour
+    if contour is None:
         return np.zeros_like(a)
-    if spec is None:
-        spec = contour_for(a, t)
-    re_min, re_max, im_min, im_max = spec.rect
-    corners = [
-        re_min + 1j * im_min,
-        re_max + 1j * im_min,
-        re_max + 1j * im_max,
-        re_min + 1j * im_max,
-    ]
-    nodes = []
-    weights = []
-    for c0, c1 in zip(corners, corners[1:] + corners[:1]):
-        lam = np.linspace(c0, c1, spec.nodes_per_edge + 1)
-        dlam = (c1 - c0) / spec.nodes_per_edge
-        w = np.full(lam.shape, dlam, dtype=complex)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        nodes.append(lam)
-        weights.append(w)
-    lam = np.concatenate(nodes)
-    w = np.concatenate(weights)
-    if np.min(np.abs(lam[:, None] - eigs[None, :])) < 1e-10:
+    lam, weights = contour
+    if np.min(np.abs(lam[:, None] - np.linalg.eigvals(a)[None, :])) < 1e-10:
         raise SingularResolvent("a contour node is too close to an eigenvalue")
-    n = a.shape[0]
-    resolvents = np.linalg.inv(
-        lam[:, None, None] * np.eye(n)[None, :, :] - a[None, :, :]
-    )
+    resolvents = np.linalg.inv(lam[:, None, None] * np.eye(len(a)) - a)
     g = np.exp(lam * t) if t > 0 else -np.exp(lam * t)
-    total = np.einsum("s,s,sij->ij", w, g, resolvents)
-    return total / (2j * np.pi)
+    fine, coarse = (np.einsum("s,s,sij->ij", w, g, resolvents) / (2j * np.pi)
+                    for w in weights)
+    err, scale = np.abs(fine - coarse).max() / 3.0, np.abs(fine).max()
+    if not err <= 1e-5 * scale:
+        raise ConvergenceFailure(f"contour error estimate {err:.3g} exceeds "
+                                 f"1e-05 of max|G| = {scale:.3g}")
+    return fine
 
 
 def green_parlett(t_mat, t: float, dps: int = 100) -> np.ndarray:

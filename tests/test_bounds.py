@@ -222,6 +222,32 @@ def test_van_loan_bound():
         van_loan_bound(0.0, 1.0, 2, -0.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bounds_where_the_norm_is_infinite():
+    # EnvelopeTable.dot formed 0 * inf = nan where every k >= 1 weight is 0
+    assert triangular_bound(BoundParams(3, INF, 1.0, INF), -1.0) == 0.0
+    assert triangular_bound(BoundParams(3, INF, 1.0, INF), 1.0) == INF
+    assert van_loan_bound(-1.0, INF, 3, 0.0) == 1.0
+    assert van_loan_bound(-1.0, INF, 1, 2.0) == math.exp(-2.0)
+    table = envelope_table(3, 1.0, 2.0, [-1.0, 0.5])
+    assert list(table.series(INF)) == [INF, INF]
+
+
+def test_nan_gap_or_norm_is_rejected():
+    # a NaN gap gave a false bound of 0.0, and a NaN norm a bound of nan
+    nan = math.nan
+    with pytest.raises(DomainError):
+        triangular_bound(BoundParams(2, 1.0, nan, 2.0), 1.0)
+    with pytest.raises(DomainError):
+        entrywise_bound(None, [[0, 1], [0, 0]], nan, 2.0, 1.0)
+    with pytest.raises(DomainError):
+        van_loan_bound(nan, 1.0, 2, 1.0)
+    with pytest.raises(DomainError):
+        conv_power_closed(2, 1.0, 1.0, nan)
+    with pytest.raises(ValueError):
+        BoundParams(3, nan, 1.0, 2.0)
+
+
 def test_qtds18_hand_values():
     p = QtdsParams(2.0, 1, 1, 1.0, 1.0)
     assert qtds18_bound(p, 1.0) == pytest.approx(2.0 * math.exp(-1), rel=1e-14)

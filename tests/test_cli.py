@@ -169,6 +169,9 @@ def test_make_grid_validation():
         assert exc.value.code == 1
 
 
+NEAR_ZERO = "t-min and t-max are too close to 0 for a grid that straddles it"
+
+
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["compare", "M", "--bogus"], None, id="unknown-option"),
     pytest.param([], None, id="no-arguments"),
@@ -179,6 +182,11 @@ def test_make_grid_validation():
                  "t-min must not exceed t-max", id="reversed-range"),
     pytest.param(["compare", "M", "--t-min", "0", "--t-max", "0"],
                  "grid may not contain t = 0", id="only-zero"),
+    # |t| / 100 underflowed to 0 and geomspace raised a ValueError
+    pytest.param(["compare", "M", "--t-min", "-1e-322", "--t-max", "1e-322",
+                  "--steps", "4"], NEAR_ZERO, id="straddle-near-zero"),
+    pytest.param(["check", "M", "--t-min", "-5e-324", "--t-max", "1",
+                  "--steps", "4"], NEAR_ZERO, id="check-near-zero"),
 ])
 def test_usage_errors_exit_1(tmp_path, capsys, argv, message):
     # argparse alone would exit 2, the code of an ill-posed spectrum
@@ -630,6 +638,21 @@ def test_overflow_is_a_typed_error(tmp_path, capsys, seed, n, scale, command,
     code, out, err = run_cli(capsys, command, path, "--steps", "6",
                              "--norm", "inf")
     assert (code, out, err) == (5, "", f"error: FloatOverflow: {message}\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_triangular_bound_where_the_norm_overflows(tmp_path, capsys):
+    # norm_1(N) = inf, and the series formed 0 * inf = nan on the side with
+    # no spectrum, where the bound is 0
+    path = write_matrix(tmp_path / "m.json",
+                        [[-1, 1e308, 1e308], [0, -1, 1e308], [0, 0, -2]])
+    code, out, err = run_cli(capsys, "bound", path, "--norm", "1",
+                             "--steps", "2", "--t-min", "-2", "--t-max", "2")
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert [row["t"] for row in rows] == [-0.02, 0.02]
+    assert rows[0]["bound_triangular"] == rows[0]["bound_entrywise_norm"] == 0.0
+    assert rows[1]["bound_triangular"] == math.inf
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from greenbound import (
+    ConvergenceFailure,
     conv_power_closed,
     conv_power_numeric,
     green_contour,
@@ -91,6 +92,33 @@ def test_contour_matches_projector_form(rng):
             exact = green_function(b, t)
             approx = green_contour(b, t, contour_for(b, t, 20000))
             assert np.abs(exact - approx).max() < 1e-8
+
+
+@pytest.mark.parametrize("nodes", [400, 4000])
+@pytest.mark.parametrize("gamma", [2e-2, 2e-3, 2e-4])
+def test_contour_raises_on_its_error_estimate(monkeypatch, gamma, nodes):
+    # eigenvalues -gamma/2 and gamma/2 next to the axis: the rectangle's
+    # corners cost too many nodes, and at gamma = 2e-4, 400 nodes per edge
+    # returned G with relative error 5.7
+    a = np.array([[-gamma / 2, 1, .3], [0, gamma / 2, .5], [0, 0, -2]])
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda x: calls.append(1) or inv(x))
+    with pytest.raises(ConvergenceFailure, match="contour error estimate"):
+        green_contour(a, 1.0, contour_for(a, 1.0, nodes))
+    assert len(calls) == 1
+
+
+def test_contour_rule_weights():
+    nodes, weights = contour_for(np.diag([-1.0, 2.0]), 1.0, 4)
+    assert nodes.shape == (20,) and weights.shape == (2, 20)
+    # each edge's trapezoid rule on all nodes and on every other node
+    edge = weights[:, :5] / weights[0, 1]
+    assert edge.tolist() == [[.5, 1, 1, 1, .5], [1, 0, 2, 0, 1]]
+    # both rules integrate dlambda around the closed rectangle to 0
+    assert abs(weights.sum(axis=1)).max() < 1e-15
+    with pytest.raises(ValueError):
+        contour_for(np.diag([-1.0]), 1.0, 401)
 
 
 def test_perturbation_identity_cases(rng):
