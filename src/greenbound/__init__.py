@@ -44,7 +44,6 @@ from .matcore import (
     split_triangular,
 )
 from .oracles import (
-    bessel_k_half,
     conv_power_bessel,
     conv_power_numeric,
     green_contour,

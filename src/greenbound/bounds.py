@@ -68,9 +68,9 @@ class BoundParams:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("dimension must be >= 1")
+            raise DomainError("dimension must be >= 1")
         if not self.norm_n >= 0:
-            raise ValueError("||N|| must be nonnegative")
+            raise DomainError("||N|| must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,10 @@ class QtdsParams:
     l: int
     gamma_minus: float
     gamma_plus: float
+
+    def __post_init__(self):
+        if not self.norm_a >= 0:
+            raise DomainError("||A|| must be nonnegative")
 
     @property
     def gamma(self) -> float:
@@ -265,14 +269,18 @@ def envelope_table(n: int, gamma_minus: float, gamma_plus: float,
                    ts) -> EnvelopeTable:
     """W[t, k], k < n, on a grid of times.
 
-    Two-sided spectra (both gaps finite) give h^{*(k+1)}(t).  With one gap
-    +inf the side it decays on gives h(t)|t|^k/k! and the other side 0; a
-    negative gap there gives the growing envelope e^{alpha t} of the Van
-    Loan bound.  A NaN gap raises DomainError.
+    Two-sided spectra (both gaps finite) give h^{*(k+1)}(t) and need both
+    gaps > 0.  With one gap +inf the side it decays on gives h(t)|t|^k/k!
+    and the other side 0; a negative gap there gives the growing envelope
+    e^{alpha t} of the Van Loan bound.  A NaN gap or time raises DomainError.
     """
     if math.isnan(gamma_minus) or math.isnan(gamma_plus):
         raise DomainError("spectral gaps must not be NaN")
+    if max(gamma_minus, gamma_plus) < INF and min(gamma_minus, gamma_plus) <= 0:
+        raise DomainError("a two-sided envelope needs both gaps > 0")
     ts = np.asarray(ts, dtype=float)
+    if np.isnan(ts).any():
+        raise DomainError("times must not be NaN")
     u = np.abs(ts)
     gamma = gamma_minus + gamma_plus
     fm, fe = _series(u, n, gamma if gamma < INF else None)
@@ -378,15 +386,19 @@ def _qtds_weights(outer: int, inner: int, two_a: float, gamma: float):
 
 
 def qtds18_grid(params: QtdsParams, ts) -> np.ndarray:
-    """qtds18_bound on a grid of nonzero times."""
+    """qtds18_bound on a grid of nonzero times; the gaps must be > 0."""
     ts = np.asarray(ts, dtype=float)
     if np.any(ts == 0):
         raise UndefinedAtZero("bound undefined at t = 0")
+    if np.isnan(ts).any():
+        raise DomainError("times must not be NaN")
     m, l = params.m, params.l
     if m < 1 or l < 1:
         raise Inapplicable("bound requires eigenvalues in both half-planes")
     if INF in (params.gamma_minus, params.gamma_plus):
         raise Inapplicable("bound requires finite gaps on both sides")
+    if not (params.gamma_minus > 0 and params.gamma_plus > 0):
+        raise DomainError("both gaps must be > 0")
     two_a = 2.0 * params.norm_a
     if two_a == INF:  # gamma <= 2 rho(A) <= 2 ||A|| may overflow too
         return np.full(ts.shape, INF)

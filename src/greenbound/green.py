@@ -24,6 +24,7 @@ import scipy.linalg
 
 from .errors import (
     ConvergenceFailure,
+    DomainError,
     FloatOverflow,
     SingularIteration,
     SpectrumOnAxis,
@@ -203,6 +204,8 @@ class GreenKernel:
         """
         if t == 0:
             raise UndefinedAtZero("Green's function is undefined at t = 0")
+        if not math.isfinite(t):
+            raise DomainError(f"t must be finite, got {t!r}")
         p = self.p_minus if t > 0 else self.p_plus
         # norm_inf(A t) = m 2^(e + k + et), the product taken as floats
         mt, et = math.frexp(abs(t))

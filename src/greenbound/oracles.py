@@ -1,10 +1,11 @@
 """Independent brute-force computations backing the closed forms.
 
 Nothing here shares a code path with the quantities it checks: convolution
-powers are computed by grid convolution and by the Bessel-product form, the
-Green's function by resolvent contour quadrature and by Parlett's recurrence
-in extended precision, and the perturbation identity by direct quadrature
-with an eigendecomposition-based kernel evaluator.
+powers are computed by grid convolution and by the Bessel-product form with
+scipy's modified Bessel function, the Green's function by resolvent contour
+quadrature and by Parlett's recurrence in extended precision, and the
+perturbation identity by adaptive quadrature with an
+eigendecomposition-based kernel evaluator.
 """
 
 from __future__ import annotations
@@ -15,45 +16,31 @@ import numpy as np
 
 from .bounds import h_eval
 from .errors import ConvergenceFailure, DomainError, SingularResolvent
-from .green import GAUSS_W, GAUSS_X, GreenKernel, spectral_gaps_from_eigenvalues
+from .green import GreenKernel, spectral_gaps_from_eigenvalues
 from .matcore import as_matrix, induced_norm, split_triangular
-
-
-def bessel_k_half(m: int, x: float) -> float:
-    """K_{m+1/2}(x) via the exact finite sum for half-integer order."""
-    if x <= 0:
-        raise DomainError("bessel_k_half requires x > 0")
-    if m < 0:
-        raise DomainError("order index must be nonnegative")
-    total = 0.0
-    for j in range(m + 1):
-        total += (
-            math.factorial(m + j)
-            / (math.factorial(j) * math.factorial(m - j) * (2.0 * x) ** j)
-        )
-    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * total
 
 
 def conv_power_bessel(k: int, t: float, gamma_minus: float, gamma_plus: float) -> float:
     """h^{*k}(t) from the Bessel-product form
 
         h(t) |t|^(k-1) sqrt(gamma |t|) e^x K_{k-1/2}(x) / (sqrt(pi) (k-1)!),
-        x = gamma |t| / 2.
+        x = gamma |t| / 2,
 
-    Cross-check of the closed form only: singular at t = 0, and the
-    prefactor overflows for large gamma |t|.
+    with e^x K_{k-1/2}(x) read from ``scipy.special.kve`` (Amos, ACM TOMS 12,
+    1986).  Cross-check of the closed form only: singular at t = 0.
     """
+    # imported here so that `import greenbound` does not load it
+    from scipy.special import kve
+
     at = abs(t)
     if at == 0:
         raise DomainError("Bessel path is singular at t = 0")
     gamma = gamma_minus + gamma_plus
-    x = 0.5 * gamma * at
-    return (
+    return float(
         h_eval(t, gamma_minus, gamma_plus)
         * at ** (k - 1)
         * math.sqrt(gamma * at)
-        * math.exp(x)
-        * bessel_k_half(k - 1, x)
+        * kve(k - 0.5, 0.5 * gamma * at)
         / (math.sqrt(math.pi) * math.factorial(k - 1))
     )
 
@@ -202,6 +189,8 @@ def green_parlett(t_mat, t: float, dps: int = 100) -> np.ndarray:
 
     d, n_mat = split_triangular(t_mat)
     n = d.shape[0]
+    if np.unique(np.diag(d)).size < n:
+        raise DomainError("Parlett's recurrence needs a distinct diagonal")
     with mpmath.workdps(dps):
         a = [[mpmath.mpc(z) for z in row] for row in (d + n_mat).tolist()]
         time = mpmath.mpf(t)
@@ -220,40 +209,28 @@ def green_parlett(t_mat, t: float, dps: int = 100) -> np.ndarray:
         return np.array([[complex(z) for z in row] for row in f])
 
 
-def _eig_green_factors(a):
-    w, v = np.linalg.eig(as_matrix(a))
-    return w, v, np.linalg.inv(v)
-
-
-def _eig_green_batch(factors, s: np.ndarray) -> np.ndarray:
-    """G(A, s) for an array of times via the spectral resolution of A."""
-    w, v, vinv = factors
-    s = np.asarray(s, dtype=float)
-    pos = (s[:, None] > 0)
-    left = (w.real < 0)[None, :]
-    ew = np.exp(w[None, :] * s[:, None])
-    g = np.where(pos, np.where(left, ew, 0.0), np.where(~left, -ew, 0.0))
-    return np.einsum("ij,sj,jk->sik", v, g, vinv)
-
-
-def _panel_nodes(lo: float, hi: float, panels: int):
-    """Composite Gauss-Legendre nodes/weights on [lo, hi]."""
-    edges = np.linspace(lo, hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + half[:, None] * GAUSS_X[None, :]).ravel()
-    weights = (half[:, None] * GAUSS_W[None, :]).ravel()
-    return nodes, weights
+def _eig_green(a):
+    """s -> G(A, s) via the spectral resolution of A."""
+    w, v = np.linalg.eig(a)
+    vinv = np.linalg.inv(v)
+    left = w.real < 0
+    # e^-inf = 0 drops the half of the spectrum that G(s) does not keep
+    return lambda s: (v * (np.sign(s) * np.exp(
+        np.where(left == (s > 0), w * s, -np.inf)))) @ vinv
 
 
 def perturbation_residual(a, b, t: float) -> float:
     """Defect of the identity
     G(A,t) - G(B,t) = integral G(A,s) (A-B) G(B,t-s) ds, in the inf-norm.
 
-    The quadrature splits panels at s = 0 and s = t where the integrand has
-    kinks.  The kernel values inside the integral come from an independent
-    eigendecomposition evaluator.
+    The integral over [-R, R] is adaptive Gauss-Kronrod quadrature
+    (``scipy.integrate.quad_vec``) with breakpoints at the kinks s = 0 and
+    s = t, to 1e-10 on the largest entry, of an independent eigendecomposition
+    evaluator of G; raises ConvergenceFailure where that tolerance is not met.
     """
+    # imported here so that `import greenbound` does not load it
+    from scipy.integrate import quad_vec
+
     a = as_matrix(a)
     b = as_matrix(b)
     if t == 0:
@@ -263,19 +240,10 @@ def perturbation_residual(a, b, t: float) -> float:
         ka.split.gamma_minus, ka.split.gamma_plus,
         kb.split.gamma_minus, kb.split.gamma_plus) if math.isfinite(g))
     radius = 30.0 / gmin + abs(t)
-    width = radius / max(4, math.ceil(radius))  # of a full panel
-    lhs = ka.at(t) - kb.at(t)
-    breaks = sorted({-radius, 0.0, t, radius})
-    fa = _eig_green_factors(a)
-    fb = _eig_green_factors(b)
-    diff = a - b
-    rhs = np.zeros_like(a)
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        if hi - lo <= 0:
-            continue
-        panels = max(1, math.ceil((hi - lo) / width))
-        nodes, weights = _panel_nodes(lo, hi, panels)
-        ga = _eig_green_batch(fa, nodes)
-        gb = _eig_green_batch(fb, t - nodes)
-        rhs += np.einsum("s,sij,jk,skl->il", weights.astype(complex), ga, diff, gb)
-    return induced_norm(lhs - rhs, np.inf)
+    ga, gb, diff = _eig_green(a), _eig_green(b), a - b
+    rhs, _, info = quad_vec(lambda s: ga(s) @ diff @ gb(t - s), -radius,
+                            radius, epsabs=1e-10, epsrel=0.0, norm="max",
+                            points=(0.0, t), full_output=True)
+    if not info.success:
+        raise ConvergenceFailure(f"perturbation integral: {info.message}")
+    return induced_norm(ka.at(t) - kb.at(t) - rhs, np.inf)

@@ -13,7 +13,6 @@ from greenbound import (
     NotStrictlyTriangular,
     QtdsParams,
     UndefinedAtZero,
-    bessel_k_half,
     conv_power_bessel,
     conv_power_closed,
     conv_power_poly,
@@ -22,6 +21,7 @@ from greenbound import (
     h_eval,
     qtds18_bound,
     triangular_bound,
+    qtds18_grid,
     van_loan_bound,
 )
 
@@ -32,41 +32,6 @@ def test_h_eval():
     assert h_eval(0.0, 2.0, 3.0) == 1.0
     assert h_eval(1.0, 2.0, 5.0) == pytest.approx(math.exp(-2))
     assert h_eval(-3.0, 2.0, 1.0) == pytest.approx(math.exp(-3))
-
-
-def bessel_k_quadrature(nu, x):
-    # K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du
-    u = np.linspace(0.0, 30.0, 200001)
-    f = np.exp(-x * np.cosh(u)) * np.cosh(nu * u)
-    return np.trapezoid(f, u)
-
-
-@pytest.mark.parametrize(
-    "m,x,expected",
-    [
-        (0, 1.0, math.sqrt(math.pi / 2) * math.exp(-1)),
-        (1, 1.0, math.sqrt(math.pi / 2) * math.exp(-1) * 2.0),
-    ],
-)
-def test_bessel_k_half_hand_values(m, x, expected):
-    assert bessel_k_half(m, x) == pytest.approx(expected, rel=1e-14)
-    # independent quadrature oracle
-    assert bessel_k_half(m, x) == pytest.approx(
-        bessel_k_quadrature(m + 0.5, x), rel=1e-8
-    )
-
-
-def test_bessel_k_half_asymptotics():
-    for x in (10.0, 100.0, 700.0):
-        v = bessel_k_half(0, x) * math.sqrt(2 * x / math.pi) * math.exp(x)
-        assert v == pytest.approx(1.0, rel=1e-14)
-
-
-def test_bessel_k_half_domain():
-    with pytest.raises(DomainError):
-        bessel_k_half(0, 0.0)
-    with pytest.raises(DomainError):
-        bessel_k_half(1, -2.0)
 
 
 def test_conv_power_identity_cases():
@@ -98,6 +63,13 @@ def test_conv_power_bessel_agrees_with_poly():
                 a = conv_power_closed(k, t, gm, gp, "poly")
                 b = conv_power_bessel(k, t, gm, gp)
                 assert b == pytest.approx(a, rel=1e-10)
+
+
+def test_conv_power_bessel_where_e_to_the_x_overflows():
+    # x = gamma |t| / 2 > 709: e^x K(x) overflowed as a product of two factors
+    t = 1500.0
+    assert conv_power_bessel(3, t, 1e-3, 1.0) == pytest.approx(
+        conv_power_closed(3, t, 1e-3, 1.0), rel=1e-13)
 
 
 def test_conv_power_leading_term():
@@ -246,6 +218,61 @@ def test_nan_gap_or_norm_is_rejected():
         conv_power_closed(2, 1.0, 1.0, nan)
     with pytest.raises(ValueError):
         BoundParams(3, nan, 1.0, 2.0)
+
+
+def test_nan_time_is_rejected():
+    # qtds18_grid's output was never written at a NaN time, so it read
+    # leftover memory; the envelope table gave nan
+    params = QtdsParams(1.0, 1, 1, 1.0, 1.0)
+    for ts in ([math.nan, 1.0], [1, math.nan, -1, math.nan]):
+        with pytest.raises(DomainError):
+            qtds18_grid(params, ts)
+        with pytest.raises(DomainError):
+            envelope_table(2, 1.0, 2.0, ts)
+    for gp in (2.0, INF):
+        with pytest.raises(DomainError):
+            triangular_bound(BoundParams(2, 1.0, 1.0, gp), math.nan)
+    with pytest.raises(DomainError):
+        entrywise_bound(None, [[0, 1], [0, 0]], 1.0, 2.0, math.nan)
+    with pytest.raises(DomainError):
+        van_loan_bound(-1.0, 1.0, 2, math.nan)
+    with pytest.raises(DomainError):
+        conv_power_closed(2, math.nan, 1.0, 2.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gm,gp", [(-1.0, 0.5), (1.0, -1.0), (0.0, 1.0),
+                                   (1.0, 0.0), (-1.0, 1.0)])
+def test_two_sided_gaps_must_be_positive(gm, gp):
+    # these gave negative "upper bounds" or, at gamma = 0, divided by zero
+    with pytest.raises(DomainError):
+        envelope_table(2, gm, gp, [1.0, -1.0])
+    with pytest.raises(DomainError):
+        triangular_bound(BoundParams(2, 1.0, gm, gp), 1.0)
+    with pytest.raises(DomainError):
+        entrywise_bound(None, [[0, 1], [0, 0]], gm, gp, 1.0)
+    with pytest.raises(DomainError):
+        qtds18_bound(QtdsParams(1.0, 1, 1, gm, gp), 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_qtds18_rejects_a_bad_norm_or_gap():
+    with pytest.raises(DomainError):
+        QtdsParams(-1.0, 1, 1, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        QtdsParams(math.nan, 1, 1, 1.0, 1.0)
+    # gaps of 0 divided by zero
+    with pytest.raises(DomainError):
+        qtds18_bound(QtdsParams(1.0, 1, 1, 0.0, 0.0), 1.0)
+    with pytest.raises(DomainError):
+        qtds18_grid(QtdsParams(1.0, 1, 1, 1.0, math.nan), [1.0])
+
+
+def test_bound_params_raise_domain_error():
+    with pytest.raises(DomainError):
+        BoundParams(0, 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        BoundParams(2, -1.0, 1.0, 1.0)
 
 
 def test_qtds18_hand_values():

@@ -8,6 +8,7 @@ import scipy.linalg
 import greenbound.green
 from greenbound import (
     ConvergenceFailure,
+    DomainError,
     FloatOverflow,
     GreenKernel,
     SingularIteration,
@@ -132,6 +133,17 @@ def test_green_block_triangular():
 def test_green_undefined_at_zero():
     with pytest.raises(UndefinedAtZero):
         green_function(np.diag([-1.0]), 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_green_rejects_a_non_finite_time(t):
+    # at(inf) warned in its matmul, at(nan) returned nan, and
+    # green_function(nan) raised FloatOverflow
+    with pytest.raises(DomainError):
+        GreenKernel([[-1.0]]).at(t)
+    with pytest.raises(DomainError):
+        green_function([[-1.0]], t)
 
 
 def test_green_semigroup(rng):

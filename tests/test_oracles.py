@@ -5,6 +5,7 @@ import pytest
 
 from greenbound import (
     ConvergenceFailure,
+    DomainError,
     conv_power_closed,
     conv_power_numeric,
     green_contour,
@@ -135,6 +136,21 @@ def test_perturbation_identity_cases(rng):
         assert perturbation_residual(a, b, -0.7) < 1e-5
 
 
+@pytest.mark.parametrize("w", [100.0, 1000.0])
+def test_perturbation_identity_oscillating(w):
+    # fixed 16-node unit panels reported this true identity as failing by
+    # 7.38 (w = 100) and 137 (w = 1000)
+    a, b = np.array([[-1 + 1j * w]]), np.array([[-1.5 - 1j * w]])
+    assert perturbation_residual(a, b, 1.0) <= 1e-12
+
+
+def test_perturbation_identity_raises_where_quadrature_fails():
+    # the panel rule returned a residual of 478 here
+    a, b = np.array([[-1 + 1e4j]]), np.array([[-1.5 - 1e4j]])
+    with pytest.raises(ConvergenceFailure, match="perturbation integral"):
+        perturbation_residual(a, b, 1.0)
+
+
 @pytest.mark.parametrize("t, expected", [
     # G(t) = e^{At} P- and -e^{At} P+ with P- = [[1, -1/3], [0, 0]]
     pytest.param(1.0, [[math.exp(-1), -math.exp(-1) / 3], [0, 0]], id="t>0"),
@@ -144,3 +160,9 @@ def test_perturbation_identity_cases(rng):
 def test_parlett_block_triangular(t, expected):
     g = green_parlett(np.array([[-1.0, 1.0], [0.0, 2.0]]), t)
     assert np.allclose(g, expected, rtol=1e-15, atol=0)
+
+
+def test_parlett_rejects_a_repeated_diagonal():
+    # the recurrence divided by t_jj - t_ii = 0
+    with pytest.raises(DomainError):
+        green_parlett([[-1, 1], [0, -1]], 0.4)
