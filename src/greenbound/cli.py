@@ -55,10 +55,10 @@ def load_matrix(path: str) -> np.ndarray:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         n = obj["n"]
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:  # bool is an int subclass
             raise ValueError("n must be a positive integer")
         pairs = np.array(obj["data"])
-        if pairs.dtype.kind not in "biuf" or pairs.shape != (n, n, 2):
+        if pairs.dtype.kind not in "iuf" or pairs.shape != (n, n, 2):
             raise ValueError("data must be an n x n array of [re, im] pairs")
         a = pairs[..., 0] + 1j * pairs[..., 1]
     except Exception as exc:
@@ -268,18 +268,26 @@ def _table_columns(args) -> tuple:
                           if args.bound in ("all", c.split("_")[1]))
 
 
+def _write(args, text: str) -> None:
+    """A command's stdout text goes to --output when that is given."""
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(1, f"cannot write {args.output}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def cmd_table(args) -> int:
     columns = _table_columns(args)
     problem = _grid_problem(args)
     lines = [",".join(columns)]
     for i in range(len(problem.t)):
         lines.append(",".join(map(_fmt, problem.row(i, columns).values())))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -296,29 +304,25 @@ def cmd_check(args) -> int:
             if bound is None:
                 continue
             if exact > bound * scale * (1.0 + 1e-9):
-                print(
-                    f"violation: t={float(problem.t[k])!r} exact={exact!r} "
-                    f"{col}={float(bound * scale)!r}"
-                )
+                _write(args, f"violation: t={float(problem.t[k])!r} exact="
+                             f"{exact!r} {col}={float(bound * scale)!r}\n")
                 return 4
         if problem.was_triangular:
             # the entrywise inequality holds entry by entry; checking it
             # directly makes corrupted bounds detectable on every matrix
             abs_g = np.abs(g)
             ew = problem.entrywise[k]
-            bad = abs_g > ew * scale + 1e-10
+            bad = abs_g > ew * scale * (1.0 + 1e-9)
             if np.any(bad):
                 i, j = np.argwhere(bad)[0]
-                print(
-                    f"violation: t={float(problem.t[k])!r} entry=({i},{j}) "
-                    f"exact={float(abs_g[i, j])!r} "
-                    f"bound_entrywise={float(ew[i, j] * scale)!r}"
-                )
+                _write(args, f"violation: t={float(problem.t[k])!r} "
+                             f"entry=({i},{j}) exact={float(abs_g[i, j])!r} "
+                             f"bound_entrywise={float(ew[i, j] * scale)!r}\n")
                 return 4
     if unchecked:
         print(f"note: every norm bound is inf or nan at {unchecked} of "
               f"{len(problem.t)} times", file=sys.stderr)
-    print("ok")
+    _write(args, "ok\n")
     return 0
 
 

@@ -105,21 +105,23 @@ def spectral_gaps(t_mat) -> SpectralSplit:
 
 
 def matrix_sign(a) -> np.ndarray:
-    """Matrix sign function by Newton iteration with determinant scaling."""
-    s = as_matrix(a).copy()
-    n = s.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked per step
+    """Matrix sign by Newton iteration with determinant scaling.  Each step
+    is one LU S = P L U: mu = |det S|^(-1/n) off U's diagonal, and getri of
+    P L (mu U) gives (mu S)^-1, finite where S^-1 may overflow."""
+    s = as_matrix(a)
+    upper = np.triu(np.ones(s.shape, dtype=bool))  # U's half of getrf's LU
+    getrf, getri, getri_lwork = scipy.linalg.lapack.get_lapack_funcs(
+        ("getrf", "getri", "getri_lwork"), (s,))
+    lwork = int(getri_lwork(len(s))[0].real)
+    with np.errstate(all="ignore"):  # checked per step
         for _ in range(SIGN_MAX_ITER):
-            sign_det, logabsdet = np.linalg.slogdet(s)
-            if sign_det == 0 or not np.isfinite(logabsdet):
+            lu, piv, info = getrf(s)
+            if info > 0:
                 raise SingularIteration("sign iteration hit a singular iterate")
-            mu = math.exp(-logabsdet / n)
-            ms = mu * s
-            try:
-                inv = np.linalg.inv(ms)
-            except np.linalg.LinAlgError as exc:
-                raise SingularIteration(str(exc)) from exc
-            s_next = 0.5 * (ms + inv)
+            mu = math.exp(-np.log(np.abs(lu.diagonal())).mean())
+            np.multiply(lu, mu, out=lu, where=upper)
+            inv, _ = getri(lu, piv, lwork=lwork, overwrite_lu=True)
+            s_next = 0.5 * (mu * s + inv)
             if not np.isfinite(s_next).all():
                 raise FloatOverflow("matrix sign iterate overflows")
             delta = induced_norm(s_next - s, np.inf)
@@ -267,8 +269,11 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
     holding at most FORCING_BLOCK complex values, and one matrix product
     gives y_j for every panel of the block; the carry, one matrix-vector
     product, is the only per-panel step.  G is never asked for at 0.
-    Raises ValueError when f does not return shape (n,).
+    Raises ValueError when f does not return shape (n,) and DomainError,
+    before any kernel or f call, when t is not finite.
     """
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
     kernel = GreenKernel(a)
     n = kernel.a.shape[0]
     radius, panels = default_quad(kernel.split)

@@ -53,6 +53,11 @@ def test_conv_power_domain():
         conv_power_closed(0, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         conv_power_closed(2, 1.0, INF, 1.0)
+    with pytest.raises(ValueError, match="unknown method 'x'"):
+        conv_power_closed(2, 1.0, 1.0, 1.0, method="x")
+    with pytest.raises(DomainError):
+        conv_power_bessel(2, 0.0, 1.0, 1.0)
+    assert conv_power_poly(0, 1.0, 1.0) == 0.0
 
 
 def test_conv_power_bessel_agrees_with_poly():
@@ -126,6 +131,11 @@ def test_triangular_bound_one_sided_matches_large_gap_limit():
 def test_triangular_bound_undefined_at_zero():
     with pytest.raises(UndefinedAtZero):
         triangular_bound(BoundParams(2, 1.0, 1.0, 1.0), 0.0)
+
+
+def test_entrywise_bound_undefined_at_zero():
+    with pytest.raises(UndefinedAtZero):
+        entrywise_bound(np.diag([-1.0, 2.0]), [[0, 1], [0, 0]], 1.0, 2.0, 0.0)
 
 
 def test_triangular_bound_scale_covariance():
@@ -288,6 +298,8 @@ def test_qtds18_hand_values():
 def test_qtds18_inapplicable():
     with pytest.raises(Inapplicable):
         qtds18_bound(QtdsParams(1.0, 0, 2, INF, 1.0), 1.0)
+    with pytest.raises(Inapplicable, match="finite gaps"):
+        qtds18_grid(QtdsParams(1.0, 1, 1, INF, 1.0), [1.0])
     with pytest.raises(UndefinedAtZero):
         qtds18_bound(QtdsParams(1.0, 1, 1, 1.0, 1.0), 0.0)
 

@@ -275,6 +275,46 @@ def test_check_negative_control(tmp_path, capsys):
     assert out.startswith("violation:")
 
 
+def test_check_entrywise_margin_is_relative(tmp_path, capsys):
+    # |G(25)| and the halved bound are both below 1e-10 on entry (0, 0),
+    # where an absolute slack of 1e-10 let the corrupted bound pass
+    path = write_matrix(tmp_path / "m.json", [[-1.0, 1.0], [0.0, -2.0]])
+    code, out, _ = run_cli(
+        capsys, "check", path, "--t-min", "25", "--t-max", "25", "--steps",
+        "1", "--norm", "inf", "--bound-scale", "0.5",
+    )
+    assert code == 4
+    assert out.startswith("violation: t=25.0 entry=(0,0) ")
+
+
+@pytest.mark.parametrize("scale, code, verdict", [
+    ("1.0", 0, "ok\n"),
+    ("0.5", 4, "violation: "),
+])
+def test_check_output_file(tmp_path, capsys, scale, code, verdict):
+    rng = np.random.default_rng(37)
+    path = write_matrix(tmp_path / "m.json", random_triangular(rng, 3))
+    dest = tmp_path / "verdict.txt"
+    got, out, _ = run_cli(
+        capsys, "check", path, "--t-min", "-3.0", "--t-max", "3.0",
+        "--steps", "12", "--bound-scale", scale, "--output", str(dest),
+    )
+    assert (got, out) == (code, "")
+    text = dest.read_text()
+    assert text.startswith(verdict) and text.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["compare", "check"])
+def test_unwritable_output_exits_1(tmp_path, capsys, command):
+    path = write_matrix(tmp_path / "m.json", np.diag([-1.0, 2.0]))
+    dest = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, command, path, "--steps", "2",
+                             "--output", str(dest))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {dest}: ")
+    assert err.count("\n") == 1
+
+
 # a 2x2 matrix file whose entry (0, 1) is the given JSON text
 ENTRY_01 = '{"n": 2, "data": [[[1, 0], %s], [[0, 0], [1, 0]]]}'
 
@@ -287,6 +327,11 @@ ENTRY_01 = '{"n": 2, "data": [[[1, 0], %s], [[0, 0], [1, 0]]]}'
     pytest.param(ENTRY_01 % "[null, 0]", id="null-entry"),
     pytest.param('{"n": 2, "data": [[[1, 0], [0, 0]], [[1, 0]]]}',
                  id="ragged-row"),
+    pytest.param('{"n": true, "data": [[[-1.0, 0.0]]]}', id="boolean-n"),
+    pytest.param('{"n": 1, "data": [[[true, false]]]}', id="boolean-data"),
+    pytest.param('{"n": 0, "data": []}', id="zero-n"),
+    pytest.param('{"n": 2.5, "data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+                 id="fractional-n"),
 ])
 def test_exit_code_parse_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"

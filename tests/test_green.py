@@ -60,6 +60,29 @@ def test_matrix_sign_iteration_budget(monkeypatch):
         matrix_sign(np.array([[-1.0, 1.0], [0.0, 2.0]]))
 
 
+def test_matrix_sign_factorises_each_iterate_once(monkeypatch):
+    # one LU per step gives both |det S| and S^-1
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second factorisation")
+
+    monkeypatch.setattr(np.linalg, "slogdet", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    a = np.array([[-1.0, 2.0, 1j], [0.0, 2.0, -1.0], [0.0, 0.0, -3.0 + 1j]])
+    s = matrix_sign(a)
+    assert np.abs(np.diag(s) - [-1, 1, -1]).max() < 1e-14
+    assert np.abs(s @ s - np.eye(3)).max() < 1e-13
+    assert np.abs(s @ a - a @ s).max() < 1e-13
+    kernel = GreenKernel(a)
+    assert np.abs(kernel.p_minus + kernel.p_plus - np.eye(3)).max() < 1e-13
+
+
+def test_matrix_sign_where_the_inverse_of_the_iterate_overflows():
+    # S^-1 has an entry of 1e400 here; (mu S)^-1 fits, and so does the sign
+    # of [[a, c], [0, d]], whose corner is 2 c / (d - a)
+    s = matrix_sign([[-1e-200, 1.0], [0.0, 1e-200]])
+    assert np.abs(s - [[-1.0, 1e200], [0.0, 1.0]]).max() <= 1e-15 * 1e200
+
+
 def test_projectors_diagonal():
     pm, pp = spectral_projectors(np.diag([-1.0, 2.0]))
     assert np.allclose(pm, np.diag([1.0, 0.0]), atol=1e-12)
@@ -366,6 +389,20 @@ def test_bounded_solution_across_forcing_blocks():
     delta = 0.5 * h * (1.0 + GAUSS_X)
     nodes = [(t - d) - j * h for j in range(panels) for d in delta]
     assert sorted(calls) == sorted(nodes)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_bounded_solution_rejects_a_non_finite_time(monkeypatch, t):
+    # x(nan) and x(inf) read [0.5, -0.5] here, f evaluated at nan or inf
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel built")
+
+    monkeypatch.setattr(greenbound.green, "GreenKernel", no_kernel)
+    calls = []
+    with pytest.raises(DomainError, match="t must be finite"):
+        bounded_solution([[-1.0, 1.0], [0.0, 2.0]],
+                         lambda s: calls.append(s) or np.ones(2), t)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n, value", [

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from greenbound import (
     NotTriangular,
+    as_matrix,
     entrywise_abs,
     induced_norm,
     split_triangular,
 )
+from greenbound.matcore import norm_kind
 
 from conftest import random_dense, random_unitary
 
@@ -61,6 +63,21 @@ def test_entrywise_abs():
 def test_entrywise_abs_preserves_structure():
     n = np.array([[0, 1j, -2], [0, 0, 3], [0, 0, 0]])
     assert not np.tril(entrywise_abs(n)).any()
+
+
+@pytest.mark.parametrize("a, message", [
+    pytest.param(np.ones((2, 3)), "square", id="non-square"),
+    pytest.param([[1.0, math.nan], [0.0, 1.0]], "non-finite", id="nan"),
+    pytest.param([[math.inf]], "non-finite", id="inf"),
+])
+def test_as_matrix_rejects(a, message):
+    with pytest.raises(ValueError, match=message):
+        as_matrix(a)
+
+
+def test_norm_kind_rejects_an_unknown_norm():
+    with pytest.raises(ValueError, match="unsupported norm kind: '3'"):
+        norm_kind("3")
 
 
 def test_induced_norm_identity():

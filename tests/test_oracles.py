@@ -6,6 +6,7 @@ import pytest
 from greenbound import (
     ConvergenceFailure,
     DomainError,
+    SingularResolvent,
     conv_power_closed,
     conv_power_numeric,
     green_contour,
@@ -120,6 +121,29 @@ def test_contour_rule_weights():
     assert abs(weights.sum(axis=1)).max() < 1e-15
     with pytest.raises(ValueError):
         contour_for(np.diag([-1.0]), 1.0, 401)
+
+
+@pytest.mark.parametrize("evaluate", [
+    pytest.param(lambda a: green_contour(a, 0.0), id="green_contour"),
+    pytest.param(lambda a: perturbation_residual(a, a, 0.0),
+                 id="perturbation_residual"),
+])
+def test_oracles_reject_t_zero(evaluate):
+    with pytest.raises(ValueError, match="t must be nonzero"):
+        evaluate(np.diag([-1.0, 2.0]))
+
+
+def test_conv_power_grid_rejects_power_zero():
+    with pytest.raises(ValueError, match="must be >= 1"):
+        conv_power_grid(0, 1.0, 1.0, 5.0)
+
+
+def test_contour_through_an_eigenvalue():
+    a = np.diag([-1.0, 2.0])
+    nodes, weights = contour_for(a, 1.0, 4)
+    nodes[1] = -1.0
+    with pytest.raises(SingularResolvent):
+        green_contour(a, 1.0, (nodes, weights))
 
 
 def test_perturbation_identity_cases(rng):
