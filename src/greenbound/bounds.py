@@ -155,14 +155,17 @@ def _series(u, n: int, gamma=None):
     accuracy; the carried values are rescaled by a power of two after every
     step.  A u >= 1 enters as its mantissa u 2^-e, through
     P_k(u; gamma) = 2^(ke) P_k(u 2^-e; gamma 2^e), so u^2 cannot overflow.
+    A gamma below 2^-1000 makes e at least eg > 0 and enters as the float
+    gamma 2^eg, so 2(2k-1)/(gamma k) cannot overflow either.
     """
     k = np.arange(1, n)[:, None]
     if gamma is None:
         a, b, e = u / k, None, 0
     else:
-        e = np.maximum(np.frexp(u)[1], 0)
+        eg = max(0, -1000 - math.frexp(gamma)[1])
+        e = np.maximum(np.frexp(u)[1], eg)
         u = np.ldexp(u, -e)
-        a = np.ldexp(2.0 * (2 * k - 1) / (gamma * k), -e)
+        a = np.ldexp(2.0 * (2 * k - 1) / (math.ldexp(gamma, eg) * k), eg - e)
         b = u * u / np.maximum(k * (k - 1), 1)
         if n > 1:
             b[0] = u  # P_1 = a_1 P_0 + u P_0

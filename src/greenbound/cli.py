@@ -159,9 +159,15 @@ class Problem:
         """sum_k W[t, k] |N|^k for every grid time, shape (T, n, n)."""
         return self.table.matrix_series(np.abs(self.n_mat))
 
+    def kernel_norms(self):
+        """Yield (G(t), its norm) along the grid; the norms of each block
+        of ``GreenKernel.blocks`` are taken with one call."""
+        for gs in self.kernel.blocks(self.t):
+            yield from zip(gs, induced_norm(gs, self.p).tolist())
+
     @cached_property
     def exact_norm(self) -> list:
-        return [induced_norm(g, self.p) for g in self.kernel.along(self.t)]
+        return [exact for _, exact in self.kernel_norms()]
 
     @cached_property
     def bound_triangular(self) -> np.ndarray:
@@ -295,9 +301,8 @@ def cmd_check(args) -> int:
     problem = _grid_problem(args)
     scale = args.bound_scale
     unchecked = 0  # times with no finite norm bound (None reads as NaN)
-    for k, g in enumerate(problem.kernel.along(problem.t)):
+    for k, (g, exact) in enumerate(problem.kernel_norms()):
         row = problem.row(k, BOUND_COLUMNS)
-        exact = induced_norm(g, problem.p)
         unchecked += not np.isfinite(np.array([*row.values()], float)).any()
         for col in BOUND_COLUMNS:
             bound = row[col]

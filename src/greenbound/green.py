@@ -48,6 +48,9 @@ TAYLOR_FACTORIALS = np.array(
 # bounded_solution holds at most this many complex values of f at once
 # (1 MiB), whatever the panel count; one panel's nodes if n > 4096
 FORCING_BLOCK = 2 ** 16
+# GreenKernel.block holds at most this many complex values per array (256
+# KiB): a block of KERNEL_BLOCK // n^2 times, one time from n = 128 on
+KERNEL_BLOCK = 2 ** 14
 
 INF = float("inf")
 
@@ -118,10 +121,15 @@ def matrix_sign(a) -> np.ndarray:
             lu, piv, info = getrf(s)
             if info > 0:
                 raise SingularIteration("sign iteration hit a singular iterate")
-            mu = math.exp(-np.log(np.abs(lu.diagonal())).mean())
-            np.multiply(lu, mu, out=lu, where=upper)
+            # mu = 2^q e^(log mu - q ln 2): e^(log mu) overflows once the
+            # pivots' geometric mean is subnormal
+            log_mu = -np.log(np.abs(lu.diagonal())).mean()
+            q = max(0, math.ceil((log_mu - 700) / math.log(2)))
+            mu, two_q = math.exp(log_mu - q * math.log(2)), 2.0 ** q
+            for factor in (mu, two_q):
+                np.multiply(lu, factor, out=lu, where=upper)
             inv, _ = getri(lu, piv, lwork=lwork, overwrite_lu=True)
-            s_next = 0.5 * (mu * s + inv)
+            s_next = 0.5 * (mu * s * two_q + inv)
             if not np.isfinite(s_next).all():
                 raise FloatOverflow("matrix sign iterate overflows")
             delta = induced_norm(s_next - s, np.inf)
@@ -153,8 +161,8 @@ class GreenKernel:
 
     Balances A once to S^-1 A S with S a diagonal of powers of two (LAPACK
     gebal), so one large entry cannot set the squaring count, and builds
-    the projectors and the Taylor table of the balanced matrix; ``at`` maps
-    G back as S G S^-1, exactly.  No other state is kept, so every call
+    the projectors and the Taylor table of the balanced matrix; ``block``
+    maps G back as S G S^-1, exactly.  No other state is kept, so every call
     returns a fresh array.  The table holds B^0 .. B^18 for B the balanced
     matrix over 2^k, 2^k the power of two just above its norm_inf.
     """
@@ -193,7 +201,12 @@ class GreenKernel:
             np.matmul(powers[i], b, out=powers[i - 1])
 
     def at(self, t: float) -> np.ndarray:
-        """G(t); inf/NaN where it leaves the float range (``along`` checks).
+        """G(t); inf/NaN where it leaves the float range (``along`` checks)."""
+        return self.block([t])[0]
+
+    def block(self, ts) -> np.ndarray:
+        """G(t) for each t in ts, stacked (len(ts), n, n); inf/NaN where G
+        leaves the float range (``blocks`` checks).
 
         Plain e^{At} P cancels catastrophically once the discarded half of
         the spectrum makes e^{At} large, so square up s times from
@@ -203,35 +216,89 @@ class GreenKernel:
         scalar c = t 2^(k-s), |c| norm_inf(B) <= 1, and e^{cB} is the Taylor
         sum over the table.  s comes from binary exponents, so it holds
         where norm_inf(A t) overflows.  A is the balanced matrix here.
+
+        The times are taken KERNEL_BLOCK // n^2 at a time (one from
+        n = 128 on).  Each time keeps its own arithmetic: one GEMV for its
+        Taylor sum, one product with P and two products per squaring.  On
+        each side of 0 the times are sorted by s, so those still squaring
+        are a prefix and each squaring is two stacked products with P
+        broadcast.
         """
-        if t == 0:
+        ts = np.asarray(ts, dtype=float)
+        if (ts == 0).any():
             raise UndefinedAtZero("Green's function is undefined at t = 0")
-        if not math.isfinite(t):
-            raise DomainError(f"t must be finite, got {t!r}")
-        p = self.p_minus if t > 0 else self.p_plus
+        bad = ts[~np.isfinite(ts)]
+        if bad.size:
+            raise DomainError(f"t must be finite, got {float(bad[0])!r}")
+        n = self.a.shape[0]
+        g = np.empty((ts.size, n, n), dtype=complex)
+        for part in self._parts(ts.size):
+            self._fill(ts[part], g[part])
+        return g
+
+    def _parts(self, count: int) -> list:
+        """Slices of range(count), KERNEL_BLOCK // n^2 (at least 1) long."""
+        n = self.a.shape[0]
+        per = max(1, KERNEL_BLOCK // (n * n))
+        return [slice(lo, lo + per) for lo in range(0, count, per)]
+
+    def _fill(self, ts, g):
+        """Write G(t) for one block of nonzero finite times into g."""
+        n = g.shape[-1]
         # norm_inf(A t) = m 2^(e + k + et), the product taken as floats
-        mt, et = math.frexp(abs(t))
-        m, e = math.frexp(self.norm_b * mt)
-        s = max(0, e + self.k + et - (m == 0.5))
-        c = math.ldexp(t, self.k - s)
-        coef = c ** TAYLOR_POWERS / TAYLOR_FACTORIALS
-        r = (coef @ self.table).reshape(p.shape) @ p
-        for _ in range(s):
-            r = p @ (r @ r)
+        mt, et = np.frexp(np.abs(ts))
+        m, e = np.frexp(self.norm_b * mt)
+        s = np.maximum(0, e + self.k + et - (m == 0.5))
+        coef = np.ldexp(ts, self.k - s)[:, None] ** TAYLOR_POWERS
+        coef = (coef / TAYLOR_FACTORIALS).astype(complex)
+        # t > 0 first, each side by descending s
+        order = np.lexsort((-s, ts < 0))
+        s = s[order]
+        flat = np.empty((ts.size, n * n), dtype=complex)
+        for row, i in zip(flat, order):
+            np.matmul(coef[i], self.table, out=row)
+        sq = flat.reshape(-1, n, n)  # e^{cB}, then the squares
+        r = np.empty_like(sq)
+        mid = np.count_nonzero(ts > 0)
+        for lo, hi, p in ((0, mid, self.p_minus),
+                          (mid, ts.size, self.p_plus)):
+            if lo == hi:
+                continue
+            np.matmul(sq[lo:hi], p, out=r[lo:hi])
+            for j in range(s[lo]):
+                live = slice(lo, lo + np.count_nonzero(s[lo:hi] > j))
+                np.matmul(r[live], r[live], out=sq[live])
+                np.matmul(p, sq[live], out=r[live])
         for factor in self.unscale:
             r *= factor
-        return r if t > 0 else -r
+        np.negative(r[mid:], out=r[mid:])
+        g[order] = r
+
+    def blocks(self, ts):
+        """Yield G over ts as consecutive stacks of at most KERNEL_BLOCK
+        values each, computed with numpy's overflow warnings off.  At the
+        first G(t) beyond the float range, the finite ones before it are
+        yielded and FloatOverflow is raised.  The caller's settings hold
+        while a stack is yielded."""
+        ts = np.asarray(ts, dtype=float)
+        for part in self._parts(ts.size):
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = self.block(ts[part])
+            bad = np.flatnonzero(~np.isfinite(g).all(axis=(1, 2)))
+            if not bad.size:
+                yield g
+                continue
+            if bad[0]:
+                yield g[:bad[0]]
+            raise FloatOverflow(
+                f"G(t) overflows at t={float(ts[part][bad[0]])!r}")
 
     def along(self, ts):
-        """Yield G(t) for each t in ts, computed with numpy's overflow
-        warnings off; a G(t) beyond the float range raises FloatOverflow
-        instead.  The caller's settings hold while a G(t) is yielded."""
-        for t in ts:
-            with np.errstate(over="ignore", invalid="ignore"):
-                g = self.at(t)
-            if not np.isfinite(g).all():
-                raise FloatOverflow(f"G(t) overflows at t={float(t)!r}")
-            yield g
+        """Yield G(t) for each t in ts, as ``blocks`` does: G(t) beyond the
+        float range raises FloatOverflow, and the caller's settings hold
+        while a G(t) is yielded."""
+        for g in self.blocks(ts):
+            yield from g
 
 
 def green_function(a, t: float) -> np.ndarray:
@@ -264,11 +331,12 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
 
         x_side = y_0 + M (y_1 + M (y_2 + ...)).
 
-    Each occupied side costs GAUSS_NODES + 1 kernel evaluations.  f is
-    evaluated a block of panels at a time, far panel first, the block
-    holding at most FORCING_BLOCK complex values, and one matrix product
-    gives y_j for every panel of the block; the carry, one matrix-vector
-    product, is the only per-panel step.  G is never asked for at 0.
+    Each occupied side costs GAUSS_NODES + 1 kernel evaluations, taken as
+    one ``GreenKernel.block``.  f is evaluated a block of panels at a time,
+    far panel first, the block holding at most FORCING_BLOCK complex
+    values, and one matrix product gives y_j for every panel of the block;
+    the carry, one matrix-vector product, is the only per-panel step.  G
+    is never asked for at 0.
     Raises ValueError when f does not return shape (n,) and DomainError,
     before any kernel or f call, when t is not finite.
     """
@@ -287,11 +355,11 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
         for sign, occupied in ((1.0, kernel.split.m), (-1.0, kernel.split.l)):
             if not occupied:
                 continue
-            inner = np.array([kernel.at(sign * d) for d in delta])
-            inner *= weights[:, None, None]
+            g = kernel.block(sign * np.append(delta, h))
+            inner = g[:-1] * weights[:, None, None]
             # column i n + l is w_i G(s d_i)[:, l]: y_j = inner @ panel j's f
             inner = inner.transpose(1, 0, 2).reshape(n, -1)
-            carry = sign * kernel.at(sign * h)  # M
+            carry = sign * g[-1]  # M
             first = t - sign * delta  # f's arguments on panel 0
             acc = np.zeros_like(x)
             for lo in range(0, panels, per_block):

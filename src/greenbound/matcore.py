@@ -28,10 +28,12 @@ def norm_kind(p) -> float:
         raise ValueError(f"unsupported norm kind: {p!r}") from None
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate and return a square complex matrix with finite entries."""
+def as_matrix(a, stacked: bool = False) -> np.ndarray:
+    """Validate and return a square complex matrix with finite entries, or
+    with ``stacked`` a stack of them, shape (..., n, n)."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    if (m.ndim < 2 or (m.ndim > 2 and not stacked)
+            or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1):
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
@@ -84,19 +86,22 @@ def entrywise_abs(a) -> np.ndarray:
     return np.abs(as_matrix(a))
 
 
-def induced_norm(a, p) -> float:
-    """Operator norm induced by the 1, 2 or infinity vector norm.
+def induced_norm(a, p):
+    """Operator norm induced by the 1, 2 or infinity vector norm: a float
+    for a matrix, an array of one norm per matrix for a stack (..., n, n).
 
     ``numpy.linalg.norm``: the largest absolute column or row sum for 1 and
     infinity, the largest singular value from LAPACK's SVD for 2.  A norm
     of finite entries beyond the float range is +inf, without a warning.
     An SVD that does not converge raises :class:`ConvergenceFailure`.
     """
+    a = as_matrix(a, stacked=True)
     try:
         with np.errstate(over="ignore"):
-            return float(np.linalg.norm(as_matrix(a), norm_kind(p)))
+            norms = np.linalg.norm(a, norm_kind(p), axis=(-2, -1))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"two-norm SVD failed: {exc}") from exc
+    return float(norms) if a.ndim == 2 else norms
 
 
 def require_strictly_triangular(n) -> np.ndarray:

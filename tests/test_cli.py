@@ -516,22 +516,22 @@ def test_each_command_computes_only_what_it_prints(tmp_path, capsys,
         code, out, _ = run_cli(capsys, "exact", path, *grid)
         assert code == 0 and len(out.splitlines()) == 7
     with monkeypatch.context() as m:
-        m.setattr(GreenKernel, "__init__", _forbidden)
-        m.setattr(GreenKernel, "at", _forbidden)
+        for name in ("__init__", "at", "block"):
+            m.setattr(GreenKernel, name, _forbidden)
         code, out, _ = run_cli(capsys, "bound", path, *grid)
         assert code == 0 and len(out.splitlines()) == 7
         m.setattr(bounds.EnvelopeTable, "matrix_series", _forbidden)
         code, _, _ = run_cli(capsys, "bound", path, "--bound", "triangular",
                              *grid)
         assert code == 0
-    calls = []
-    real_at = GreenKernel.at
+    times = []  # every time handed to the block evaluator
+    real_block = GreenKernel.block
     with monkeypatch.context() as m:
-        m.setattr(GreenKernel, "at",
-                  lambda self, t: calls.append(t) or real_at(self, t))
+        m.setattr(GreenKernel, "block",
+                  lambda self, ts: times.extend(ts) or real_block(self, ts))
         code, out, _ = run_cli(capsys, "check", path, *grid)
         assert (code, out) == (0, "ok\n")
-    assert len(calls) == len(set(calls)) == 6
+    assert len(times) == len(set(times)) == 6
 
 
 def test_exit_code_library_failure(tmp_path, capsys, monkeypatch):
@@ -684,6 +684,44 @@ def test_overflow_is_a_typed_error(tmp_path, capsys, seed, n, scale, command,
     code, out, err = run_cli(capsys, command, path, "--steps", "6",
                              "--norm", "inf")
     assert (code, out, err) == (5, "", f"error: FloatOverflow: {message}\n")
+
+
+# G(t) e^(-+1e-6 t) = +-sum_k (1e60 t)^k J^k / k! on the decaying side:
+# finite at |t| = 0.5, beyond the float range from |t| = 167 on
+@pytest.mark.parametrize("sign, argv, code, out, err", [
+    pytest.param(-1.0, ("--t-min", "0.5", "--t-max", "500"), 4,
+                 "violation: t=0.5 ", "", id="violation-first"),
+    pytest.param(1.0, ("--t-min", "-500", "--t-max", "-0.5"), 5, "",
+                 "error: FloatOverflow: G(t) overflows at t=-500.0\n",
+                 id="overflow-first"),
+])
+def test_check_tests_each_time_before_the_next_overflows(
+        tmp_path, capsys, sign, argv, code, out, err):
+    a = sign * 1e-6 * np.eye(6) + 1e60 * np.eye(6, k=1)
+    path = write_matrix(tmp_path / "m.json", a)
+    got = run_cli(capsys, "check", path, *argv, "--steps", "4",
+                  "--norm", "inf", "--bound-scale", "0.5")
+    assert (got[0], got[2]) == (code, err) and got[1].startswith(out)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["exact", "compare", "check", "bound"])
+def test_subnormal_spectrum(tmp_path, capsys, command):
+    # exact ended in an OverflowError from the sign step's scaling, and with
+    # that mended compare printed nan for the triangular bound: the
+    # envelope's 2(2k-1)/(gamma k) overflowed for gamma = 2e-310
+    path = write_matrix(tmp_path / "m.json", np.diag([-1e-310, 1e-310]))
+    code, out, err = run_cli(capsys, command, path, "--norm", "inf",
+                             "--t-min", "-10", "--t-max", "10", "--steps", "6")
+    assert (code, err) == (0, "")
+    if command == "check":
+        assert out == "ok\n"
+        return
+    _, rows = parse_csv(out)
+    assert len(rows) == 6
+    for row in rows:
+        values = [v for k, v in row.items() if k != "t" and v is not None]
+        assert values and all(v == 1.0 for v in values)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

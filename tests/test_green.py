@@ -22,7 +22,8 @@ from greenbound import (
     spectral_gaps,
     spectral_projectors,
 )
-from greenbound.green import FORCING_BLOCK, GAUSS_NODES, GAUSS_X, default_quad
+from greenbound.green import (FORCING_BLOCK, GAUSS_NODES, GAUSS_X,
+                              TAYLOR_FACTORIALS, TAYLOR_POWERS, default_quad)
 from greenbound.oracles import green_parlett
 
 from conftest import (log_time_grid, random_triangular, random_unitary,
@@ -250,6 +251,65 @@ def test_along_restores_error_settings_while_suspended():
     assert np.geterr() == before
 
 
+def _one_sided(n):
+    b = random_triangular(np.random.default_rng(n), n)
+    np.fill_diagonal(b, -np.abs(np.diag(b).real) + 1j * np.diag(b).imag)
+    return b
+
+
+# the times make one block at n = 3, two at n = 20 and one per time from
+# n = 128 on
+@pytest.mark.parametrize("a", [
+    pytest.param(random_triangular(np.random.default_rng(3), 3), id="two-3"),
+    pytest.param(random_triangular(np.random.default_rng(20), 20),
+                 id="two-20"),
+    pytest.param(_one_sided(20), id="one-sided-20"),
+    pytest.param(_one_sided(130), id="one-sided-130"),
+])
+def test_block_along_and_at_agree_bitwise(a):
+    def one_time(t):
+        # the one-time evaluation the blocks replaced, as the reference
+        p = kernel.p_minus if t > 0 else kernel.p_plus
+        mt, et = math.frexp(abs(t))
+        m, e = math.frexp(kernel.norm_b * mt)
+        s = max(0, e + kernel.k + et - (m == 0.5))
+        c = math.ldexp(t, kernel.k - s)
+        coef = c ** TAYLOR_POWERS / TAYLOR_FACTORIALS
+        r = (coef @ kernel.table).reshape(p.shape) @ p
+        for _ in range(s):
+            r = p @ (r @ r)
+        for factor in kernel.unscale:
+            r *= factor
+        return r if t > 0 else -r
+
+    kernel = GreenKernel(a)
+    ts = np.array([3e-4, -0.02, 0.7, -5.0, 40.0, 0.01, -300.0, 2.0, -1e-3,
+                   9e3])
+    n = len(a)
+    if n < 100:
+        ts = np.concatenate([ts, log_time_grid(40)])
+    # log2 norm_inf(A t), rounded up, is the squaring count where >= 0
+    log_norm = np.frexp(kernel.norm_b * np.abs(ts))[1] + kernel.k
+    assert log_norm.min() <= 0 and log_norm.max() >= 8
+    expected = np.array([one_time(float(t)) for t in ts]).tobytes()
+    assert kernel.block(ts).tobytes() == expected
+    assert np.array(list(kernel.along(ts))).tobytes() == expected
+    assert np.array([kernel.at(t) for t in ts]).tobytes() == expected
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_along_yields_the_finite_times_then_raises():
+    # G(t) e^(1e-6 t) = sum_k (1e60 t)^k J^k / k!: its corner entry
+    # (1e60 t)^5 / 120 is 2.6e306 at t = 50 and beyond the range at 500
+    kernel = GreenKernel(-1e-6 * np.eye(6) + 1e60 * np.eye(6, k=1))
+    got = []
+    with pytest.raises(FloatOverflow, match=r"^G\(t\) overflows at t=500\.0$"):
+        for g in kernel.along([0.5, 5.0, 50.0, 500.0, 5e3]):
+            got.append(g)
+    assert len(got) == 3 and all(np.isfinite(g).all() for g in got)
+    assert np.abs(got[-1]).max() > 1e306
+
+
 def test_green_unitary_invariance(rng):
     b = random_triangular(rng, 5)
     q = random_unitary(rng, 5)
@@ -435,6 +495,14 @@ def test_sign_iteration_overflow_is_a_typed_error():
     # unbalanced, the Newton iterates of N x 1e200 leave the float range
     with pytest.raises(FloatOverflow, match="^matrix sign iterate overflows$"):
         matrix_sign(scaled_nilpotent(0, 3, 1e200))
+
+
+@pytest.mark.filterwarnings("error")
+def test_projectors_of_a_subnormal_spectrum():
+    # the determinant scaling mu = e^713.8 overflowed math.exp
+    p_minus, p_plus = spectral_projectors(np.diag([-1e-310, 1e-310]))
+    assert np.array_equal(p_minus, np.diag([1.0, 0.0]))
+    assert np.array_equal(p_plus, np.diag([0.0, 1.0]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenbound import (
+    ConvergenceFailure,
     NotTriangular,
     as_matrix,
     entrywise_abs,
@@ -83,12 +84,43 @@ def test_norm_kind_rejects_an_unknown_norm():
 def test_induced_norm_identity():
     for p in (1, 2, "inf"):
         assert induced_norm(np.eye(4), p) == pytest.approx(1.0)
+        norms = induced_norm([np.eye(4), -2.0 * np.eye(4)], p)
+        assert norms.shape == (2,) and norms == pytest.approx([1.0, 2.0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("p", [1, "inf"])
 def test_induced_norm_beyond_the_float_range_is_quiet_inf(p):
-    assert induced_norm([[1e308, 1e308], [1e308, 1e308]], p) == math.inf
+    big = [[1e308, 1e308], [1e308, 1e308]]
+    assert induced_norm(big, p) == math.inf
+    assert list(induced_norm([np.eye(2), big], p)) == [1.0, math.inf]
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 30])
+def test_induced_norm_of_a_stack_is_bitwise_each_matrix_norm(n):
+    rng = np.random.default_rng(n)
+    stack = np.array([random_dense(rng, n) for _ in range(6)])
+    stack *= np.exp(5.0 * rng.normal(size=(6, 1, 1)))
+    stack = stack.reshape(2, 3, n, n)
+    for p in (1, 2, "inf"):
+        norms = induced_norm(stack, p)
+        assert norms.shape == (2, 3)
+        each = [[induced_norm(a, p) for a in row] for row in stack]
+        assert norms.tobytes() == np.array(each).tobytes()
+
+
+def test_induced_norm_rejects_a_stack_of_non_square_matrices():
+    with pytest.raises(ValueError):
+        induced_norm(np.ones((2, 3, 4)), 1)
+
+
+def test_failed_svd_of_a_stack_is_typed(monkeypatch):
+    def no_svd(x, ord=None, *args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "norm", no_svd)
+    with pytest.raises(ConvergenceFailure):
+        induced_norm(np.stack([np.eye(3)] * 4), 2)
 
 
 def test_induced_norm_rank_one():
