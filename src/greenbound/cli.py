@@ -115,7 +115,8 @@ class Problem:
             d, self.n_mat = split_triangular(a)
             self.was_triangular = True
         except NotTriangular:
-            d, self.n_mat = split_triangular(schur_decompose(a).t)
+            form = schur_decompose(a, vectors=False)  # the CLI reads only T
+            d, self.n_mat = split_triangular(form.t)
             self.was_triangular = False
             if norm_kind(p) != 2:
                 print("note: input is not triangular; Schur form applied and "

@@ -10,7 +10,7 @@ import pytest
 
 import greenbound.bounds as bounds
 import greenbound.schur
-from greenbound import ConvergenceFailure, GreenKernel
+from greenbound import ConvergenceFailure, GreenKernel, schur_decompose
 from greenbound.cli import BOUND_COLUMNS, CliError, main, make_grid
 
 from conftest import (random_dense, random_triangular, random_unitary,
@@ -239,6 +239,20 @@ def test_dense_input_goes_through_schur(tmp_path, capsys):
         out_by_matrix[label] = rows
     for ra, rb in zip(out_by_matrix["a"], out_by_matrix["b"]):
         assert ra["exact_norm"] == pytest.approx(rb["exact_norm"], abs=1e-8)
+
+
+def test_dense_input_prints_what_its_schur_form_prints(tmp_path, capsys):
+    # the CLI reduces dense A to T = schur_decompose(A).t, bitwise
+    a = random_dense(np.random.default_rng(130), 130)
+    pa = write_matrix(tmp_path / "a.json", a)
+    pt = write_matrix(tmp_path / "t.json", schur_decompose(a).t)
+    grid = ("--t-min", "-2", "--t-max", "2", "--steps", "4", "--norm", "2")
+    for command, args in (("gaps", ()), ("exact", grid), ("compare", grid)):
+        code, out_a, _ = run_cli(capsys, command, pa, *args)
+        assert code == 0
+        code, out_t, _ = run_cli(capsys, command, pt, *args)
+        assert code == 0
+        assert out_a == out_t
 
 
 def test_dense_input_forces_two_norm_with_note(tmp_path, capsys):
@@ -532,10 +546,28 @@ def test_each_command_computes_only_what_it_prints(tmp_path, capsys,
         code, out, _ = run_cli(capsys, "check", path, *grid)
         assert (code, out) == (0, "ok\n")
     assert len(times) == len(set(times)) == 6
+    # every number printed for dense input depends on T alone: Q is never built
+    compute_v = {}  # command -> compute_v of each gees call
+    dense = write_matrix(tmp_path / "a.json", random_dense(rng, 6))
+    for command in ("gaps", "exact", "compare", "check"):
+        calls = compute_v[command] = []
+
+        def record(gees, calls=calls):
+            def gees_logged(*args, compute_v=1, **kwargs):
+                calls.append(compute_v)
+                return gees(*args, compute_v=compute_v, **kwargs)
+            return gees_logged
+
+        with monkeypatch.context() as m:
+            _lapack_gees(m, record)
+            args = () if command == "gaps" else grid[:-2]
+            code, _, _ = run_cli(capsys, command, dense, *args)
+            assert code == 0
+    assert all(calls and not any(calls) for calls in compute_v.values())
 
 
 def test_exit_code_library_failure(tmp_path, capsys, monkeypatch):
-    def no_convergence(a):
+    def no_convergence(a, vectors=True):
         raise ConvergenceFailure("QR iteration did not converge\nin 30 steps")
 
     monkeypatch.setattr("greenbound.cli.schur_decompose", no_convergence)
@@ -549,11 +581,26 @@ def test_exit_code_library_failure(tmp_path, capsys, monkeypatch):
         assert "did not converge" in err
 
 
-def _no_schur(monkeypatch):
-    def no_schur(*args, **kwargs):
-        raise np.linalg.LinAlgError("Schur form not found.\nIll-conditioned.")
+def _lapack_gees(monkeypatch, wrap):
+    """Hand the Schur reduction ``wrap(gees)`` for LAPACK's ``gees``."""
+    lapack = greenbound.schur.scipy.linalg.lapack
+    get = lapack.get_lapack_funcs
 
-    monkeypatch.setattr(greenbound.schur.scipy.linalg, "schur", no_schur)
+    def get_wrapped(names, arrays=()):
+        funcs = get(names, arrays)
+        return tuple(wrap(f) if name == "gees" else f
+                     for name, f in zip(names, funcs))
+
+    monkeypatch.setattr(lapack, "get_lapack_funcs", get_wrapped)
+
+
+def _no_schur(monkeypatch):
+    def no_convergence(gees):
+        def fails(*args, **kwargs):
+            return (*gees(*args, **kwargs)[:-1], 1)  # info = 1
+        return fails
+
+    _lapack_gees(monkeypatch, no_convergence)
 
 
 def _no_svd(monkeypatch):

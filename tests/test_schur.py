@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from greenbound import hessenberg, schur_decompose, split_triangular
 from greenbound.schur import reconstruction_residual, unitarity_residual
@@ -68,3 +69,14 @@ def test_schur_residuals(n):
         assert reconstruction_residual(a, form) <= 1e-10 * n * norm_inf(a)
         assert unitarity_residual(form) <= 1e-10 * n
         split_triangular(form.t)  # triangularity holds
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 127, 128, 129, 200])
+def test_schur_without_vectors_is_bitwise_the_same_t(n):
+    # LAPACK's blocking follows the queried workspace, which depends on
+    # whether Q is built; queried for the same request, T does not change
+    a = random_dense(np.random.default_rng(n), n)
+    form = schur_decompose(a, vectors=False)
+    assert form.q is None
+    assert np.array_equal(form.t, schur_decompose(a).t)
+    assert np.array_equal(form.t, scipy.linalg.schur(a, output="complex")[0])
