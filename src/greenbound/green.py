@@ -10,8 +10,11 @@ left/right half-plane eigenvalues.  The projectors come from the matrix sign
 function via a scaled Newton iteration.  The exponential is scaling and
 squaring around a degree-18 Taylor polynomial: A is balanced and scaled by
 powers of two to B with norm_inf(B) < 1, the powers of B are tabulated, and
-each time reads e^{cB}, |c| norm_inf(B) <= 1, off the table (the degree
-versus norm argument of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
+each time reads e^{cB}, |c| alpha <= 1, off the table.  alpha bounds
+norm(B^k)^(1/k) for every k >= 19 and is read off the table's B^4 and B^5
+(Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009, Thm 4.2), so the
+Taylor tail stays below e / 19! with fewer squarings than norm_inf(B) asks
+for when B is non-normal.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from .errors import (
     SpectrumOnAxis,
     UndefinedAtZero,
 )
-from .matcore import as_matrix, binary_scale, induced_norm, split_triangular
+from .matcore import (as_matrix, binary_scale, induced_norm, ldexp,
+                      split_triangular)
 
 AXIS_RTOL = 1e-12
 SIGN_RTOL = 1e-13
@@ -38,9 +42,9 @@ SIGN_MAX_ITER = 100
 GAUSS_NODES = 16
 # Gauss-Legendre nodes and weights on [-1, 1], built once
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
-# e^X = sum_j X^j / j! to this degree: for norm_inf(X) <= 1 the tail is at
-# most e / 19! < 2.4e-17, below the unit roundoff.  The terms are summed
-# from the highest power down, smallest first.
+# e^X = sum_j X^j / j! to this degree: where norm(X^k)^(1/k) <= 1 for every
+# k >= 19 the tail is at most e / 19! < 2.4e-17, below the unit roundoff.
+# The terms are summed from the highest power down, smallest first.
 TAYLOR_DEGREE = 18
 TAYLOR_POWERS = np.arange(TAYLOR_DEGREE, -1, -1)
 TAYLOR_FACTORIALS = np.array(
@@ -164,7 +168,10 @@ class GreenKernel:
     the projectors and the Taylor table of the balanced matrix; ``block``
     maps G back as S G S^-1, exactly.  No other state is kept, so every call
     returns a fresh array.  The table holds B^0 .. B^18 for B the balanced
-    matrix over 2^k, 2^k the power of two just above its norm_inf.
+    matrix over 2^k, 2^k the power of two just above its norm_inf.  alpha,
+    at most norm_inf(B), is max_j (norm_inf(B^j) + j n 2^-50)^(1/j) over
+    j = 4, 5: every k >= 19 is 4a + 5b, so norm(B^k) <= alpha^k and the
+    Taylor tail of e^{cB} is at most e / 19! where |c| alpha <= 1.
     """
 
     def __init__(self, a, split: SpectralSplit | None = None):
@@ -172,14 +179,16 @@ class GreenKernel:
         if split is None:
             split = spectral_gaps_from_eigenvalues(np.linalg.eigvals(self.a))
         self.split = split
-        # scipy casts the scales into its permutation, which warns past 2^63
-        with np.errstate(invalid="ignore"):
-            balanced, (scale, _) = scipy.linalg.matrix_balance(
-                self.a, permute=False, separate=True)
-        # S G S^-1 = G 2^(e_i - e_j) as two exact factors 2^h of one sign:
-        # gebal keeps the scales within 2^±970, so each half h fits a float
+        # only gebal's scales are kept: it scales a row and then a column,
+        # so a tiny diagonal entry can underflow on the way; S^-1 A S is
+        # A 2^(e_j - e_i), one exact ldexp per entry
+        gebal, = scipy.linalg.lapack.get_lapack_funcs(("gebal",), (self.a,))
+        scale = gebal(self.a, scale=1, permute=0)[3]
         e = np.frexp(scale)[1]
         shift = e[:, None] - e[None, :]
+        balanced = ldexp(self.a, -shift)
+        # S G S^-1 = G 2^(e_i - e_j) as two exact factors 2^h of one sign:
+        # gebal keeps the scales within 2^±970, so each half h fits a float
         half = shift // 2
         self.unscale = np.ldexp(1.0, half), np.ldexp(1.0, shift - half)
         if split.m == 0:
@@ -191,7 +200,6 @@ class GreenKernel:
         else:
             self.p_minus, self.p_plus = spectral_projectors(balanced)
         self.k, b = binary_scale(balanced)
-        self.norm_b = induced_norm(b, np.inf)
         # row i of the table is B^TAYLOR_POWERS[i], flattened
         n = b.shape[0]
         self.table = np.empty((TAYLOR_DEGREE + 1, n * n), dtype=complex)
@@ -199,6 +207,16 @@ class GreenKernel:
         powers[-1] = np.eye(n)
         for i in range(TAYLOR_DEGREE, 0, -1):
             np.matmul(powers[i], b, out=powers[i - 1])
+        # rho_j = j n 2^-50 bounds the rounding error of the computed B^j,
+        # as norm_inf(|B|) = norm_inf(B) < 1, so alpha bounds the exact
+        # powers even where a computed one cancels or underflows.  The cap
+        # norm_inf(B) is the same theorem's bound for j = 1, so no time
+        # squares more often than under norm_inf(B)
+        norms = induced_norm(powers[TAYLOR_DEGREE - 5:TAYLOR_DEGREE - 3],
+                             np.inf)  # B^5, B^4
+        self.alpha = min(induced_norm(b, np.inf), max(
+            (norm + j * n * 2.0 ** -50) ** (1 / j)
+            for norm, j in zip(norms, (5, 4))))
 
     def at(self, t: float) -> np.ndarray:
         """G(t); inf/NaN where it leaves the float range (``along`` checks)."""
@@ -210,12 +228,11 @@ class GreenKernel:
 
         Plain e^{At} P cancels catastrophically once the discarded half of
         the spectrum makes e^{At} large, so square up s times from
-        e^{At/2^s}, s = ceil(log2 norm_inf(A t)) (0 when that is <= 1), and
-        reproject after every squaring; the retained modes decay and the
-        others' contamination cannot amplify.  At / 2^s = cB with the exact
-        scalar c = t 2^(k-s), |c| norm_inf(B) <= 1, and e^{cB} is the Taylor
-        sum over the table.  s comes from binary exponents, so it holds
-        where norm_inf(A t) overflows.  A is the balanced matrix here.
+        e^{At/2^s}, and reproject after every squaring; the retained modes
+        decay and the others' contamination cannot amplify.  At / 2^s = cB
+        with the exact scalar c = t 2^(k-s), and s (``squarings``) is the
+        least count with |c| alpha <= 1, so e^{cB} is the Taylor sum over the
+        table.  A is the balanced matrix here.
 
         The times are taken KERNEL_BLOCK // n^2 at a time (one from
         n = 128 on).  Each time keeps its own arithmetic: one GEMV for its
@@ -242,13 +259,18 @@ class GreenKernel:
         per = max(1, KERNEL_BLOCK // (n * n))
         return [slice(lo, lo + per) for lo in range(0, count, per)]
 
+    def squarings(self, ts) -> np.ndarray:
+        """The squaring count s of each nonzero finite t: the least s >= 0
+        with |t| 2^(k-s) alpha <= 1.  alpha |t| 2^k = m 2^(e + k + et), the
+        product taken as floats, so s holds where that overflows."""
+        mt, et = np.frexp(np.abs(ts))
+        m, e = np.frexp(self.alpha * mt)
+        return np.maximum(0, e + self.k + et - (m == 0.5))
+
     def _fill(self, ts, g):
         """Write G(t) for one block of nonzero finite times into g."""
         n = g.shape[-1]
-        # norm_inf(A t) = m 2^(e + k + et), the product taken as floats
-        mt, et = np.frexp(np.abs(ts))
-        m, e = np.frexp(self.norm_b * mt)
-        s = np.maximum(0, e + self.k + et - (m == 0.5))
+        s = self.squarings(ts)
         coef = np.ldexp(ts, self.k - s)[:, None] ** TAYLOR_POWERS
         coef = (coef / TAYLOR_FACTORIALS).astype(complex)
         # t > 0 first, each side by descending s

@@ -40,9 +40,14 @@ def as_matrix(a, stacked: bool = False) -> np.ndarray:
     return m
 
 
-def _ldexp(a, e: int) -> np.ndarray:
-    """A * 2^e entry by entry, exact unless an entry underflows."""
-    return np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e)
+def ldexp(a, e) -> np.ndarray:
+    """A * 2^e entry by entry, e an integer or an integer array that
+    broadcasts against A; exact, signed zeros included, unless an entry
+    underflows."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(e)),
+                   dtype=complex)
+    out.real, out.imag = np.ldexp(a.real, e), np.ldexp(a.imag, e)
+    return out
 
 
 def binary_scale(a) -> tuple[int, np.ndarray]:
@@ -55,8 +60,8 @@ def binary_scale(a) -> tuple[int, np.ndarray]:
     a = as_matrix(a)
     big = max(np.abs(a.real).max(), np.abs(a.imag).max())
     e = math.frexp(big)[1]
-    k = e + math.frexp(induced_norm(_ldexp(a, -e), np.inf))[1]
-    return k, _ldexp(a, -k)
+    k = e + math.frexp(induced_norm(ldexp(a, -e), np.inf))[1]
+    return k, ldexp(a, -k)
 
 
 def split_triangular(b) -> tuple[np.ndarray, np.ndarray]:

@@ -225,8 +225,9 @@ def perturbation_residual(a, b, t: float) -> float:
 
     The integral over [-R, R] is adaptive Gauss-Kronrod quadrature
     (``scipy.integrate.quad_vec``) with breakpoints at the kinks s = 0 and
-    s = t, to 1e-10 on the largest entry, of an independent eigendecomposition
-    evaluator of G; raises ConvergenceFailure where that tolerance is not met.
+    s = t, to 1e-10 on the largest entry in at most 2000 subintervals, of an
+    independent eigendecomposition evaluator of G; raises ConvergenceFailure
+    where that tolerance is not met.
     """
     # imported here so that `import greenbound` does not load it
     from scipy.integrate import quad_vec
@@ -243,7 +244,7 @@ def perturbation_residual(a, b, t: float) -> float:
     ga, gb, diff = _eig_green(a), _eig_green(b), a - b
     rhs, _, info = quad_vec(lambda s: ga(s) @ diff @ gb(t - s), -radius,
                             radius, epsabs=1e-10, epsrel=0.0, norm="max",
-                            points=(0.0, t), full_output=True)
+                            points=(0.0, t), limit=2000, full_output=True)
     if not info.success:
         raise ConvergenceFailure(f"perturbation integral: {info.message}")
     return induced_norm(ka.at(t) - kb.at(t) - rhs, np.inf)

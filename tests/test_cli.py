@@ -771,6 +771,22 @@ def test_subnormal_spectrum(tmp_path, capsys, command):
         assert values and all(v == 1.0 for v in values)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [1e-220, 1e-300])
+def test_exact_where_balancing_underflowed_the_diagonal(tmp_path, capsys, d):
+    # gebal scales a row and then a column, so -d underflowed to -0 in
+    # scipy's balanced matrix and the sign step met a singular iterate (exit
+    # 5; 1e-200 passed).  On both sides |G(t)| = e^(-d|t|) sqrt(1 + 1/(4d^2))
+    path = write_matrix(tmp_path / "m.json", [[-d, 1], [0, d]])
+    code, out, err = run_cli(capsys, "exact", path, "--t-min", "-10",
+                             "--t-max", "10", "--steps", "4")
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert len(rows) == 4
+    for row in rows:
+        assert row["exact_norm"] == pytest.approx(0.5 / d, rel=1e-13)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_triangular_bound_where_the_norm_overflows(tmp_path, capsys):
     # norm_1(N) = inf, and the series formed 0 * inf = nan on the side with

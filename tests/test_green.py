@@ -1,5 +1,9 @@
+import importlib.util
 import math
 import re
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +26,12 @@ from greenbound import (
     spectral_gaps,
     spectral_projectors,
 )
+from greenbound.cli import make_grid
 from greenbound.green import (FORCING_BLOCK, GAUSS_NODES, GAUSS_X,
                               TAYLOR_FACTORIALS, TAYLOR_POWERS, default_quad)
+from greenbound.matcore import ldexp
 from greenbound.oracles import green_parlett
+from greenbound.schur import schur_decompose
 
 from conftest import (log_time_grid, random_triangular, random_unitary,
                       scaled_nilpotent)
@@ -203,19 +210,111 @@ def test_kernel_reads_its_table_without_expm(monkeypatch, a):
     assert all(np.isfinite(g).all() for g in GreenKernel(a).along(times))
 
 
-@pytest.mark.parametrize("t", [0.25, -0.25])
-def test_taylor_sum_at_the_edge_of_its_range(t):
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["t>0", "t<0"])
+def test_taylor_sum_at_the_edge_of_its_range(sign):
     # A is symmetric, so its balancing scale is all ones; norm_inf(A) = 4,
-    # so B = A / 8 has norm_inf(B) = 1/2, and at |t| = 1/4 no squaring is
-    # needed: e^{At} is the Taylor sum at c = 8t = ±2, where
-    # |c| norm_inf(B) = 1
+    # so B = A / 8, and alpha = max(norm_inf(B^4)^(1/4), norm_inf(B^5)^(1/5))
+    # (plus rounding terms) is 0.4747, below norm_inf(B) = 1/2.  At
+    # |t| = 1 / (8 alpha) no squaring is needed: e^{At} is the Taylor sum at
+    # c = 8t, where |c| alpha = 1 and |c| norm_inf(B) = 1.05; one ulp
+    # further takes a squaring
     a = np.array([[-1.0, 2.0, 1.0], [2.0, 2.0, 0.0], [1.0, 0.0, -3.0]])
     kernel = GreenKernel(a)
-    assert (kernel.k, kernel.norm_b) == (3, 0.5)
+    assert kernel.k == 3 and 0.47 < kernel.alpha < 0.48
+    t = sign / (8 * kernel.alpha)
+    assert kernel.squarings([t, np.nextafter(t, 2 * t)]).tolist() == [0, 1]
     p = kernel.p_minus if t > 0 else kernel.p_plus
     exact = np.sign(t) * scipy.linalg.expm(a * t) @ p
     scale = induced_norm(scipy.linalg.expm(a * t), "inf") * induced_norm(p, "inf")
     assert induced_norm(kernel.at(t) - exact, "inf") <= 1e-14 * scale
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _benchmark_input(monkeypatch, n, kind):
+    """The benchmark's triangular input of this kind, or the Schur T of its
+    dense one, drawn first from default_rng(2009)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # inputs imports reference
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # for dataclasses
+    spec.loader.exec_module(inputs)
+    rng = np.random.default_rng(2009)
+    if kind == "dense":
+        return schur_decompose(inputs.dense(rng, n), vectors=False).t
+    return inputs.triangular(rng, n, kind)
+
+
+# totals over the grid under norm_inf(B) -> under alpha when this was
+# written: 140 -> 94, 184 -> 132, 156 -> 94, 236 -> 148, 170 -> 102,
+# 238 -> 150 and 136 -> 70
+@pytest.mark.parametrize("n, kind", [
+    (n, kind) for n in (20, 50, 80) for kind in ("two-sided", "non-normal")
+] + [(50, "dense")])
+def test_squarings_fall_below_the_norm_rule(monkeypatch, n, kind):
+    kernel = GreenKernel(_benchmark_input(monkeypatch, n, kind))
+    grid = make_grid(-10.0, 10.0, 40)  # the benchmark's CLI grid
+    # the rule alpha replaced: the least s with |t| 2^(k-s) norm_inf(B) <= 1
+    norm_b = induced_norm(kernel.table[-2].reshape(n, n), "inf")
+    mt, et = np.frexp(np.abs(grid))
+    m, e = np.frexp(norm_b * mt)
+    before = np.maximum(0, e + kernel.k + et - (m == 0.5))
+    after = kernel.squarings(grid)
+    assert (after <= before).all()
+    assert after.sum() < before.sum()
+
+
+def _exact_norm_of_power(b, j):
+    """norm_inf(B^j) in exact rational arithmetic, B real."""
+    b = [[Fraction(float(x)) for x in row] for row in b]
+    p = b
+    for _ in range(j - 1):
+        p = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+             for row in p]
+    return max(sum(abs(x) for x in row) for row in p)
+
+
+def test_alpha_bounds_tiny_powers_at_the_edge_of_balancing():
+    # gebal's scales stop near 2^-970, so the balanced chain keeps
+    # norm_inf(B) = 0.82 while its eigenvalues are 1e-300 2^967: the
+    # computed B^4 and B^5 read 4.7e-18 and 1.4e-26, the rounding terms
+    # set alpha = 1.68e-3, and G reaches 7.7e298.  Under the norm_inf(B)
+    # rule the error read 4.5e-8; it reads at most 4.5e-11
+    d = 1e-300
+    a = np.diag([-d, 2 * d, -3 * d]) + 1e-150 * np.eye(3, k=1)
+    kernel = GreenKernel(a)
+    powers = kernel.table.reshape(-1, 3, 3)
+    assert not powers.imag.any()
+    assert np.abs(powers[TAYLOR_POWERS >= 4]).max() < 1e-17
+    assert kernel.alpha == pytest.approx((15 * 2.0 ** -50) ** 0.2, rel=1e-9)
+    for j in (4, 5):
+        exact = _exact_norm_of_power(powers[-2].real, j)
+        assert Fraction(kernel.alpha) ** j >= exact
+    for t in (0.1 / d, 1 / d, 3 / d):
+        for t in (t, -t):
+            exact = green_parlett(a, t, dps=60)
+            err = np.abs(kernel.at(t) - exact).max()
+            assert err <= 1e-10 * np.abs(exact).max(), t
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param(random_triangular(np.random.default_rng(7), 12),
+                 id="triangular"),
+    pytest.param(np.diag(2.0 ** np.arange(0, 60, 6))
+                 @ np.random.default_rng(8).normal(size=(10, 10))
+                 @ np.diag(2.0 ** -np.arange(0, 60, 6)), id="graded"),
+])
+def test_balanced_table_is_scipys_balance(a):
+    # where no entry underflows, S^-1 A S from gebal's scales is bitwise
+    # the matrix scipy's balancing returns
+    kernel = GreenKernel(a)
+    balanced, _ = scipy.linalg.matrix_balance(a.astype(complex),
+                                              permute=False)
+    assert not np.array_equal(balanced, a)
+    b = kernel.table[-2].reshape(a.shape)
+    assert b.tobytes() == ldexp(balanced, -kernel.k).tobytes()
 
 
 # the largest entry error relative to the largest entry of G over
@@ -271,7 +370,7 @@ def test_block_along_and_at_agree_bitwise(a):
         # the one-time evaluation the blocks replaced, as the reference
         p = kernel.p_minus if t > 0 else kernel.p_plus
         mt, et = math.frexp(abs(t))
-        m, e = math.frexp(kernel.norm_b * mt)
+        m, e = math.frexp(kernel.alpha * mt)
         s = max(0, e + kernel.k + et - (m == 0.5))
         c = math.ldexp(t, kernel.k - s)
         coef = c ** TAYLOR_POWERS / TAYLOR_FACTORIALS
@@ -288,8 +387,8 @@ def test_block_along_and_at_agree_bitwise(a):
     n = len(a)
     if n < 100:
         ts = np.concatenate([ts, log_time_grid(40)])
-    # log2 norm_inf(A t), rounded up, is the squaring count where >= 0
-    log_norm = np.frexp(kernel.norm_b * np.abs(ts))[1] + kernel.k
+    # log2(alpha 2^k |t|), rounded up, is the squaring count where >= 0
+    log_norm = np.frexp(kernel.alpha * np.abs(ts))[1] + kernel.k
     assert log_norm.min() <= 0 and log_norm.max() >= 8
     expected = np.array([one_time(float(t)) for t in ts]).tobytes()
     assert kernel.block(ts).tobytes() == expected
