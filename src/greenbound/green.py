@@ -7,14 +7,17 @@ unique bounded solution is the convolution of f with the kernel
 
 where P-/P+ are the spectral projectors onto the invariant subspaces of the
 left/right half-plane eigenvalues.  The projectors come from the matrix sign
-function via a scaled Newton iteration.  The exponential is scaling and
-squaring around a degree-18 Taylor polynomial: A is balanced and scaled by
-powers of two to B with norm_inf(B) < 1, the powers of B are tabulated, and
-each time reads e^{cB}, |c| alpha <= 1, off the table.  alpha bounds
-norm(B^k)^(1/k) for every k >= 19 and is read off the table's B^4 and B^5
-(Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009, Thm 4.2), so the
-Taylor tail stays below e / 19! with fewer squarings than norm_inf(B) asks
-for when B is non-normal.
+function via a scaled Newton iteration, whose steps invert a triangular
+iterate with LAPACK trtri and any other with one LU.  The exponential is
+scaling and squaring around a degree-30 Taylor polynomial: A is balanced and
+scaled by powers of two to B with norm_inf(B) < 1, the powers of B are
+tabulated, and each time reads e^{cB}, |c| alpha <= 3, off the table.  alpha
+bounds norm(B^k)^(1/k) for every k >= 31 and is read off the table's B^4 and
+B^5 or B^6 and B^7 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009,
+Thm 4.2), so the Taylor tail stays below 3^31 / 31! e^3 with fewer
+squarings than norm_inf(B) asks for when B is non-normal; the longer table
+and wider range trade table products once per kernel for squarings at every
+time (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011, Sec. 3).
 """
 
 from __future__ import annotations
@@ -42,13 +45,18 @@ SIGN_MAX_ITER = 100
 GAUSS_NODES = 16
 # Gauss-Legendre nodes and weights on [-1, 1], built once
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
-# e^X = sum_j X^j / j! to this degree: where norm(X^k)^(1/k) <= 1 for every
-# k >= 19 the tail is at most e / 19! < 2.4e-17, below the unit roundoff.
-# The terms are summed from the highest power down, smallest first.
-TAYLOR_DEGREE = 18
+# e^X = sum_j X^j / j! to this degree, for norm(X^k)^(1/k) <= TAYLOR_RANGE
+# for every k >= 31: the tail is at most 3^31 / 31! e^3 < 1.6e-18, below
+# the unit roundoff.  The terms are summed from the highest power down,
+# smallest first.
+TAYLOR_DEGREE = 30
+TAYLOR_RANGE = 3.0
 TAYLOR_POWERS = np.arange(TAYLOR_DEGREE, -1, -1)
 TAYLOR_FACTORIALS = np.array(
     [float(math.factorial(j)) for j in TAYLOR_POWERS])
+# GreenKernel keeps alpha at least this, so that |c| <= 2^34 and the
+# coefficient c^30 stays finite
+ALPHA_MIN = TAYLOR_RANGE * 2.0 ** -34
 # bounded_solution holds at most this many complex values of f at once
 # (1 MiB), whatever the panel count; one panel's nodes if n > 4096
 FORCING_BLOCK = 2 ** 16
@@ -111,29 +119,72 @@ def spectral_gaps(t_mat) -> SpectralSplit:
     return spectral_gaps_from_eigenvalues(np.diag(d))
 
 
-def matrix_sign(a) -> np.ndarray:
-    """Matrix sign by Newton iteration with determinant scaling.  Each step
-    is one LU S = P L U: mu = |det S|^(-1/n) off U's diagonal, and getri of
-    P L (mu U) gives (mu S)^-1, finite where S^-1 may overflow."""
-    s = as_matrix(a)
+def _determinant_scale(diag) -> tuple[float, float]:
+    """(mu, 2^q) with mu 2^q = |prod diag|^(-1/n), the Newton step's
+    determinant scaling read off a triangular factor's diagonal.  mu is
+    e^(log mu - q ln 2): e^(log mu) overflows once the diagonal's geometric
+    mean is subnormal."""
+    log_mu = -np.log(np.abs(diag)).mean()
+    q = max(0, math.ceil((log_mu - 700) / math.log(2)))
+    return math.exp(log_mu - q * math.log(2)), 2.0 ** q
+
+
+def _triangular_step(s):
+    """mu S + (mu S)^-1 for an upper triangular S, with mu off its diagonal
+    and (mu S)^-1 from LAPACK trtri; the result is upper triangular."""
+    trtri, = scipy.linalg.lapack.get_lapack_funcs(("trtri",), (s,))
+
+    def step(s):
+        diag = s.diagonal()
+        if not diag.all():
+            raise SingularIteration("sign iteration hit a singular iterate")
+        mu, two_q = _determinant_scale(diag)
+        scaled = mu * s * two_q
+        inv, info = trtri(scaled)
+        if info > 0:
+            raise SingularIteration("sign iteration hit a singular iterate")
+        return scaled + inv
+
+    return step
+
+
+def _lu_step(s):
+    """mu S + (mu S)^-1 for any S from one LU S = P L U: mu off U's
+    diagonal, and getri of P L (mu U) gives (mu S)^-1."""
     upper = np.triu(np.ones(s.shape, dtype=bool))  # U's half of getrf's LU
     getrf, getri, getri_lwork = scipy.linalg.lapack.get_lapack_funcs(
         ("getrf", "getri", "getri_lwork"), (s,))
     lwork = int(getri_lwork(len(s))[0].real)
+
+    def step(s):
+        lu, piv, info = getrf(s)
+        if info > 0:
+            raise SingularIteration("sign iteration hit a singular iterate")
+        mu, two_q = _determinant_scale(lu.diagonal())
+        for factor in (mu, two_q):
+            np.multiply(lu, factor, out=lu, where=upper)
+        inv, _ = getri(lu, piv, lwork=lwork, overwrite_lu=True)
+        return mu * s * two_q + inv
+
+    return step
+
+
+def matrix_sign(a) -> np.ndarray:
+    """Matrix sign by Newton iteration with determinant scaling,
+    S <- (mu S + (mu S)^-1) / 2 with mu = |det S|^(-1/n).  An upper
+    triangular S stays triangular: mu is read off its diagonal and LAPACK
+    trtri inverts mu S.  Any other S takes one LU per step, which gives
+    both mu and (mu S)^-1.  Either way (mu S)^-1 is finite where S^-1 may
+    overflow."""
+    s = as_matrix(a)
+    # sign(2^e S) = sign(S): an S whose entries are all below 1/2 is scaled
+    # up, exactly, so that its largest entry is at least 1/2 and no
+    # subnormal S reaches LAPACK, whose LU mishandles subnormal pivots
+    s = ldexp(s, -min(0, math.frexp(np.abs(s).max())[1]))
+    step = (_lu_step if np.tril(s, -1).any() else _triangular_step)(s)
     with np.errstate(all="ignore"):  # checked per step
         for _ in range(SIGN_MAX_ITER):
-            lu, piv, info = getrf(s)
-            if info > 0:
-                raise SingularIteration("sign iteration hit a singular iterate")
-            # mu = 2^q e^(log mu - q ln 2): e^(log mu) overflows once the
-            # pivots' geometric mean is subnormal
-            log_mu = -np.log(np.abs(lu.diagonal())).mean()
-            q = max(0, math.ceil((log_mu - 700) / math.log(2)))
-            mu, two_q = math.exp(log_mu - q * math.log(2)), 2.0 ** q
-            for factor in (mu, two_q):
-                np.multiply(lu, factor, out=lu, where=upper)
-            inv, _ = getri(lu, piv, lwork=lwork, overwrite_lu=True)
-            s_next = 0.5 * (mu * s * two_q + inv)
+            s_next = 0.5 * step(s)
             if not np.isfinite(s_next).all():
                 raise FloatOverflow("matrix sign iterate overflows")
             delta = induced_norm(s_next - s, np.inf)
@@ -167,11 +218,16 @@ class GreenKernel:
     gebal), so one large entry cannot set the squaring count, and builds
     the projectors and the Taylor table of the balanced matrix; ``block``
     maps G back as S G S^-1, exactly.  No other state is kept, so every call
-    returns a fresh array.  The table holds B^0 .. B^18 for B the balanced
-    matrix over 2^k, 2^k the power of two just above its norm_inf.  alpha,
-    at most norm_inf(B), is max_j (norm_inf(B^j) + j n 2^-50)^(1/j) over
-    j = 4, 5: every k >= 19 is 4a + 5b, so norm(B^k) <= alpha^k and the
-    Taylor tail of e^{cB} is at most e / 19! where |c| alpha <= 1.
+    returns a fresh array.  The table holds B^0 .. B^30 for B the balanced
+    matrix over 2^k, 2^k the power of two just above its norm_inf.  alpha
+    is the least of norm_inf(B) and, for p = 4 and 6, the larger of
+    (norm_inf(B^j) + rho_j)^(1/j) over j = p, p + 1, with rho_j bounding
+    the rounding of the computed B^j; every k >= 31 is pa + (p + 1)b, so
+    norm(B^k) <= alpha^k and the Taylor tail of e^{cB} is at most
+    3^31 / 31! e^3 where |c| alpha <= TAYLOR_RANGE = 3.  alpha is at least
+    ALPHA_MIN, so the Taylor coefficients stay finite.  With the spectrum on
+    one side, one projector is 0 and the other I, and the kernel makes no
+    product with either.
     """
 
     def __init__(self, a, split: SpectralSplit | None = None):
@@ -207,16 +263,28 @@ class GreenKernel:
         powers[-1] = np.eye(n)
         for i in range(TAYLOR_DEGREE, 0, -1):
             np.matmul(powers[i], b, out=powers[i - 1])
-        # rho_j = j n 2^-50 bounds the rounding error of the computed B^j,
-        # as norm_inf(|B|) = norm_inf(B) < 1, so alpha bounds the exact
-        # powers even where a computed one cancels or underflows.  The cap
-        # norm_inf(B) is the same theorem's bound for j = 1, so no time
-        # squares more often than under norm_inf(B)
-        norms = induced_norm(powers[TAYLOR_DEGREE - 5:TAYLOR_DEGREE - 3],
-                             np.inf)  # B^5, B^4
-        self.alpha = min(induced_norm(b, np.inf), max(
-            (norm + j * n * 2.0 ** -50) ** (1 / j)
-            for norm, j in zip(norms, (5, 4))))
+        # alpha = min(norm_inf(B), alpha_4, alpha_6), alpha_p the larger
+        # of (norm_inf(B^j) + rho_j)^(1/j) over j = p, p + 1: p (p - 1) <= 31,
+        # so every k >= 31 is a sum of p's and (p + 1)'s and
+        # norm(B^k) <= alpha_p^k; norm_inf(B) is the same bound for p = 1.
+        # rho_j = 4 j n u w_j, u = 2^-53 and w_j the computed
+        # norm_inf(|B|^j) = max(|B|^j 1), bounds the rounding of the
+        # computed B^j: each complex product errs by at most
+        # sqrt(2) gamma_2n |X| |B|, so the chain errs by at most
+        # ((1 + 2.83 n u)^(j-1) - 1) |B|^j, and 4 j n u also covers the
+        # rounding of w_j, of the norms and of the root.  Underflow in these
+        # chains is far below ALPHA_MIN^7
+        abs_b, w, sums = np.abs(b), np.ones(n), []
+        for _ in range(7):
+            w = abs_b @ w
+            sums.append(w.max())
+        j = np.arange(7, 3, -1)  # B^7, B^6, B^5, B^4
+        norms = induced_norm(powers[TAYLOR_DEGREE - 7:TAYLOR_DEGREE - 3],
+                             np.inf)
+        rho = 4 * j * n * 2.0 ** -53 * np.take(sums, j - 1)
+        roots = (norms + rho) ** (1 / j)
+        self.alpha = max(ALPHA_MIN, min(induced_norm(b, np.inf),
+                                        roots[2:].max(), roots[:2].max()))
 
     def at(self, t: float) -> np.ndarray:
         """G(t); inf/NaN where it leaves the float range (``along`` checks)."""
@@ -231,15 +299,17 @@ class GreenKernel:
         e^{At/2^s}, and reproject after every squaring; the retained modes
         decay and the others' contamination cannot amplify.  At / 2^s = cB
         with the exact scalar c = t 2^(k-s), and s (``squarings``) is the
-        least count with |c| alpha <= 1, so e^{cB} is the Taylor sum over the
-        table.  A is the balanced matrix here.
+        least count with |c| alpha <= TAYLOR_RANGE, so e^{cB} is the Taylor
+        sum over the table.  A is the balanced matrix here.  On a side with
+        no spectrum P = 0 and G is 0, with no Taylor sum; where the other
+        side has none, P = I and the squares are not reprojected.
 
         The times are taken KERNEL_BLOCK // n^2 at a time (one from
         n = 128 on).  Each time keeps its own arithmetic: one GEMV for its
-        Taylor sum, one product with P and two products per squaring.  On
-        each side of 0 the times are sorted by s, so those still squaring
-        are a prefix and each squaring is two stacked products with P
-        broadcast.
+        Taylor sum, one product with P and two products per squaring (one
+        product per squaring where P = I).  On each side of 0 the times are
+        sorted by s, so those still squaring are a prefix and each squaring
+        is stacked products with P broadcast.
         """
         ts = np.asarray(ts, dtype=float)
         if (ts == 0).any():
@@ -261,36 +331,50 @@ class GreenKernel:
 
     def squarings(self, ts) -> np.ndarray:
         """The squaring count s of each nonzero finite t: the least s >= 0
-        with |t| 2^(k-s) alpha <= 1.  alpha |t| 2^k = m 2^(e + k + et), the
-        product taken as floats, so s holds where that overflows."""
+        with |t| 2^(k-s) alpha <= TAYLOR_RANGE.  alpha |t| 2^k = m 2^(e + k
+        + et), the product taken as floats, so s holds where that
+        overflows, and m 2^(e + k + et - s) is compared with TAYLOR_RANGE =
+        m_r 2^e_r exactly."""
+        m_r, e_r = math.frexp(TAYLOR_RANGE)
         mt, et = np.frexp(np.abs(ts))
         m, e = np.frexp(self.alpha * mt)
-        return np.maximum(0, e + self.k + et - (m == 0.5))
+        return np.maximum(0, e + self.k + et - e_r + (m > m_r))
 
     def _fill(self, ts, g):
         """Write G(t) for one block of nonzero finite times into g."""
         n = g.shape[-1]
         s = self.squarings(ts)
-        coef = np.ldexp(ts, self.k - s)[:, None] ** TAYLOR_POWERS
-        coef = (coef / TAYLOR_FACTORIALS).astype(complex)
         # t > 0 first, each side by descending s
         order = np.lexsort((-s, ts < 0))
-        s = s[order]
-        flat = np.empty((ts.size, n * n), dtype=complex)
-        for row, i in zip(flat, order):
-            np.matmul(coef[i], self.table, out=row)
-        sq = flat.reshape(-1, n, n)  # e^{cB}, then the squares
+        ts, s = ts[order], s[order]
+        coef = np.ldexp(ts, self.k - s)[:, None] ** TAYLOR_POWERS
+        coef = (coef / TAYLOR_FACTORIALS).astype(complex)
+        sq = np.empty((ts.size, n, n), dtype=complex)  # e^{cB}, the squares
         r = np.empty_like(sq)
         mid = np.count_nonzero(ts > 0)
-        for lo, hi, p in ((0, mid, self.p_minus),
-                          (mid, ts.size, self.p_plus)):
+        for lo, hi, p, occupied in ((0, mid, self.p_minus, self.split.m),
+                                    (mid, ts.size, self.p_plus, self.split.l)):
             if lo == hi:
                 continue
-            np.matmul(sq[lo:hi], p, out=r[lo:hi])
+            if not occupied:  # P = 0
+                r[lo:hi] = 0
+                continue
+            for row, c in zip(sq[lo:hi].reshape(-1, n * n), coef[lo:hi]):
+                np.matmul(c, self.table, out=row)
+            identity = occupied == n  # P = I: nothing to reproject
+            if not identity:
+                np.matmul(sq[lo:hi], p, out=r[lo:hi])
             for j in range(s[lo]):
                 live = slice(lo, lo + np.count_nonzero(s[lo:hi] > j))
-                np.matmul(r[live], r[live], out=sq[live])
-                np.matmul(p, sq[live], out=r[live])
+                if identity:  # the squares alternate between sq and r
+                    src, dst = (sq, r) if j % 2 == 0 else (r, sq)
+                    np.matmul(src[live], src[live], out=dst[live])
+                else:
+                    np.matmul(r[live], r[live], out=sq[live])
+                    np.matmul(p, sq[live], out=r[live])
+            if identity:
+                even = lo + np.flatnonzero(s[lo:hi] % 2 == 0)
+                r[even] = sq[even]
         for factor in self.unscale:
             r *= factor
         np.negative(r[mid:], out=r[mid:])

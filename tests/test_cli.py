@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import greenbound.bounds as bounds
+import greenbound.green
 import greenbound.schur
 from greenbound import ConvergenceFailure, GreenKernel, schur_decompose
 from greenbound.cli import BOUND_COLUMNS, CliError, main, make_grid
@@ -628,6 +629,28 @@ def test_lapack_failure_is_typed(tmp_path, capsys, monkeypatch, break_lapack,
     assert out == ""
     assert err.startswith("error: ConvergenceFailure: ")
     assert err.count("\n") == 1
+
+
+def test_compare_on_triangular_input_takes_no_lu(tmp_path, capsys,
+                                                 monkeypatch):
+    # T's sign iterates stay triangular, so trtri inverts them and getrf is
+    # never asked for
+    lapack = greenbound.green.scipy.linalg.lapack
+    get = lapack.get_lapack_funcs
+    asked = []
+
+    def no_lu(names, arrays=()):
+        asked.extend(names)
+        if "getrf" in names:
+            raise AssertionError("an LU of a triangular iterate")
+        return get(names, arrays)
+
+    monkeypatch.setattr(lapack, "get_lapack_funcs", no_lu)
+    rng = np.random.default_rng(61)
+    path = write_matrix(tmp_path / "t.json", random_triangular(rng, 12))
+    code, out, err = run_cli(capsys, "compare", path)
+    assert code == 0 and err == ""
+    assert "trtri" in asked
 
 
 def test_check_large_dense(tmp_path, capsys):

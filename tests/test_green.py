@@ -28,7 +28,8 @@ from greenbound import (
 )
 from greenbound.cli import make_grid
 from greenbound.green import (FORCING_BLOCK, GAUSS_NODES, GAUSS_X,
-                              TAYLOR_FACTORIALS, TAYLOR_POWERS, default_quad)
+                              TAYLOR_FACTORIALS, TAYLOR_POWERS, TAYLOR_RANGE,
+                              default_quad)
 from greenbound.matcore import ldexp
 from greenbound.oracles import green_parlett
 from greenbound.schur import schur_decompose
@@ -57,31 +58,53 @@ def test_spectral_gaps_axis_eigenvalue():
         spectral_gaps(np.diag([1.0, 1e-15]))
 
 
+# each sign test runs on a triangular input, which takes the trtri step,
+# and on one that is not triangular, which takes the LU step: mostly the
+# same matrix conjugated exactly by H = [[1, 1], [1, -1]] (H^-1 = H / 2) or
+# by the reversal permutation J (J A J is lower triangular)
+H2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def _flip(a):
+    return np.asarray(a)[::-1, ::-1]
+
+
+def _both_paths(a, dense):
+    assert not np.tril(a, -1).any() and np.tril(dense, -1).any()
+    return a, dense
+
+
 def test_matrix_sign_singular_input():
-    with pytest.raises(SingularIteration):
-        matrix_sign(np.diag([-1.0, 0.0]))
+    d = np.diag([-1.0, 0.0])
+    for a in _both_paths(d, H2 @ d @ H2 / 2):
+        with pytest.raises(SingularIteration):
+            matrix_sign(a)
 
 
 def test_matrix_sign_iteration_budget(monkeypatch):
     monkeypatch.setattr(greenbound.green, "SIGN_MAX_ITER", 1)
-    with pytest.raises(ConvergenceFailure):
-        matrix_sign(np.array([[-1.0, 1.0], [0.0, 2.0]]))
+    a = np.array([[-1.0, 1.0], [0.0, 2.0]])
+    for a in _both_paths(a, _flip(a)):
+        with pytest.raises(ConvergenceFailure):
+            matrix_sign(a)
 
 
 def test_matrix_sign_factorises_each_iterate_once(monkeypatch):
-    # one LU per step gives both |det S| and S^-1
+    # one LU per step, or trtri where S is triangular, gives both |det S|
+    # and S^-1
     def refuse(*args, **kwargs):
         raise AssertionError("a second factorisation")
 
     monkeypatch.setattr(np.linalg, "slogdet", refuse)
     monkeypatch.setattr(np.linalg, "inv", refuse)
     a = np.array([[-1.0, 2.0, 1j], [0.0, 2.0, -1.0], [0.0, 0.0, -3.0 + 1j]])
-    s = matrix_sign(a)
-    assert np.abs(np.diag(s) - [-1, 1, -1]).max() < 1e-14
-    assert np.abs(s @ s - np.eye(3)).max() < 1e-13
-    assert np.abs(s @ a - a @ s).max() < 1e-13
-    kernel = GreenKernel(a)
-    assert np.abs(kernel.p_minus + kernel.p_plus - np.eye(3)).max() < 1e-13
+    for a in _both_paths(a, _flip(a)):
+        s = matrix_sign(a)
+        assert np.abs(np.diag(s) - [-1, 1, -1]).max() < 1e-14
+        assert np.abs(s @ s - np.eye(3)).max() < 1e-13
+        assert np.abs(s @ a - a @ s).max() < 1e-13
+        kernel = GreenKernel(a)
+        assert np.abs(kernel.p_minus + kernel.p_plus - np.eye(3)).max() < 1e-13
 
 
 def test_matrix_sign_where_the_inverse_of_the_iterate_overflows():
@@ -89,6 +112,34 @@ def test_matrix_sign_where_the_inverse_of_the_iterate_overflows():
     # of [[a, c], [0, d]], whose corner is 2 c / (d - a)
     s = matrix_sign([[-1e-200, 1.0], [0.0, 1e-200]])
     assert np.abs(s - [[-1.0, 1e200], [0.0, 1.0]]).max() <= 1e-15 * 1e200
+    # no exact similarity keeps both eigenvalues of that matrix, and J A J
+    # leaves LU a pivot of 1e-400, which underflows.  [[p, q], [r, -p]]
+    # squares to (p^2 + q r) I, so its sign is itself over
+    # sqrt(p^2 + q r) = sqrt(r) here, and S^-1 has entries of 1e320
+    a = np.array([[-1e-200, 1.0], [1e-320, 1e-200]])
+    s = matrix_sign(a)
+    sign = a / math.sqrt(a[1, 0])
+    assert np.abs(s - sign).max() <= 1e-15 * np.abs(sign).max()
+
+
+def test_triangular_sign_takes_no_lu(monkeypatch):
+    # an upper triangular iterate is inverted by trtri and never factorised
+    get = scipy.linalg.lapack.get_lapack_funcs
+    asked = []
+
+    def record(names, arrays=()):
+        asked.extend(names)
+        return get(names, arrays)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", record)
+    a = random_triangular(np.random.default_rng(6), 8)
+    s = matrix_sign(a)
+    assert asked == ["trtri"]
+    assert not np.tril(s, -1).any()
+    assert np.abs(s @ s - np.eye(8)).max() < 1e-12
+    # a negligible subdiagonal sends the same matrix through LU
+    lu = matrix_sign(a + 1e-300 * np.eye(8, k=-1))
+    assert "getrf" in asked and np.abs(lu - s).max() < 1e-12
 
 
 def test_projectors_diagonal():
@@ -213,15 +264,16 @@ def test_kernel_reads_its_table_without_expm(monkeypatch, a):
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["t>0", "t<0"])
 def test_taylor_sum_at_the_edge_of_its_range(sign):
     # A is symmetric, so its balancing scale is all ones; norm_inf(A) = 4,
-    # so B = A / 8, and alpha = max(norm_inf(B^4)^(1/4), norm_inf(B^5)^(1/5))
-    # (plus rounding terms) is 0.4747, below norm_inf(B) = 1/2.  At
-    # |t| = 1 / (8 alpha) no squaring is needed: e^{At} is the Taylor sum at
-    # c = 8t, where |c| alpha = 1 and |c| norm_inf(B) = 1.05; one ulp
-    # further takes a squaring
+    # so B = A / 8, and alpha = max(norm_inf(B^6)^(1/6), norm_inf(B^7)^(1/7))
+    # (plus rounding terms) is 0.4642, below norm_inf(B) = 1/2 and the 0.4747
+    # of B^4 and B^5.  At |t| = theta / (8 alpha), theta = TAYLOR_RANGE, no
+    # squaring is needed: e^{At} is the Taylor sum at c = 8t, where
+    # |c| alpha = theta and |c| norm_inf(B) = 3.23; one ulp further takes a
+    # squaring
     a = np.array([[-1.0, 2.0, 1.0], [2.0, 2.0, 0.0], [1.0, 0.0, -3.0]])
     kernel = GreenKernel(a)
-    assert kernel.k == 3 and 0.47 < kernel.alpha < 0.48
-    t = sign / (8 * kernel.alpha)
+    assert kernel.k == 3 and 0.46 < kernel.alpha < 0.47
+    t = sign * TAYLOR_RANGE / (8 * kernel.alpha)
     assert kernel.squarings([t, np.nextafter(t, 2 * t)]).tolist() == [0, 1]
     p = kernel.p_minus if t > 0 else kernel.p_plus
     exact = np.sign(t) * scipy.linalg.expm(a * t) @ p
@@ -247,23 +299,36 @@ def _benchmark_input(monkeypatch, n, kind):
     return inputs.triangular(rng, n, kind)
 
 
-# totals over the grid under norm_inf(B) -> under alpha when this was
-# written: 140 -> 94, 184 -> 132, 156 -> 94, 236 -> 148, 170 -> 102,
-# 238 -> 150 and 136 -> 70
+# totals over the grid under norm_inf(B) -> under alpha with the degree-18
+# table -> under the degree-30 table: 140 -> 94 -> 46, 184 -> 132 -> 70,
+# 156 -> 94 -> 44, 236 -> 148 -> 80, 170 -> 102 -> 50, 238 -> 150 -> 80 and
+# 136 -> 70 -> 28
 @pytest.mark.parametrize("n, kind", [
     (n, kind) for n in (20, 50, 80) for kind in ("two-sided", "non-normal")
 ] + [(50, "dense")])
 def test_squarings_fall_below_the_norm_rule(monkeypatch, n, kind):
     kernel = GreenKernel(_benchmark_input(monkeypatch, n, kind))
     grid = make_grid(-10.0, 10.0, 40)  # the benchmark's CLI grid
-    # the rule alpha replaced: the least s with |t| 2^(k-s) norm_inf(B) <= 1
-    norm_b = induced_norm(kernel.table[-2].reshape(n, n), "inf")
     mt, et = np.frexp(np.abs(grid))
-    m, e = np.frexp(norm_b * mt)
-    before = np.maximum(0, e + kernel.k + et - (m == 0.5))
+
+    def least_squarings(alpha):
+        # the least s with |t| 2^(k-s) alpha <= 1
+        m, e = np.frexp(alpha * mt)
+        return np.maximum(0, e + kernel.k + et - (m == 0.5))
+
+    powers = kernel.table.reshape(-1, n, n)
+    norm_b = induced_norm(powers[TAYLOR_POWERS == 1][0], "inf")
+    before = least_squarings(norm_b)
+    # the degree-18 rule: alpha from B^4 and B^5 with the floor j n 2^-50
+    # and the Taylor range 1
+    degree_18 = least_squarings(min(norm_b, max(
+        (induced_norm(powers[TAYLOR_POWERS == j][0], "inf")
+         + j * n * 2.0 ** -50) ** (1 / j) for j in (4, 5))))
     after = kernel.squarings(grid)
     assert (after <= before).all()
     assert after.sum() < before.sum()
+    assert (after <= degree_18).all()
+    assert after.sum() < degree_18.sum()
 
 
 def _exact_norm_of_power(b, j):
@@ -279,24 +344,39 @@ def _exact_norm_of_power(b, j):
 def test_alpha_bounds_tiny_powers_at_the_edge_of_balancing():
     # gebal's scales stop near 2^-970, so the balanced chain keeps
     # norm_inf(B) = 0.82 while its eigenvalues are 1e-300 2^967: the
-    # computed B^4 and B^5 read 4.7e-18 and 1.4e-26, the rounding terms
-    # set alpha = 1.68e-3, and G reaches 7.7e298.  Under the norm_inf(B)
-    # rule the error read 4.5e-8; it reads at most 4.5e-11
+    # computed B^6 and B^7 read 6.2e-35 and 2.1e-43, alpha = 1.99e-6 is
+    # norm_inf(B^6)^(1/6) up to its rounding term, and G reaches 7.7e298.
+    # The error read 4.5e-8 under the norm_inf(B) rule and 4.5e-11 with
+    # alpha = 1.68e-3 from the rounding floor j n 2^-50; it reads 1.1e-13
     d = 1e-300
     a = np.diag([-d, 2 * d, -3 * d]) + 1e-150 * np.eye(3, k=1)
     kernel = GreenKernel(a)
     powers = kernel.table.reshape(-1, 3, 3)
     assert not powers.imag.any()
     assert np.abs(powers[TAYLOR_POWERS >= 4]).max() < 1e-17
-    assert kernel.alpha == pytest.approx((15 * 2.0 ** -50) ** 0.2, rel=1e-9)
-    for j in (4, 5):
-        exact = _exact_norm_of_power(powers[-2].real, j)
-        assert Fraction(kernel.alpha) ** j >= exact
+    exact = {j: _exact_norm_of_power(powers[-2].real, j) for j in (6, 7)}
+    assert kernel.alpha == pytest.approx(float(exact[6]) ** (1 / 6), rel=1e-9)
+    for j in (6, 7):
+        assert Fraction(kernel.alpha) ** j >= exact[j]
     for t in (0.1 / d, 1 / d, 3 / d):
         for t in (t, -t):
             exact = green_parlett(a, t, dps=60)
             err = np.abs(kernel.at(t) - exact).max()
             assert err <= 1e-10 * np.abs(exact).max(), t
+
+
+@pytest.mark.parametrize("t", [1e304, -1e304])
+def test_kernel_where_the_rounding_floor_held_alpha_high(t):
+    # eigenvalues -1e-305 and 2e-305: the balanced B keeps norm_inf(B) = 1/2
+    # with eigenvalues near 1e-14.  The floor j n 2^-50 held alpha at 1.5e-3,
+    # G took 34 squarings and erred by 7.6e-7; alpha now sits at ALPHA_MIN,
+    # 9 squarings, 3.1e-14
+    a = np.array([[-1e-305, 1.0], [0.0, 2e-305]])
+    kernel = GreenKernel(a)
+    assert kernel.squarings([t]).tolist() == [9]
+    exact = green_parlett(a, t, dps=60)
+    err = np.abs(kernel.at(t) - exact).max()
+    assert err <= 1e-12 * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("a", [
@@ -367,16 +447,26 @@ def _one_sided(n):
 ])
 def test_block_along_and_at_agree_bitwise(a):
     def one_time(t):
-        # the one-time evaluation the blocks replaced, as the reference
+        # the one-time evaluation the blocks replaced, as the reference,
+        # with no product with a projector P = 0 or P = I
         p = kernel.p_minus if t > 0 else kernel.p_plus
+        occupied = kernel.split.m if t > 0 else kernel.split.l
+        m_r, e_r = math.frexp(TAYLOR_RANGE)
         mt, et = math.frexp(abs(t))
         m, e = math.frexp(kernel.alpha * mt)
-        s = max(0, e + kernel.k + et - (m == 0.5))
+        s = max(0, e + kernel.k + et - e_r + (m > m_r))
         c = math.ldexp(t, kernel.k - s)
         coef = c ** TAYLOR_POWERS / TAYLOR_FACTORIALS
-        r = (coef @ kernel.table).reshape(p.shape) @ p
-        for _ in range(s):
-            r = p @ (r @ r)
+        r = (coef @ kernel.table).reshape(p.shape)
+        if not occupied:  # P = 0
+            r = np.zeros_like(r)
+        elif occupied < len(p):
+            r = r @ p
+            for _ in range(s):
+                r = p @ (r @ r)
+        else:  # P = I
+            for _ in range(s):
+                r = r @ r
         for factor in kernel.unscale:
             r *= factor
         return r if t > 0 else -r
@@ -387,13 +477,47 @@ def test_block_along_and_at_agree_bitwise(a):
     n = len(a)
     if n < 100:
         ts = np.concatenate([ts, log_time_grid(40)])
-    # log2(alpha 2^k |t|), rounded up, is the squaring count where >= 0
-    log_norm = np.frexp(kernel.alpha * np.abs(ts))[1] + kernel.k
+    # log2(alpha 2^k |t| / theta), rounded up, is the squaring count where
+    # >= 0
+    log_norm = (np.frexp(kernel.alpha * np.abs(ts) / TAYLOR_RANGE)[1]
+                + kernel.k)
     assert log_norm.min() <= 0 and log_norm.max() >= 8
     expected = np.array([one_time(float(t)) for t in ts]).tobytes()
     assert kernel.block(ts).tobytes() == expected
     assert np.array(list(kernel.along(ts))).tobytes() == expected
     assert np.array([kernel.at(t) for t in ts]).tobytes() == expected
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param(_one_sided(6), id="left"),
+    pytest.param(-_one_sided(7), id="right"),
+])
+def test_one_sided_kernel_makes_no_product_with_its_projector(monkeypatch,
+                                                              a):
+    # P is 0 on the side with no spectrum, where G is exactly 0, and I on
+    # the other, which squares without reprojecting: one GEMV per time
+    # there and one stacked product per squaring
+    kernel = GreenKernel(a)
+    ts = make_grid(-10.0, 10.0, 40)
+    occupied = ts < 0 if kernel.split.m == 0 else ts > 0
+    products = []
+    matmul = np.matmul
+
+    def count(x, y, *args, **kwargs):
+        products.append((x, y))
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", count)
+    g = kernel.block(ts)
+    monkeypatch.setattr(np, "matmul", matmul)
+    projectors = (kernel.p_minus, kernel.p_plus)
+    assert not any(x is p or y is p for x, y in products for p in projectors)
+    squarings = kernel.squarings(ts[occupied])
+    assert len(products) == occupied.sum() + squarings.max() > occupied.sum()
+    assert not g[~occupied].any()
+    for t, gt in zip(ts[occupied], g[occupied]):
+        exact = green_parlett(a, t, dps=60)
+        assert np.abs(gt - exact).max() <= 1e-13 * np.abs(exact).max(), t
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -591,17 +715,28 @@ def test_library_overflow_is_a_typed_error(evaluate, message):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sign_iteration_overflow_is_a_typed_error():
-    # unbalanced, the Newton iterates of N x 1e200 leave the float range
-    with pytest.raises(FloatOverflow, match="^matrix sign iterate overflows$"):
-        matrix_sign(scaled_nilpotent(0, 3, 1e200))
+    # unbalanced, the Newton iterates of N x 1e200 leave the float range;
+    # LU of the flipped input meets an underflowed pivot first there, so it
+    # runs at N x 1e160
+    for a in _both_paths(scaled_nilpotent(0, 3, 1e200),
+                         _flip(scaled_nilpotent(0, 3, 1e160))):
+        with pytest.raises(FloatOverflow,
+                           match="^matrix sign iterate overflows$"):
+            matrix_sign(a)
 
 
 @pytest.mark.filterwarnings("error")
 def test_projectors_of_a_subnormal_spectrum():
-    # the determinant scaling mu = e^713.8 overflowed math.exp
-    p_minus, p_plus = spectral_projectors(np.diag([-1e-310, 1e-310]))
-    assert np.array_equal(p_minus, np.diag([1.0, 0.0]))
-    assert np.array_equal(p_plus, np.diag([0.0, 1.0]))
+    # the determinant scaling mu = e^713.8 overflowed math.exp; and LU of
+    # the dense input, while the sign left it subnormal, returned a zero
+    # pivot without reporting it
+    d = np.diag([-1e-310, 1e-310])
+    for a, h in zip(_both_paths(d, H2 @ d @ H2 / 2), (np.eye(2), H2)):
+        p_minus, p_plus = spectral_projectors(a)
+        assert np.array_equal(h @ p_minus @ h / (h @ h)[0, 0],
+                              np.diag([1.0, 0.0]))
+        assert np.array_equal(h @ p_plus @ h / (h @ h)[0, 0],
+                              np.diag([0.0, 1.0]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
