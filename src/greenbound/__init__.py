@@ -22,7 +22,6 @@ from .errors import (
     Inapplicable,
     NotStrictlyTriangular,
     NotTriangular,
-    SingularIteration,
     SingularResolvent,
     SpectrumOnAxis,
     UndefinedAtZero,

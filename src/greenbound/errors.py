@@ -30,10 +30,6 @@ class UndefinedAtZero(GreenboundError):
     """The Green's function and its bounds are undefined at t = 0."""
 
 
-class SingularIteration(GreenboundError):
-    """A matrix iterate became numerically singular."""
-
-
 class SingularResolvent(GreenboundError):
     """A contour node fell too close to an eigenvalue."""
 

@@ -6,18 +6,14 @@ unique bounded solution is the convolution of f with the kernel
     G(A, t) = e^{At} P-   (t > 0),      G(A, t) = -e^{At} P+   (t < 0),
 
 where P-/P+ are the spectral projectors onto the invariant subspaces of the
-left/right half-plane eigenvalues.  The projectors come from the matrix sign
-function via a scaled Newton iteration, whose steps invert a triangular
-iterate with LAPACK trtri and any other with one LU.  The exponential is
-scaling and squaring around a degree-30 Taylor polynomial: A is balanced and
-scaled by powers of two to B with norm_inf(B) < 1, the powers of B are
-tabulated, and each time reads e^{cB}, |c| alpha <= 3, off the table.  alpha
-bounds norm(B^k)^(1/k) for every k >= 31 and is read off the table's B^4 and
-B^5 or B^6 and B^7 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009,
-Thm 4.2), so the Taylor tail stays below 3^31 / 31! e^3 with fewer
-squarings than norm_inf(B) asks for when B is non-normal; the longer table
-and wider range trade table products once per kernel for squarings at every
-time (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011, Sec. 3).
+left/right half-plane eigenvalues.  Everything runs on an upper triangular
+T: a dense A is reduced once to its Schur form A = Q T Q^H and G is mapped
+back as Q G(T) Q^H.  The projectors come from sign(T), computed directly
+(Higham, Functions of Matrices, SIAM 2008, Sec. 5.2).  The exponential is
+scaling and squaring around a degree-30 Taylor polynomial, read off a table
+of powers of T balanced and scaled to B, with the squaring count set by
+bounds on norm(B^k)^(1/k) (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
+2009, Thm 4.2; SIAM J. Sci. Comput. 33, 2011, Sec. 3).
 """
 
 from __future__ import annotations
@@ -28,20 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    ConvergenceFailure,
-    DomainError,
-    FloatOverflow,
-    SingularIteration,
-    SpectrumOnAxis,
-    UndefinedAtZero,
-)
+from .errors import (DomainError, FloatOverflow, SpectrumOnAxis,
+                     UndefinedAtZero)
 from .matcore import (as_matrix, binary_scale, induced_norm, ldexp,
                       split_triangular)
+from .schur import schur_decompose
 
 AXIS_RTOL = 1e-12
-SIGN_RTOL = 1e-13
-SIGN_MAX_ITER = 100
 GAUSS_NODES = 16
 # Gauss-Legendre nodes and weights on [-1, 1], built once
 GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
@@ -63,6 +52,8 @@ FORCING_BLOCK = 2 ** 16
 # GreenKernel.block holds at most this many complex values per array (256
 # KiB): a block of KERNEL_BLOCK // n^2 times, one time from n = 128 on
 KERNEL_BLOCK = 2 ** 14
+# _triangular_sign scales T to norm_inf in [2^(this - 1), 2^this)
+SIGN_EXPONENT = 512
 
 INF = float("inf")
 
@@ -94,23 +85,17 @@ def spectral_gaps_from_eigenvalues(eigs) -> SpectralSplit:
     ``1e-12 * max|eig|`` of zero.
     """
     eigs = np.asarray(eigs, dtype=complex).ravel()
-    scale = float(np.abs(eigs).max()) if eigs.size else 0.0
     re = eigs.real
-    axis_tol = AXIS_RTOL * scale
-    if np.any(np.abs(re) <= axis_tol):
-        bad = eigs[np.abs(re) <= axis_tol]
-        raise SpectrumOnAxis(
-            f"eigenvalue {bad[0]} lies on the imaginary axis (tol {axis_tol:g})"
-        )
-    left = re[re < 0]
-    right = re[re > 0]
+    axis_tol = AXIS_RTOL * (float(np.abs(eigs).max()) if eigs.size else 0.0)
+    near = np.abs(re) <= axis_tol
+    if near.any():
+        raise SpectrumOnAxis(f"eigenvalue {eigs[near][0]} lies on the "
+                             f"imaginary axis (tol {axis_tol:g})")
+    left, right = re[re < 0], re[re > 0]
     return SpectralSplit(
         gamma_minus=float(-left.max()) if left.size else INF,
         gamma_plus=float(right.min()) if right.size else INF,
-        alpha=float(re.max()),
-        m=int(left.size),
-        l=int(right.size),
-    )
+        alpha=float(re.max()), m=int(left.size), l=int(right.size))
 
 
 def spectral_gaps(t_mat) -> SpectralSplit:
@@ -119,79 +104,84 @@ def spectral_gaps(t_mat) -> SpectralSplit:
     return spectral_gaps_from_eigenvalues(np.diag(d))
 
 
-def _determinant_scale(diag) -> tuple[float, float]:
-    """(mu, 2^q) with mu 2^q = |prod diag|^(-1/n), the Newton step's
-    determinant scaling read off a triangular factor's diagonal.  mu is
-    e^(log mu - q ln 2): e^(log mu) overflows once the diagonal's geometric
-    mean is subnormal."""
-    log_mu = -np.log(np.abs(diag)).mean()
-    q = max(0, math.ceil((log_mu - 700) / math.log(2)))
-    return math.exp(log_mu - q * math.log(2)), 2.0 ** q
+def _triangular_sign(t) -> np.ndarray:
+    """sign(T) of an upper triangular T by the Schur method (Higham,
+    Functions of Matrices, SIAM 2008, Sec. 5.2), one superdiagonal at a
+    time and with no iteration.
+
+    u_ii = sign Re t_ii.  For i < j a pair on one side of the axis follows
+    from U^2 = I, (u_ii + u_jj) u_ij = -(U U)_ij, a division by +-2, and a
+    pair on opposite sides from T U = U T, (t_ii - t_jj) u_ij =
+    (U T - T U)_ij, a division by at least gamma- + gamma+.  The sums run
+    over i <= k <= j, u_ij still 0, on band copies: row i of x_right is
+    x[i, i:] and row j of x_up x[j::-1, j].  T is scaled by a power of two
+    to norm_inf in [2^511, 2^512): no entry flushes unless T spans 2^1533,
+    and norm(U) norm(T) passes the float range only where norm(U)^2 does.
+    Each quotient is Python's complex division, which divides by
+    t_ii - t_jj; numpy forms the reciprocal, which overflows where that is
+    subnormal.  A difference the scaling flushes to 0 raises FloatOverflow."""
+    sign = np.sign(np.diag(t).real)
+    if not sign.all():
+        raise SpectrumOnAxis(f"eigenvalue {np.diag(t)[sign == 0][0]} lies "
+                             "on the imaginary axis")
+    t = ldexp(t, SIGN_EXPONENT - binary_scale(t)[0])
+    n, d, idx = t.shape[0], np.diag(t), np.arange(t.shape[0])
+    right, up = idx[:, None] + idx, idx[:, None] - idx
+    t_right = np.where(right < n, t[idx[:, None], right % n], 0)
+    t_up = np.where(up >= 0, t[up % n, idx[:, None]], 0)
+    u, (u_right, u_up) = np.diag(sign + 0j), np.zeros((2, n, n), complex)
+    u_right[:, 0] = u_up[:, 0] = sign
+    same, flat = sign[:, None] == sign, u.ravel()
+    den = np.where(same, 2 * sign[:, None], d[:, None] - d)
+    if not den.all():
+        raise FloatOverflow("matrix sign: a gap t_ii - t_jj underflows")
+    with np.errstate(all="ignore"):  # checked once below
+        for p in range(1, n):
+            ui, uj = u_right[:n - p, :p + 1], u_up[p:, p::-1]
+            square = np.einsum("ik,ik->i", ui, uj)
+            comm = (np.einsum("ik,ik->i", ui, t_up[p:, p::-1])
+                    - np.einsum("ik,ik->i", t_right[:n - p, :p + 1], uj))
+            num = np.where(np.diagonal(same, p), -square, comm)
+            flat[p:(n - p) * n:n + 1] = u_right[:n - p, p] = u_up[p:, p] = [
+                x / y for x, y in zip(num.tolist(),
+                                      np.diagonal(den, p).tolist())]
+    if not np.isfinite(u).all():
+        raise FloatOverflow("matrix sign overflows")
+    return u
 
 
-def _triangular_step(s):
-    """mu S + (mu S)^-1 for an upper triangular S, with mu off its diagonal
-    and (mu S)^-1 from LAPACK trtri; the result is upper triangular."""
-    trtri, = scipy.linalg.lapack.get_lapack_funcs(("trtri",), (s,))
-
-    def step(s):
-        diag = s.diagonal()
-        if not diag.all():
-            raise SingularIteration("sign iteration hit a singular iterate")
-        mu, two_q = _determinant_scale(diag)
-        scaled = mu * s * two_q
-        inv, info = trtri(scaled)
-        if info > 0:
-            raise SingularIteration("sign iteration hit a singular iterate")
-        return scaled + inv
-
-    return step
-
-
-def _lu_step(s):
-    """mu S + (mu S)^-1 for any S from one LU S = P L U: mu off U's
-    diagonal, and getri of P L (mu U) gives (mu S)^-1."""
-    upper = np.triu(np.ones(s.shape, dtype=bool))  # U's half of getrf's LU
-    getrf, getri, getri_lwork = scipy.linalg.lapack.get_lapack_funcs(
-        ("getrf", "getri", "getri_lwork"), (s,))
-    lwork = int(getri_lwork(len(s))[0].real)
-
-    def step(s):
-        lu, piv, info = getrf(s)
-        if info > 0:
-            raise SingularIteration("sign iteration hit a singular iterate")
-        mu, two_q = _determinant_scale(lu.diagonal())
-        for factor in (mu, two_q):
-            np.multiply(lu, factor, out=lu, where=upper)
-        inv, _ = getri(lu, piv, lwork=lwork, overwrite_lu=True)
-        return mu * s * two_q + inv
-
-    return step
+def _triangular_form(a) -> tuple[np.ndarray | None, np.ndarray]:
+    """(Q, T) with A = Q T Q^H and T upper triangular, from one
+    ``schur_decompose``; (None, A) where A is upper triangular already.
+    Raises SpectrumOnAxis where |Re t_ii| is within the QR iteration's
+    backward error, AXIS_RTOL times norm_inf of the block gees iterates on;
+    the eigenvalues its permutation (gebal, job P) isolates are exact."""
+    a = as_matrix(a)
+    if not np.tril(a, -1).any():
+        return None, a
+    form = schur_decompose(a)
+    gebal, = scipy.linalg.lapack.get_lapack_funcs(("gebal",), (a,))
+    permuted, lo, hi = gebal(a, permute=1, scale=0)[:3]
+    if hi > lo:  # a 1 x 1 block is not iterated on either
+        k, block = binary_scale(permuted[lo:hi + 1, lo:hi + 1])
+        eigs = np.diag(form.t)[lo:hi + 1]
+        near = (np.abs(np.ldexp(eigs.real, -k))
+                <= AXIS_RTOL * induced_norm(block, np.inf))
+        if near.any():
+            raise SpectrumOnAxis(f"eigenvalue {eigs[near][0]} lies on the "
+                                 "imaginary axis to Schur's accuracy")
+    return form.q, form.t
 
 
 def matrix_sign(a) -> np.ndarray:
-    """Matrix sign by Newton iteration with determinant scaling,
-    S <- (mu S + (mu S)^-1) / 2 with mu = |det S|^(-1/n).  An upper
-    triangular S stays triangular: mu is read off its diagonal and LAPACK
-    trtri inverts mu S.  Any other S takes one LU per step, which gives
-    both mu and (mu S)^-1.  Either way (mu S)^-1 is finite where S^-1 may
-    overflow."""
-    s = as_matrix(a)
-    # sign(2^e S) = sign(S): an S whose entries are all below 1/2 is scaled
-    # up, exactly, so that its largest entry is at least 1/2 and no
-    # subnormal S reaches LAPACK, whose LU mishandles subnormal pivots
-    s = ldexp(s, -min(0, math.frexp(np.abs(s).max())[1]))
-    step = (_lu_step if np.tril(s, -1).any() else _triangular_step)(s)
-    with np.errstate(all="ignore"):  # checked per step
-        for _ in range(SIGN_MAX_ITER):
-            s_next = 0.5 * step(s)
-            if not np.isfinite(s_next).all():
-                raise FloatOverflow("matrix sign iterate overflows")
-            delta = induced_norm(s_next - s, np.inf)
-            s = s_next
-            if delta <= SIGN_RTOL * induced_norm(s, np.inf):
-                return s
-    raise ConvergenceFailure("matrix sign Newton iteration did not converge")
+    """Matrix sign, computed directly: an upper triangular A by the Schur
+    method, any other A as Q sign(T) Q^H from its Schur form A = Q T Q^H.
+    Raises SpectrumOnAxis when an eigenvalue is on the axis, for dense A to
+    the Schur form's accuracy (``_triangular_form``), and FloatOverflow
+    when the sign leaves the float range."""
+    q, t = _triangular_form(a)
+    s = _triangular_sign(t)
+    return s if q is None else q @ s @ q.conj().T
 
 
 def spectral_projectors(a) -> tuple[np.ndarray, np.ndarray]:
@@ -214,47 +204,48 @@ def matrix_exp(a) -> np.ndarray:
 class GreenKernel:
     """Green's function evaluator for a fixed coefficient matrix.
 
-    Balances A once to S^-1 A S with S a diagonal of powers of two (LAPACK
-    gebal), so one large entry cannot set the squaring count, and builds
-    the projectors and the Taylor table of the balanced matrix; ``block``
-    maps G back as S G S^-1, exactly.  No other state is kept, so every call
-    returns a fresh array.  The table holds B^0 .. B^30 for B the balanced
-    matrix over 2^k, 2^k the power of two just above its norm_inf.  alpha
-    is the least of norm_inf(B) and, for p = 4 and 6, the larger of
-    (norm_inf(B^j) + rho_j)^(1/j) over j = p, p + 1, with rho_j bounding
-    the rounding of the computed B^j; every k >= 31 is pa + (p + 1)b, so
-    norm(B^k) <= alpha^k and the Taylor tail of e^{cB} is at most
-    3^31 / 31! e^3 where |c| alpha <= TAYLOR_RANGE = 3.  alpha is at least
-    ALPHA_MIN, so the Taylor coefficients stay finite.  With the spectrum on
+    Dense input is reduced once to Schur form and G is mapped back: a
+    non-triangular A becomes A = Q T Q^H (``_triangular_form``; q is None
+    for triangular A, which is T), the split is read off diag(T),
+    ``_schur_block`` evaluates G(T) and ``block`` returns Q G(T) Q^H.
+    ``bounded_solution`` reads q and sums on G(T), so Q has one owner.  T
+    is balanced once to S^-1 T S, S a diagonal of powers of two (LAPACK
+    gebal), so one large entry cannot set the squaring count; the
+    projectors and the Taylor table are built for the balanced matrix, and
+    G is mapped back as S G S^-1, exactly.  No other state is kept, so
+    every call returns a fresh array.  The table holds B^0 .. B^30, B the
+    balanced matrix over 2^k, 2^k the power of two just above its
+    norm_inf; alpha >= ALPHA_MIN bounds norm(B^k)^(1/k) for every k >= 31
+    (see ``__init__``), so the Taylor tail of e^{cB} is at most
+    3^31 / 31! e^3 where |c| alpha <= TAYLOR_RANGE.  With the spectrum on
     one side, one projector is 0 and the other I, and the kernel makes no
     product with either.
     """
 
     def __init__(self, a, split: SpectralSplit | None = None):
         self.a = as_matrix(a)
+        self.q, tri = _triangular_form(self.a)
         if split is None:
-            split = spectral_gaps_from_eigenvalues(np.linalg.eigvals(self.a))
+            split = spectral_gaps_from_eigenvalues(np.diag(tri))
         self.split = split
         # only gebal's scales are kept: it scales a row and then a column,
-        # so a tiny diagonal entry can underflow on the way; S^-1 A S is
-        # A 2^(e_j - e_i), one exact ldexp per entry
-        gebal, = scipy.linalg.lapack.get_lapack_funcs(("gebal",), (self.a,))
-        scale = gebal(self.a, scale=1, permute=0)[3]
+        # so a tiny diagonal entry can underflow on the way; S^-1 T S is
+        # T 2^(e_j - e_i), one exact ldexp per entry
+        gebal, = scipy.linalg.lapack.get_lapack_funcs(("gebal",), (tri,))
+        scale = gebal(tri, scale=1, permute=0)[3]
         e = np.frexp(scale)[1]
         shift = e[:, None] - e[None, :]
-        balanced = ldexp(self.a, -shift)
+        balanced = ldexp(tri, -shift)
         # S G S^-1 = G 2^(e_i - e_j) as two exact factors 2^h of one sign:
         # gebal keeps the scales within 2^±970, so each half h fits a float
         half = shift // 2
         self.unscale = np.ldexp(1.0, half), np.ldexp(1.0, shift - half)
-        if split.m == 0:
-            self.p_minus = np.zeros_like(self.a)
-            self.p_plus = np.eye(self.a.shape[0], dtype=complex)
-        elif split.l == 0:
-            self.p_minus = np.eye(self.a.shape[0], dtype=complex)
-            self.p_plus = np.zeros_like(self.a)
-        else:
+        if split.m and split.l:
             self.p_minus, self.p_plus = spectral_projectors(balanced)
+        else:  # I on the occupied side, 0 on the other
+            eye = np.eye(self.a.shape[0], dtype=complex)
+            self.p_minus = eye if split.m else 0 * eye
+            self.p_plus = 0 * eye if split.m else eye
         self.k, b = binary_scale(balanced)
         # row i of the table is B^TAYLOR_POWERS[i], flattened
         n = b.shape[0]
@@ -263,17 +254,16 @@ class GreenKernel:
         powers[-1] = np.eye(n)
         for i in range(TAYLOR_DEGREE, 0, -1):
             np.matmul(powers[i], b, out=powers[i - 1])
-        # alpha = min(norm_inf(B), alpha_4, alpha_6), alpha_p the larger
-        # of (norm_inf(B^j) + rho_j)^(1/j) over j = p, p + 1: p (p - 1) <= 31,
-        # so every k >= 31 is a sum of p's and (p + 1)'s and
-        # norm(B^k) <= alpha_p^k; norm_inf(B) is the same bound for p = 1.
-        # rho_j = 4 j n u w_j, u = 2^-53 and w_j the computed
-        # norm_inf(|B|^j) = max(|B|^j 1), bounds the rounding of the
-        # computed B^j: each complex product errs by at most
-        # sqrt(2) gamma_2n |X| |B|, so the chain errs by at most
-        # ((1 + 2.83 n u)^(j-1) - 1) |B|^j, and 4 j n u also covers the
-        # rounding of w_j, of the norms and of the root.  Underflow in these
-        # chains is far below ALPHA_MIN^7
+        # alpha = min(norm_inf(B), alpha_4, alpha_6), alpha_p the larger of
+        # (norm_inf(B^j) + rho_j)^(1/j) over j = p, p + 1: p (p - 1) <= 31, so
+        # every k >= 31 is a sum of p's and (p + 1)'s and norm(B^k) <=
+        # alpha_p^k; norm_inf(B) is the same bound for p = 1.  rho_j =
+        # 4 j n u w_j, u = 2^-53 and w_j the computed norm_inf(|B|^j) =
+        # max(|B|^j 1), bounds the rounding of the computed B^j: each complex
+        # product errs by at most sqrt(2) gamma_2n |X| |B|, so the chain errs
+        # by at most ((1 + 2.83 n u)^(j-1) - 1) |B|^j, and 4 j n u also
+        # covers the rounding of w_j, of the norms and of the root.
+        # Underflow in these chains is far below ALPHA_MIN^7
         abs_b, w, sums = np.abs(b), np.ones(n), []
         for _ in range(7):
             w = abs_b @ w
@@ -291,8 +281,13 @@ class GreenKernel:
         return self.block([t])[0]
 
     def block(self, ts) -> np.ndarray:
-        """G(t) for each t in ts, stacked (len(ts), n, n); inf/NaN where G
-        leaves the float range (``blocks`` checks).
+        """G(t) for each t in ts, stacked (len(ts), n, n): Q G(T) Q^H for
+        dense input; inf/NaN where G leaves the float range (``blocks``)."""
+        g = self._schur_block(ts)
+        return g if self.q is None else self.q @ g @ self.q.conj().T
+
+    def _schur_block(self, ts) -> np.ndarray:
+        """G(T, t) for each t in ts, stacked as ``block`` returns it.
 
         Plain e^{At} P cancels catastrophically once the discarded half of
         the spectrum makes e^{At} large, so square up s times from
@@ -300,7 +295,7 @@ class GreenKernel:
         decay and the others' contamination cannot amplify.  At / 2^s = cB
         with the exact scalar c = t 2^(k-s), and s (``squarings``) is the
         least count with |c| alpha <= TAYLOR_RANGE, so e^{cB} is the Taylor
-        sum over the table.  A is the balanced matrix here.  On a side with
+        sum over the table.  A is the balanced T here.  On a side with
         no spectrum P = 0 and G is 0, with no Taylor sum; where the other
         side has none, P = I and the squares are not reprojected.
 
@@ -443,13 +438,18 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
     values, and one matrix product gives y_j for every panel of the block;
     the carry, one matrix-vector product, is the only per-panel step.  G
     is never asked for at 0.
+
+    For a non-triangular A = Q T Q^H the sums run on the kernel's G(T),
+    with f(s) taken in as Q^H f(s) and x returned as Q x_T: there the
+    eigenvalues M discards are exactly 0, where Q M Q^H, rounded, diverges
+    on a non-normal A.
     Raises ValueError when f does not return shape (n,) and DomainError,
     before any kernel or f call, when t is not finite.
     """
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
     kernel = GreenKernel(a)
-    n = kernel.a.shape[0]
+    q, n = kernel.q, kernel.a.shape[0]
     radius, panels = default_quad(kernel.split)
     h = radius / panels
     delta = 0.5 * h * (1.0 + GAUSS_X)
@@ -461,8 +461,10 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
         for sign, occupied in ((1.0, kernel.split.m), (-1.0, kernel.split.l)):
             if not occupied:
                 continue
-            g = kernel.block(sign * np.append(delta, h))
+            g = kernel._schur_block(sign * np.append(delta, h))
             inner = g[:-1] * weights[:, None, None]
+            if q is not None:  # f(s) enters as Q^H f(s)
+                inner = inner @ q.conj().T
             # column i n + l is w_i G(s d_i)[:, l]: y_j = inner @ panel j's f
             inner = inner.transpose(1, 0, 2).reshape(n, -1)
             carry = sign * g[-1]  # M
@@ -478,6 +480,8 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
                 for y in vals.reshape(js.size, -1) @ inner.T:
                     acc = y + carry @ acc
             x += acc
+    if q is not None:
+        x = q @ x
     if not np.isfinite(x).all():
         raise FloatOverflow(f"bounded solution overflows at t={float(t)!r}")
     return x

@@ -633,24 +633,22 @@ def test_lapack_failure_is_typed(tmp_path, capsys, monkeypatch, break_lapack,
 
 def test_compare_on_triangular_input_takes_no_lu(tmp_path, capsys,
                                                  monkeypatch):
-    # T's sign iterates stay triangular, so trtri inverts them and getrf is
-    # never asked for
+    # T's sign is direct, so LAPACK is asked only for the kernel's
+    # balancing: no Schur reduction, LU (getrf, getri) or inverse (trtri)
     lapack = greenbound.green.scipy.linalg.lapack
     get = lapack.get_lapack_funcs
     asked = []
 
-    def no_lu(names, arrays=()):
+    def record(names, arrays=()):
         asked.extend(names)
-        if "getrf" in names:
-            raise AssertionError("an LU of a triangular iterate")
         return get(names, arrays)
 
-    monkeypatch.setattr(lapack, "get_lapack_funcs", no_lu)
+    monkeypatch.setattr(lapack, "get_lapack_funcs", record)
     rng = np.random.default_rng(61)
     path = write_matrix(tmp_path / "t.json", random_triangular(rng, 12))
     code, out, err = run_cli(capsys, "compare", path)
     assert code == 0 and err == ""
-    assert "trtri" in asked
+    assert asked == ["gebal"]
 
 
 def test_check_large_dense(tmp_path, capsys):
@@ -737,8 +735,8 @@ def test_negative_numbers_in_scientific_notation(tmp_path, capsys, argv,
 
 
 # 160-digit Parlett puts max|G(0.1)| at 3.7e399 for N x 1e200 (n = 3) and
-# at 2.2e317 for N x 1e80 (n = 5), both beyond the float range; the balanced
-# sign iteration of N x 1e200 stays finite, so G is what overflows there
+# at 2.2e317 for N x 1e80 (n = 5), both beyond the float range; the sign of
+# the balanced N x 1e200 stays finite, so G is what overflows there
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seed, n, scale, command, message", [
     pytest.param(0, 3, 1e200, "exact", "G(t) overflows at t=0.1",

@@ -11,11 +11,9 @@ import scipy.linalg
 
 import greenbound.green
 from greenbound import (
-    ConvergenceFailure,
     DomainError,
     FloatOverflow,
     GreenKernel,
-    SingularIteration,
     SpectrumOnAxis,
     UndefinedAtZero,
     bounded_solution,
@@ -58,10 +56,11 @@ def test_spectral_gaps_axis_eigenvalue():
         spectral_gaps(np.diag([1.0, 1e-15]))
 
 
-# each sign test runs on a triangular input, which takes the trtri step,
-# and on one that is not triangular, which takes the LU step: mostly the
-# same matrix conjugated exactly by H = [[1, 1], [1, -1]] (H^-1 = H / 2) or
-# by the reversal permutation J (J A J is lower triangular)
+# each sign test runs on a triangular input, which takes the direct sign,
+# and on one that is not triangular, which goes through its Schur form
+# first: mostly the same matrix conjugated exactly by H = [[1, 1], [1, -1]]
+# (H^-1 = H / 2) or by the reversal permutation J (J A J is lower
+# triangular)
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
@@ -75,25 +74,39 @@ def _both_paths(a, dense):
 
 
 def test_matrix_sign_singular_input():
+    # an eigenvalue with real part 0 has no sign.  The Schur form of the
+    # Hadamard conjugate puts the 0 at -2.5e-32, within the QR iteration's
+    # backward error of the axis
     d = np.diag([-1.0, 0.0])
     for a in _both_paths(d, H2 @ d @ H2 / 2):
-        with pytest.raises(SingularIteration):
+        with pytest.raises(SpectrumOnAxis):
             matrix_sign(a)
+        with pytest.raises(SpectrumOnAxis):
+            GreenKernel(a)
 
 
-def test_matrix_sign_iteration_budget(monkeypatch):
-    monkeypatch.setattr(greenbound.green, "SIGN_MAX_ITER", 1)
-    a = np.array([[-1.0, 1.0], [0.0, 2.0]])
-    for a in _both_paths(a, _flip(a)):
-        with pytest.raises(ConvergenceFailure):
-            matrix_sign(a)
+@pytest.mark.filterwarnings("error")
+def test_sign_where_scaling_would_flush_the_gap():
+    # scaled to norm_inf below 1, T's +-1e-300 became +-0 and the gap
+    # between them 0j, and 0j / 0j raised ZeroDivisionError.  The sign of
+    # [[-e, e], [0, e]] is [[-1, 1], [0, 1]] for every e > 0
+    s = matrix_sign(np.diag([-1e-300, 1e-300, 1e30]))
+    assert np.array_equal(s, np.diag([-1.0, 1.0, 1.0]))
+    a = np.array([[-1e-300, 1e-300, 0.0], [0.0, 1e-300, 1.0],
+                  [0.0, 0.0, 1e30]])
+    s = matrix_sign(a)
+    assert np.array_equal(s[:2, :2], [[-1.0, 1.0], [0.0, 1.0]])
+    assert np.abs(s @ s - np.eye(3)).max() <= 1e-15
+    # next to 1e300 the gap of 2e-300 is below the scaled T's range: a
+    # typed error, where the quotient was an untyped ZeroDivisionError
+    with pytest.raises(FloatOverflow, match="gap t_ii - t_jj underflows"):
+        matrix_sign(np.diag([-1e-300, 1e-300, 1e300]))
 
 
 def test_matrix_sign_factorises_each_iterate_once(monkeypatch):
-    # one LU per step, or trtri where S is triangular, gives both |det S|
-    # and S^-1
+    # the sign is direct: it takes neither |det S| nor an inverse
     def refuse(*args, **kwargs):
-        raise AssertionError("a second factorisation")
+        raise AssertionError("a factorisation")
 
     monkeypatch.setattr(np.linalg, "slogdet", refuse)
     monkeypatch.setattr(np.linalg, "inv", refuse)
@@ -108,22 +121,15 @@ def test_matrix_sign_factorises_each_iterate_once(monkeypatch):
 
 
 def test_matrix_sign_where_the_inverse_of_the_iterate_overflows():
-    # S^-1 has an entry of 1e400 here; (mu S)^-1 fits, and so does the sign
-    # of [[a, c], [0, d]], whose corner is 2 c / (d - a)
+    # S^-1 has an entry of 1e400 here, and the sign of [[a, c], [0, d]],
+    # whose corner is 2 c / (d - a), fits
     s = matrix_sign([[-1e-200, 1.0], [0.0, 1e-200]])
     assert np.abs(s - [[-1.0, 1e200], [0.0, 1.0]]).max() <= 1e-15 * 1e200
-    # no exact similarity keeps both eigenvalues of that matrix, and J A J
-    # leaves LU a pivot of 1e-400, which underflows.  [[p, q], [r, -p]]
-    # squares to (p^2 + q r) I, so its sign is itself over
-    # sqrt(p^2 + q r) = sqrt(r) here, and S^-1 has entries of 1e320
-    a = np.array([[-1e-200, 1.0], [1e-320, 1e-200]])
-    s = matrix_sign(a)
-    sign = a / math.sqrt(a[1, 0])
-    assert np.abs(s - sign).max() <= 1e-15 * np.abs(sign).max()
 
 
 def test_triangular_sign_takes_no_lu(monkeypatch):
-    # an upper triangular iterate is inverted by trtri and never factorised
+    # the sign of an upper triangular matrix asks LAPACK for nothing: no
+    # LU (getrf, getri) and no triangular inverse (trtri)
     get = scipy.linalg.lapack.get_lapack_funcs
     asked = []
 
@@ -134,12 +140,14 @@ def test_triangular_sign_takes_no_lu(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", record)
     a = random_triangular(np.random.default_rng(6), 8)
     s = matrix_sign(a)
-    assert asked == ["trtri"]
+    assert asked == []
     assert not np.tril(s, -1).any()
     assert np.abs(s @ s - np.eye(8)).max() < 1e-12
-    # a negligible subdiagonal sends the same matrix through LU
-    lu = matrix_sign(a + 1e-300 * np.eye(8, k=-1))
-    assert "getrf" in asked and np.abs(lu - s).max() < 1e-12
+    # a negligible subdiagonal sends the same matrix through Schur alone:
+    # gees, and gebal's permutation for the axis check on its T
+    dense = matrix_sign(a + 1e-300 * np.eye(8, k=-1))
+    assert set(asked) == {"gees", "gebal"}
+    assert np.abs(dense - s).max() < 1e-12
 
 
 def test_projectors_diagonal():
@@ -263,17 +271,16 @@ def test_kernel_reads_its_table_without_expm(monkeypatch, a):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["t>0", "t<0"])
 def test_taylor_sum_at_the_edge_of_its_range(sign):
-    # A is symmetric, so its balancing scale is all ones; norm_inf(A) = 4,
-    # so B = A / 8, and alpha = max(norm_inf(B^6)^(1/6), norm_inf(B^7)^(1/7))
-    # (plus rounding terms) is 0.4642, below norm_inf(B) = 1/2 and the 0.4747
-    # of B^4 and B^5.  At |t| = theta / (8 alpha), theta = TAYLOR_RANGE, no
-    # squaring is needed: e^{At} is the Taylor sum at c = 8t, where
-    # |c| alpha = theta and |c| norm_inf(B) = 3.23; one ulp further takes a
-    # squaring
-    a = np.array([[-1.0, 2.0, 1.0], [2.0, 2.0, 0.0], [1.0, 0.0, -3.0]])
+    # A's balancing scale is all ones; norm_inf(A) = 3, so B = A / 4, and
+    # alpha = max(norm_inf(B^6)^(1/6), norm_inf(B^7)^(1/7)) (plus rounding
+    # terms) is 0.3834, below norm_inf(B) = 3/4 and the 0.4330 of B^4 and
+    # B^5.  At |t| = theta / (4 alpha), theta = TAYLOR_RANGE, no squaring
+    # is needed: e^{At} is the Taylor sum at c = 4t, where |c| alpha = theta
+    # and |c| norm_inf(B) = 5.87; one ulp further takes a squaring
+    a = np.array([[-1.0, 2.0, 0.0], [0.0, 1.0, 2.0], [0.0, 0.0, -1.0]])
     kernel = GreenKernel(a)
-    assert kernel.k == 3 and 0.46 < kernel.alpha < 0.47
-    t = sign * TAYLOR_RANGE / (8 * kernel.alpha)
+    assert kernel.k == 2 and 0.383 < kernel.alpha < 0.384
+    t = sign * TAYLOR_RANGE / (4 * kernel.alpha)
     assert kernel.squarings([t, np.nextafter(t, 2 * t)]).tolist() == [0, 1]
     p = kernel.p_minus if t > 0 else kernel.p_plus
     exact = np.sign(t) * scipy.linalg.expm(a * t) @ p
@@ -383,12 +390,13 @@ def test_kernel_where_the_rounding_floor_held_alpha_high(t):
     pytest.param(random_triangular(np.random.default_rng(7), 12),
                  id="triangular"),
     pytest.param(np.diag(2.0 ** np.arange(0, 60, 6))
-                 @ np.random.default_rng(8).normal(size=(10, 10))
+                 @ np.triu(np.random.default_rng(8).normal(size=(10, 10)))
                  @ np.diag(2.0 ** -np.arange(0, 60, 6)), id="graded"),
 ])
 def test_balanced_table_is_scipys_balance(a):
     # where no entry underflows, S^-1 A S from gebal's scales is bitwise
-    # the matrix scipy's balancing returns
+    # the matrix scipy's balancing returns; the inputs are triangular, since
+    # the table of a dense A is that of its Schur form
     kernel = GreenKernel(a)
     balanced, _ = scipy.linalg.matrix_balance(a.astype(complex),
                                               permute=False)
@@ -617,6 +625,47 @@ def test_bounded_solution_matches_closed_form(a):
     assert np.abs(x - exact).max() <= 1e-9 * np.abs(exact).max()
 
 
+def _hadamard(n, scale, draw):
+    """H T H^T, H the n x n Hadamard matrix over sqrt(n): T is a two-sided
+    diagonal (|Re| in [0.2, 2]) plus scale times a complex Gaussian strictly
+    upper N, the first or second draw from default_rng(0)."""
+    rng = np.random.default_rng(0)
+    for _ in range(draw + 1):
+        mag = rng.uniform(0.2, 2.0, n)
+        d = np.where(np.arange(n) % 2, mag, -mag) + 1j * rng.uniform(-2, 2, n)
+        nil = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                      1)
+    h = scipy.linalg.hadamard(n) / math.sqrt(n)
+    return h @ (np.diag(d) + scale * nil) @ h.T
+
+
+# the Newton sign stalled above its tolerance on all six (eigenvector
+# condition up to 4e13) and raised ConvergenceFailure.  A Schur form matches
+# A only to rounding, amplified by that condition, so the reference is the
+# exact G and x of T' = schur_decompose(A).t, mapped back by its Q
+@pytest.mark.parametrize("a", [
+    pytest.param(_hadamard(n, scale, draw), id=f"n={n}-Nx{scale:g}-{draw}")
+    for n, scale in ((4, 100.0), (16, 10.0), (8, 30.0)) for draw in (0, 1)
+])
+def test_dense_input_is_solved_on_its_schur_form(a):
+    form = schur_decompose(a)
+    q, tri = form.q, form.t
+    for t in (0.3, -2.0):
+        exact = q @ green_parlett(tri, t, dps=60) @ q.conj().T
+        err = np.abs(green_function(a, t) - exact).max()
+        assert err <= 1e-13 * np.abs(exact).max(), t
+    # f(s) = e^{i w s} c: x = Q (i w I - T')^{-1} Q^H c e^{i w t}.  Summed
+    # with the carry Q M Q^H the solution erred by 6.5e-5 on the first input
+    # and overflowed on the n = 16 ones
+    n = len(a)
+    c = np.random.default_rng(n).normal(size=n) + 0j
+    omega, t = 0.7, 0.5
+    x = bounded_solution(a, lambda s: np.exp(1j * omega * s) * c, t)
+    exact = q @ scipy.linalg.solve_triangular(
+        1j * omega * np.eye(n) - tri, q.conj().T @ c) * np.exp(1j * omega * t)
+    assert np.abs(x - exact).max() <= 1e-9 * np.abs(exact).max()
+
+
 @pytest.mark.parametrize("a, sides", [
     pytest.param(np.diag([-1.0, -2.0]), 1, id="one-sided"),
     pytest.param(np.array([[-1.0, 1.0], [0.0, 2.0]]), 2, id="two-sided"),
@@ -715,28 +764,38 @@ def test_library_overflow_is_a_typed_error(evaluate, message):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sign_iteration_overflow_is_a_typed_error():
-    # unbalanced, the Newton iterates of N x 1e200 leave the float range;
-    # LU of the flipped input meets an underflowed pivot first there, so it
-    # runs at N x 1e160
-    for a in _both_paths(scaled_nilpotent(0, 3, 1e200),
-                         _flip(scaled_nilpotent(0, 3, 1e160))):
-        with pytest.raises(FloatOverflow,
-                           match="^matrix sign iterate overflows$"):
+    # unbalanced, the sign of N x 1e200 leaves the float range: its corner
+    # is of order 1e400
+    a = scaled_nilpotent(0, 3, 1e200)
+    for a in _both_paths(a, _flip(a)):
+        with pytest.raises(FloatOverflow, match="^matrix sign overflows$"):
             matrix_sign(a)
 
 
 @pytest.mark.filterwarnings("error")
 def test_projectors_of_a_subnormal_spectrum():
-    # the determinant scaling mu = e^713.8 overflowed math.exp; and LU of
-    # the dense input, while the sign left it subnormal, returned a zero
-    # pivot without reporting it
+    # the Newton sign's determinant scaling mu = e^713.8 overflowed
+    # math.exp here.  The triangular projectors are exact; the dense ones
+    # are exact up to the rounding of Q, whose entries are 1/sqrt(2)
     d = np.diag([-1e-310, 1e-310])
-    for a, h in zip(_both_paths(d, H2 @ d @ H2 / 2), (np.eye(2), H2)):
-        p_minus, p_plus = spectral_projectors(a)
-        assert np.array_equal(h @ p_minus @ h / (h @ h)[0, 0],
-                              np.diag([1.0, 0.0]))
-        assert np.array_equal(h @ p_plus @ h / (h @ h)[0, 0],
-                              np.diag([0.0, 1.0]))
+    p_minus, p_plus = spectral_projectors(d)
+    assert np.array_equal(p_minus, np.diag([1.0, 0.0]))
+    assert np.array_equal(p_plus, np.diag([0.0, 1.0]))
+    p_minus, p_plus = spectral_projectors(H2 @ d @ H2 / 2)
+    assert np.abs(H2 @ p_minus @ H2 / 2 - np.diag([1.0, 0.0])).max() <= 2 ** -52
+    assert np.abs(H2 @ p_plus @ H2 / 2 - np.diag([0.0, 1.0])).max() <= 2 ** -52
+
+
+def test_projectors_where_a_pivot_is_subnormal():
+    # the eigenvalues -1e-310 and 1e-310 differ by a subnormal.  gees
+    # permutes A to triangular form exactly, and the sign divides by that
+    # difference; numpy's complex division gives -inf + nan j there, and
+    # the Newton sign's LU gave P-[2, 1] = -1.08e-207 with no error
+    a = np.array([[1, 0, 0], [0, -1e-310, 0], [0, 1e-310, 1e-310]])
+    p_minus, p_plus = spectral_projectors(a)
+    assert p_minus[2, 1] == -0.5
+    assert np.array_equal(p_minus, [[0, 0, 0], [0, 1, 0], [0, -0.5, 0]])
+    assert np.array_equal(p_plus, np.eye(3) - p_minus)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
