@@ -183,10 +183,21 @@ def _series(u, n: int, gamma=None):
     return np.stack(mants, axis=1), np.ascontiguousarray(expo.T)
 
 
-def _matrix_powers(nabs):
+def _band_layout(size: int):
+    """(layout, start): layout[start[d]:start[d + 1]] are the flat indices
+    of superdiagonal d of a size x size matrix, so the entries of
+    superdiagonals d and above are the suffix layout[start[d]:]."""
+    lengths = np.arange(size, 0, -1)
+    start = np.concatenate([[0], np.cumsum(lengths)])
+    rows = np.arange(start[-1]) - np.repeat(start[:-1], lengths)
+    return rows * (size + 1) + np.repeat(np.arange(size), lengths), start
+
+
+def _matrix_powers(nabs, layout, start):
     """Yield nabs^k as (P, e), nabs^k = 2**e * P with max(P) in [0.5, 1],
     for k = 0, 1, ... until the power vanishes, for a strictly upper
-    triangular nabs.
+    triangular nabs.  P is the power's band, its entries on superdiagonals
+    k and above in the order of ``_band_layout``: the rest is 0.
 
     The k-th power is zero outside rows [0, size - k) and columns
     [k, size), so each product multiplies only that block.
@@ -196,15 +207,16 @@ def _matrix_powers(nabs):
     base = np.ldexp(nabs, -step)
     power, e = np.eye(size), 0
     for k in itertools.count():
-        yield power, e
+        yield power.ravel()[layout[start[k]:]], e
         hi = size - k - 1  # rows of the next power: [0, hi)
-        nxt = np.zeros_like(power)
-        nxt[:hi, k + 1:] = power[:hi, k:] @ base[k:, k + 1:]
-        peak = float(nxt.max())
+        block = power[:hi, k:] @ base[k:, k + 1:]
+        peak = float(block.max(initial=0.0))
         if peak == 0.0:
             return
         shift = math.frexp(peak)[1]
-        power, e = np.ldexp(nxt, -shift), e + step + shift
+        power = np.zeros_like(power)
+        power[:hi, k + 1:] = np.ldexp(block, -shift)
+        e += step + shift
 
 
 @dataclass(frozen=True)
@@ -241,30 +253,42 @@ class EnvelopeTable:
         """sum_k W[:, k] nabs^k for a nonnegative strictly upper triangular
         nabs, shape (T, n, n).
 
-        Each power is formed once.  The weights times the power scales are
-        grouped into exponent bands of width 2**1000; a band's terms are
-        summed by one matrix product in its own scale and scaled back, so an
-        entry overflows to +inf only when its own value does.
+        Each power is formed once.  The entries are summed in a band
+        layout, superdiagonal by superdiagonal: nabs^k is 0 below
+        superdiagonal k, so it is a suffix of that layout, and a batch of
+        powers is one matrix product over the suffix of its first.  The
+        weights times the power scales are grouped into exponent bands of
+        width 2**1000; a band's terms are summed in its own scale and
+        scaled back, so an entry overflows to +inf only when its own value
+        does.  The strict lower triangle is 0.
         """
         count, terms = self.mant.shape
         size = nabs.shape[0]
-        batch = max(1, _BATCH_ENTRIES // (size * size))
+        layout, start = _band_layout(size)
+        batch = max(1, _BATCH_ENTRIES // layout.size)
         sums = {}
-        powers = _matrix_powers(nabs)
-        for start in range(0, terms, batch):
-            chunk = list(itertools.islice(powers, min(batch, terms - start)))
+        powers = _matrix_powers(nabs, layout, start)
+        for first in range(0, terms, batch):
+            chunk = list(itertools.islice(powers, min(batch, terms - first)))
             if not chunk:
                 break
-            ks = slice(start, start + len(chunk))
-            stacked = np.array([p.ravel() for p, _ in chunk])
+            ks = slice(first, first + len(chunk))
+            lo = start[first]  # the batch's suffix of the layout
+            stacked = np.zeros((len(chunk), layout.size - lo))
+            for row, (p, _) in zip(stacked, chunk):
+                row[row.size - p.size:] = p
             x = self.expo[:, ks] + np.array([e for _, e in chunk])
             band = np.maximum((x - 1) // _BAND, 0)
             for b in np.unique(band):
                 coef = np.where(band == b,
                                 _ldexp(self.mant[:, ks], x - b * _BAND), 0.0)
-                acc = sums.setdefault(b, np.zeros((count, size * size)))
-                acc += coef @ stacked
-        total = sum(_ldexp(acc, b * _BAND) for b, acc in sums.items())
+                acc = sums.setdefault(b, np.zeros((count, layout.size)))
+                acc[:, lo:] += coef @ stacked
+        total = np.zeros((count, size * size))
+        # band 0 needs no scaling, and np.ldexp by an int64 exponent costs
+        # about as much as the whole sum
+        total[:, layout] = sum(_ldexp(acc, b * _BAND) if b else acc
+                               for b, acc in sums.items())
         return total.reshape(count, size, size)
 
 

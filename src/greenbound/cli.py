@@ -160,15 +160,11 @@ class Problem:
         """sum_k W[t, k] |N|^k for every grid time, shape (T, n, n)."""
         return self.table.matrix_series(np.abs(self.n_mat))
 
-    def kernel_norms(self):
-        """Yield (G(t), its norm) along the grid; the norms of each block
-        of ``GreenKernel.blocks`` are taken with one call."""
-        for gs in self.kernel.blocks(self.t):
-            yield from zip(gs, induced_norm(gs, self.p).tolist())
-
     @cached_property
     def exact_norm(self) -> list:
-        return [exact for _, exact in self.kernel_norms()]
+        """The norm of G along the grid, one call per kernel block."""
+        return [exact for gs in self.kernel.blocks(self.t)
+                for exact in induced_norm(gs, self.p).tolist()]
 
     @cached_property
     def bound_triangular(self) -> np.ndarray:
@@ -186,11 +182,13 @@ class Problem:
     def bound_vanloan(self):
         """Van Loan's bound is the one-sided triangular bound at the maximal
         gap, on the side where the spectrum decays."""
-        ms = self.max_split
+        ms, s = self.max_split, self.split
         if ms.m and ms.l:
             return [None] * len(self.t)
-        table = bnd.envelope_table(self.n, ms.gamma_minus, ms.gamma_plus,
-                                   self.t)
+        table = (self.table if (s.gamma_minus, s.gamma_plus)
+                 == (ms.gamma_minus, ms.gamma_plus)
+                 else bnd.envelope_table(self.n, ms.gamma_minus,
+                                         ms.gamma_plus, self.t))
         return np.where((self.t > 0) == (ms.l == 0),
                         table.series(self.norm_n), None)
 
@@ -299,32 +297,47 @@ def cmd_table(args) -> int:
 
 
 def cmd_check(args) -> int:
-    problem = _grid_problem(args)
     scale = args.bound_scale
-    unchecked = 0  # times with no finite norm bound (None reads as NaN)
-    for k, (g, exact) in enumerate(problem.kernel_norms()):
-        row = problem.row(k, BOUND_COLUMNS)
-        unchecked += not np.isfinite(np.array([*row.values()], float)).any()
-        for col in BOUND_COLUMNS:
-            bound = row[col]
-            if bound is None:
-                continue
-            if exact > bound * scale * (1.0 + 1e-9):
-                _write(args, f"violation: t={float(problem.t[k])!r} exact="
-                             f"{exact!r} {col}={float(bound * scale)!r}\n")
-                return 4
+    if not (np.isfinite(scale) and scale > 0):
+        raise CliError(1, f"--bound-scale must be finite and > 0, got "
+                          f"{scale!r}")
+    problem = _grid_problem(args)
+    slack = 1.0 + 1e-9
+    start = 0
+    for gs in problem.kernel.blocks(problem.t):
+        # the times of this block, checked at once; the first violation in
+        # grid order is reported, a norm column before an entry
+        ks = slice(start, start + len(gs))
+        start = ks.stop
+        exact = induced_norm(gs, problem.p)
+        bounds = np.array([getattr(problem, col)[ks]
+                           for col in BOUND_COLUMNS], float).T * scale
+        by_norm = exact[:, None] > bounds * slack  # None reads as NaN
+        by_entry = np.zeros_like(by_norm[:, 0])
         if problem.was_triangular:
             # the entrywise inequality holds entry by entry; checking it
             # directly makes corrupted bounds detectable on every matrix
-            abs_g = np.abs(g)
-            ew = problem.entrywise[k]
-            bad = abs_g > ew * scale * (1.0 + 1e-9)
-            if np.any(bad):
-                i, j = np.argwhere(bad)[0]
-                _write(args, f"violation: t={float(problem.t[k])!r} "
-                             f"entry=({i},{j}) exact={float(abs_g[i, j])!r} "
-                             f"bound_entrywise={float(ew[i, j] * scale)!r}\n")
-                return 4
+            abs_g = np.abs(gs)
+            ew = problem.entrywise[ks]
+            bad = abs_g > ew * scale * slack
+            by_entry = bad.any(axis=(1, 2))
+        hits = np.flatnonzero(by_norm.any(axis=1) | by_entry)
+        if not hits.size:
+            continue
+        i = hits[0]
+        t = float(problem.t[ks][i])
+        if by_norm[i].any():
+            c = np.flatnonzero(by_norm[i])[0]
+            _write(args, f"violation: t={t!r} exact={float(exact[i])!r} "
+                         f"{BOUND_COLUMNS[c]}={float(bounds[i, c])!r}\n")
+        else:
+            r, c = np.argwhere(bad[i])[0]
+            _write(args, f"violation: t={t!r} entry=({r},{c}) "
+                         f"exact={float(abs_g[i, r, c])!r} "
+                         f"bound_entrywise={float(ew[i, r, c] * scale)!r}\n")
+        return 4
+    bounds = np.array([getattr(problem, col) for col in BOUND_COLUMNS], float)
+    unchecked = np.count_nonzero(~np.isfinite(bounds).any(axis=0))
     if unchecked:
         print(f"note: every norm bound is inf or nan at {unchecked} of "
               f"{len(problem.t)} times", file=sys.stderr)

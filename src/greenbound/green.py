@@ -213,13 +213,14 @@ class GreenKernel:
     gebal), so one large entry cannot set the squaring count; the
     projectors and the Taylor table are built for the balanced matrix, and
     G is mapped back as S G S^-1, exactly.  No other state is kept, so
-    every call returns a fresh array.  The table holds B^0 .. B^30, B the
+    every call returns a fresh array.  The table holds B^30 .. B^0, B the
     balanced matrix over 2^k, 2^k the power of two just above its
-    norm_inf; alpha >= ALPHA_MIN bounds norm(B^k)^(1/k) for every k >= 31
-    (see ``__init__``), so the Taylor tail of e^{cB} is at most
-    3^31 / 31! e^3 where |c| alpha <= TAYLOR_RANGE.  With the spectrum on
-    one side, one projector is 0 and the other I, and the kernel makes no
-    product with either.
+    norm_inf, each power as its upper triangle (n (n + 1) / 2 entries, row
+    by row, at the flat indices ``upper``); alpha >= ALPHA_MIN bounds
+    norm(B^k)^(1/k) for every k >= 31 (see ``__init__``), so the Taylor
+    tail of e^{cB} is at most 3^31 / 31! e^3 where |c| alpha <=
+    TAYLOR_RANGE.  With the spectrum on one side, one projector is 0 and
+    the other I, and the kernel makes no product with either.
     """
 
     def __init__(self, a, split: SpectralSplit | None = None):
@@ -247,10 +248,9 @@ class GreenKernel:
             self.p_minus = eye if split.m else 0 * eye
             self.p_plus = 0 * eye if split.m else eye
         self.k, b = binary_scale(balanced)
-        # row i of the table is B^TAYLOR_POWERS[i], flattened
+        # the powers B^TAYLOR_POWERS[i], full while alpha is read off them
         n = b.shape[0]
-        self.table = np.empty((TAYLOR_DEGREE + 1, n * n), dtype=complex)
-        powers = self.table.reshape(-1, n, n)
+        powers = np.empty((TAYLOR_DEGREE + 1, n, n), dtype=complex)
         powers[-1] = np.eye(n)
         for i in range(TAYLOR_DEGREE, 0, -1):
             np.matmul(powers[i], b, out=powers[i - 1])
@@ -275,6 +275,10 @@ class GreenKernel:
         roots = (norms + rho) ** (1 / j)
         self.alpha = max(ALPHA_MIN, min(induced_norm(b, np.inf),
                                         roots[2:].max(), roots[:2].max()))
+        # row i of the table is the upper triangle of B^TAYLOR_POWERS[i],
+        # row by row: the powers of the triangular B are 0 below it
+        self.upper = np.flatnonzero(np.tri(n, dtype=bool).T)
+        self.table = powers.reshape(TAYLOR_DEGREE + 1, -1)[:, self.upper]
 
     def at(self, t: float) -> np.ndarray:
         """G(t); inf/NaN where it leaves the float range (``along`` checks)."""
@@ -290,21 +294,23 @@ class GreenKernel:
         """G(T, t) for each t in ts, stacked as ``block`` returns it.
 
         Plain e^{At} P cancels catastrophically once the discarded half of
-        the spectrum makes e^{At} large, so square up s times from
-        e^{At/2^s}, and reproject after every squaring; the retained modes
-        decay and the others' contamination cannot amplify.  At / 2^s = cB
-        with the exact scalar c = t 2^(k-s), and s (``squarings``) is the
-        least count with |c| alpha <= TAYLOR_RANGE, so e^{cB} is the Taylor
-        sum over the table.  A is the balanced T here.  On a side with
-        no spectrum P = 0 and G is 0, with no Taylor sum; where the other
-        side has none, P = I and the squares are not reprojected.
+        the spectrum makes e^{At} large, so project once, R = e^{At/2^s} P,
+        and square R up s times.  R has the eigenvalues e^{At/2^s} keeps
+        and exactly 0 on the discarded half, so a square cannot amplify a
+        discarded mode and needs no reprojection.  At / 2^s = cB with the
+        exact scalar c = t 2^(k-s), and s (``squarings``) is the least count
+        with |c| alpha <= TAYLOR_RANGE, so e^{cB} is the Taylor sum over
+        the table.  A is the balanced T here.  On a side with no spectrum
+        P = 0 and G is 0, with no Taylor sum; where the other side has
+        none, P = I and R = e^{cB}.
 
         The times are taken KERNEL_BLOCK // n^2 at a time (one from
-        n = 128 on).  Each time keeps its own arithmetic: one GEMV for its
-        Taylor sum, one product with P and two products per squaring (one
-        product per squaring where P = I).  On each side of 0 the times are
-        sorted by s, so those still squaring are a prefix and each squaring
-        is stacked products with P broadcast.
+        n = 128 on).  Each time keeps its own arithmetic: one GEMV over the
+        packed table for its Taylor sum, written to the upper triangle (the
+        strict lower one is 0), one product with P unless P = I, and one
+        product per squaring.  On each side of 0 the times are sorted by s,
+        so those still squaring are a prefix and each squaring is one
+        stacked product.
         """
         ts = np.asarray(ts, dtype=float)
         if (ts == 0).any():
@@ -344,8 +350,9 @@ class GreenKernel:
         ts, s = ts[order], s[order]
         coef = np.ldexp(ts, self.k - s)[:, None] ** TAYLOR_POWERS
         coef = (coef / TAYLOR_FACTORIALS).astype(complex)
-        sq = np.empty((ts.size, n, n), dtype=complex)  # e^{cB}, the squares
+        sq = np.zeros((ts.size, n, n), dtype=complex)  # e^{cB}, the squares
         r = np.empty_like(sq)
+        taylor = np.empty((ts.size, self.upper.size), dtype=complex)
         mid = np.count_nonzero(ts > 0)
         for lo, hi, p, occupied in ((0, mid, self.p_minus, self.split.m),
                                     (mid, ts.size, self.p_plus, self.split.l)):
@@ -354,22 +361,21 @@ class GreenKernel:
             if not occupied:  # P = 0
                 r[lo:hi] = 0
                 continue
-            for row, c in zip(sq[lo:hi].reshape(-1, n * n), coef[lo:hi]):
+            for row, c in zip(taylor[lo:hi], coef[lo:hi]):
                 np.matmul(c, self.table, out=row)
-            identity = occupied == n  # P = I: nothing to reproject
-            if not identity:
+            sq.reshape(-1, n * n)[lo:hi, self.upper] = taylor[lo:hi]
+            # R = e^{cB} P (P = I leaves R = e^{cB}), then R squared s
+            # times: each step moves a time's value from sq to r or back
+            first = int(occupied < n)
+            if first:
                 np.matmul(sq[lo:hi], p, out=r[lo:hi])
-            for j in range(s[lo]):
-                live = slice(lo, lo + np.count_nonzero(s[lo:hi] > j))
-                if identity:  # the squares alternate between sq and r
-                    src, dst = (sq, r) if j % 2 == 0 else (r, sq)
-                    np.matmul(src[live], src[live], out=dst[live])
-                else:
-                    np.matmul(r[live], r[live], out=sq[live])
-                    np.matmul(p, sq[live], out=r[live])
-            if identity:
-                even = lo + np.flatnonzero(s[lo:hi] % 2 == 0)
-                r[even] = sq[even]
+            steps = s[lo:hi] + first
+            for j in range(first, steps[0]):
+                live = slice(lo, lo + np.count_nonzero(steps > j))
+                x = (sq, r)[j % 2][live]
+                np.matmul(x, x, out=(r, sq)[j % 2][live])
+            in_sq = lo + np.flatnonzero(steps % 2 == 0)
+            r[in_sq] = sq[in_sq]
         for factor in self.unscale:
             r *= factor
         np.negative(r[mid:], out=r[mid:])

@@ -191,6 +191,47 @@ def test_entrywise_bound_where_the_norm_overflows():
         entrywise_bound(d, n + np.diag([1e300, 0.0, 0.0]), 1.0, 2.0, 0.5)
 
 
+@pytest.mark.parametrize("n, gm, gp, seed", [
+    (8, 0.3, 0.5, 1), (20, 0.3, 0.5, 2), (50, 0.2, 0.7, 4),
+    (20, INF, 0.2, 3), (12, 0.2, INF, 5),
+])
+def test_matrix_series_is_the_term_by_term_sum(n, gm, gp, seed):
+    # the banded sum against sum_k W[t, k] |N|^k in plain float64, one
+    # term at a time, within 4 ulps of every entry (2.4 is the largest
+    # seen); the strict lower triangle is exactly +0
+    nabs = np.abs(np.triu(np.random.default_rng(seed).normal(size=(n, n)), 1))
+    ts = np.concatenate([-np.logspace(1, -2, 20), np.logspace(-2, 1, 20)])
+    table = envelope_table(n, gm, gp, ts)
+    got = table.matrix_series(nabs)
+    weights = table.values()
+    expected, power = np.zeros_like(got), np.eye(n)
+    for k in range(n):
+        expected += weights[:, k, None, None] * power
+        power = power @ nabs
+    lower = np.tril(np.ones((n, n), dtype=bool), -1)
+    assert not got[:, lower].any() and not np.signbit(got[:, lower]).any()
+    upper = ~lower & (weights[:, :1, None] > 0)
+    assert (expected[upper] > 0).all()
+    rel = np.abs(got - expected)[upper] / expected[upper]
+    assert rel.max() <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_matrix_series_overflows_only_where_its_own_entry_does():
+    # |N|^2 has the entry 1e600 at (0, 2), beyond the float range: at
+    # t = 1e-300 its weight t^2 / 2 (below the range too) brings the sum to
+    # 0.5, and at t = 1 only that entry exceeds the range
+    nabs = np.array([[0.0, 1e300, 0.0], [0.0, 0.0, 1e300], [0.0, 0.0, 0.0]])
+    got = envelope_table(3, 1.0, INF, [1e-300, 1.0]).matrix_series(nabs)
+    np.testing.assert_allclose(got[0], [[1, 1, 0.5], [0, 1, 1], [0, 0, 1]],
+                               rtol=1e-15)
+    assert got[1, 0, 2] == INF
+    h = math.exp(-1.0)
+    got[1, 0, 2] = 0.0
+    np.testing.assert_allclose(got[1], [[h, 1e300 * h, 0], [0, h, 1e300 * h],
+                                        [0, 0, h]], rtol=1e-15)
+
+
 def test_van_loan_bound():
     assert van_loan_bound(-1.0, 2.0, 2, 1.0) == pytest.approx(
         3.0 * math.exp(-1), rel=1e-14

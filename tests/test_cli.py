@@ -302,6 +302,36 @@ def test_check_entrywise_margin_is_relative(tmp_path, capsys):
     assert out.startswith("violation: t=25.0 entry=(0,0) ")
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_check_rejects_a_bound_scale_that_checks_nothing(tmp_path, capsys,
+                                                         scale):
+    # every comparison with a NaN or inf threshold is False, so these
+    # printed ok; 0 and negative scales turn every bound into a violation
+    path = write_matrix(tmp_path / "m.json", [[-1.0, 1.0], [0.0, 2.0]])
+    code, out, err = run_cli(capsys, "check", path, "--bound-scale", scale)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --bound-scale must be finite and > 0")
+    assert err.count("\n") == 1
+
+
+def test_check_reports_the_first_violation_in_grid_order(tmp_path, capsys):
+    # the eight times are one kernel block, checked at once: the entrywise
+    # bound fails from the first time on and the norm bounds from the sixth,
+    # and the earlier violation is the one reported
+    path = write_matrix(tmp_path / "m.json",
+                        random_triangular(np.random.default_rng(0), 2))
+    grid = make_grid(-10.0, -0.1, 8)
+    argv = ("check", path, "--norm", "inf", "--bound-scale", "0.5")
+    code, out, _ = run_cli(capsys, *argv, "--t-min", "-10", "--t-max",
+                           "-0.1", "--steps", "8")
+    assert code == 4 and out.startswith("violation: t=-10.0 entry=(")
+    for t, verdict in ((float(grid[4]), "entry=("),
+                       (float(grid[5]), "exact=")):
+        code, out, _ = run_cli(capsys, *argv, "--t-min", repr(t), "--t-max",
+                               repr(t), "--steps", "1")
+        assert code == 4 and out.startswith(f"violation: t={t!r} {verdict}")
+
+
 @pytest.mark.parametrize("scale, code, verdict", [
     ("1.0", 0, "ok\n"),
     ("0.5", 4, "violation: "),
@@ -649,6 +679,33 @@ def test_compare_on_triangular_input_takes_no_lu(tmp_path, capsys,
     code, out, err = run_cli(capsys, "compare", path)
     assert code == 0 and err == ""
     assert asked == ["gebal"]
+
+
+@pytest.mark.parametrize("argv, tables", [
+    pytest.param((), 1, id="no-override"),
+    pytest.param(("--gamma-minus", "0.1"), 2, id="override"),
+])
+def test_van_loan_reads_the_shared_table(tmp_path, capsys, monkeypatch,
+                                         argv, tables):
+    # on a one-sided spectrum Van Loan's bound is the triangular bound's
+    # series at the maximal gap: with no gap override that is the table the
+    # other columns read, and a second one is built only for an override
+    built = []
+    envelope_table = bounds.envelope_table
+
+    def record(*args):
+        built.append(args)
+        return envelope_table(*args)
+
+    monkeypatch.setattr(bounds, "envelope_table", record)
+    path = write_matrix(tmp_path / "m.json", [[-1.0, 1.0], [0.0, -2.0]])
+    code, out, _ = run_cli(capsys, "compare", path, *argv)
+    _, rows = parse_csv(out)
+    assert code == 0 and len(built) == tables
+    assert all(row["bound_vanloan"] is not None for row in rows)
+    if not argv:
+        assert all(row["bound_vanloan"] == row["bound_triangular"]
+                   for row in rows)
 
 
 def test_check_large_dense(tmp_path, capsys):

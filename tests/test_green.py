@@ -306,6 +306,17 @@ def _benchmark_input(monkeypatch, n, kind):
     return inputs.triangular(rng, n, kind)
 
 
+def _table_powers(kernel):
+    """The table's rows as n x n powers B^TAYLOR_POWERS[i]: the table keeps
+    each upper triangle, row by row, and the strict lower one is 0."""
+    n = kernel.a.shape[0]
+    assert kernel.table.shape == (len(TAYLOR_POWERS), n * (n + 1) // 2)
+    powers = np.zeros((len(TAYLOR_POWERS), n, n), dtype=complex)
+    rows, cols = np.triu_indices(n)
+    powers[:, rows, cols] = kernel.table
+    return powers
+
+
 # totals over the grid under norm_inf(B) -> under alpha with the degree-18
 # table -> under the degree-30 table: 140 -> 94 -> 46, 184 -> 132 -> 70,
 # 156 -> 94 -> 44, 236 -> 148 -> 80, 170 -> 102 -> 50, 238 -> 150 -> 80 and
@@ -323,7 +334,7 @@ def test_squarings_fall_below_the_norm_rule(monkeypatch, n, kind):
         m, e = np.frexp(alpha * mt)
         return np.maximum(0, e + kernel.k + et - (m == 0.5))
 
-    powers = kernel.table.reshape(-1, n, n)
+    powers = _table_powers(kernel)
     norm_b = induced_norm(powers[TAYLOR_POWERS == 1][0], "inf")
     before = least_squarings(norm_b)
     # the degree-18 rule: alpha from B^4 and B^5 with the floor j n 2^-50
@@ -358,7 +369,7 @@ def test_alpha_bounds_tiny_powers_at_the_edge_of_balancing():
     d = 1e-300
     a = np.diag([-d, 2 * d, -3 * d]) + 1e-150 * np.eye(3, k=1)
     kernel = GreenKernel(a)
-    powers = kernel.table.reshape(-1, 3, 3)
+    powers = _table_powers(kernel)
     assert not powers.imag.any()
     assert np.abs(powers[TAYLOR_POWERS >= 4]).max() < 1e-17
     exact = {j: _exact_norm_of_power(powers[-2].real, j) for j in (6, 7)}
@@ -401,7 +412,7 @@ def test_balanced_table_is_scipys_balance(a):
     balanced, _ = scipy.linalg.matrix_balance(a.astype(complex),
                                               permute=False)
     assert not np.array_equal(balanced, a)
-    b = kernel.table[-2].reshape(a.shape)
+    b = _table_powers(kernel)[-2]
     assert b.tobytes() == ldexp(balanced, -kernel.k).tobytes()
 
 
@@ -455,8 +466,9 @@ def _one_sided(n):
 ])
 def test_block_along_and_at_agree_bitwise(a):
     def one_time(t):
-        # the one-time evaluation the blocks replaced, as the reference,
-        # with no product with a projector P = 0 or P = I
+        # the one-time evaluation the blocks replaced, as the reference:
+        # the Taylor sum on the upper triangle, one product with P unless
+        # P = 0 or P = I, then s squarings with no reprojection
         p = kernel.p_minus if t > 0 else kernel.p_plus
         occupied = kernel.split.m if t > 0 else kernel.split.l
         m_r, e_r = math.frexp(TAYLOR_RANGE)
@@ -465,14 +477,11 @@ def test_block_along_and_at_agree_bitwise(a):
         s = max(0, e + kernel.k + et - e_r + (m > m_r))
         c = math.ldexp(t, kernel.k - s)
         coef = c ** TAYLOR_POWERS / TAYLOR_FACTORIALS
-        r = (coef @ kernel.table).reshape(p.shape)
-        if not occupied:  # P = 0
-            r = np.zeros_like(r)
-        elif occupied < len(p):
-            r = r @ p
-            for _ in range(s):
-                r = p @ (r @ r)
-        else:  # P = I
+        r = np.zeros_like(p)
+        if occupied:  # P = 0 leaves G = 0
+            r[np.triu_indices(len(p))] = coef @ kernel.table
+            if occupied < len(p):
+                r = r @ p
             for _ in range(s):
                 r = r @ r
         for factor in kernel.unscale:
@@ -496,6 +505,21 @@ def test_block_along_and_at_agree_bitwise(a):
     assert np.array([kernel.at(t) for t in ts]).tobytes() == expected
 
 
+def _count_products(monkeypatch, kernel, ts):
+    """G over ts and the (x, y) of every np.matmul call ``block`` makes."""
+    products = []
+    matmul = np.matmul
+
+    def count(x, y, *args, **kwargs):
+        products.append((x, y))
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", count)
+    g = kernel.block(ts)
+    monkeypatch.setattr(np, "matmul", matmul)
+    return g, products
+
+
 @pytest.mark.parametrize("a", [
     pytest.param(_one_sided(6), id="left"),
     pytest.param(-_one_sided(7), id="right"),
@@ -508,16 +532,7 @@ def test_one_sided_kernel_makes_no_product_with_its_projector(monkeypatch,
     kernel = GreenKernel(a)
     ts = make_grid(-10.0, 10.0, 40)
     occupied = ts < 0 if kernel.split.m == 0 else ts > 0
-    products = []
-    matmul = np.matmul
-
-    def count(x, y, *args, **kwargs):
-        products.append((x, y))
-        return matmul(x, y, *args, **kwargs)
-
-    monkeypatch.setattr(np, "matmul", count)
-    g = kernel.block(ts)
-    monkeypatch.setattr(np, "matmul", matmul)
+    g, products = _count_products(monkeypatch, kernel, ts)
     projectors = (kernel.p_minus, kernel.p_plus)
     assert not any(x is p or y is p for x, y in products for p in projectors)
     squarings = kernel.squarings(ts[occupied])
@@ -526,6 +541,31 @@ def test_one_sided_kernel_makes_no_product_with_its_projector(monkeypatch,
     for t, gt in zip(ts[occupied], g[occupied]):
         exact = green_parlett(a, t, dps=60)
         assert np.abs(gt - exact).max() <= 1e-13 * np.abs(exact).max(), t
+
+
+@pytest.mark.parametrize("n", [3, 20, 50])
+def test_two_sided_kernel_projects_once_per_time(monkeypatch, n):
+    # R = e^{cB} P is formed once per time and then squared s times with
+    # no reprojection: len(ts) + sum(s) matrix products per grid, where
+    # reprojecting every square made len(ts) + 2 sum(s).  At n = 50 the
+    # grid takes seven blocks of at most six times
+    kernel = GreenKernel(random_triangular(np.random.default_rng(n), n))
+    assert kernel.split.m and kernel.split.l
+    ts = make_grid(-10.0, 10.0, 40)
+    g, products = _count_products(monkeypatch, kernel, ts)
+    gemv = [x for x, _ in products if x.ndim == 1]
+    assert len(gemv) == ts.size
+    matrices = [(x, y) for x, y in products if x.ndim == 3]
+    assert len(matrices) + len(gemv) == len(products)
+    for p, side in ((kernel.p_minus, ts > 0), (kernel.p_plus, ts < 0)):
+        assert sum(len(x) for x, y in matrices if y is p) == side.sum()
+    squares = [(x, y) for x, y in matrices
+               if y is not kernel.p_minus and y is not kernel.p_plus]
+    assert all(x is y for x, y in squares)
+    s = kernel.squarings(ts)
+    assert sum(len(x) for x, _ in squares) == s.sum() > 0
+    assert sum(len(x) for x, _ in matrices) == ts.size + s.sum()
+    assert np.isfinite(g).all() and not np.tril(g, -1).any()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
