@@ -41,7 +41,8 @@ import numpy as np
 from .errors import DomainError, Inapplicable, UndefinedAtZero
 # induced_norm is part of this module's namespace: perfbench/tracing.py
 # rebinds it here as in every module that imports it
-from .matcore import induced_norm, require_strictly_triangular  # noqa: F401
+from .matcore import (c_exponent, induced_norm,  # noqa: F401
+                      require_strictly_triangular)
 
 INF = float("inf")
 LN2 = math.log(2.0)
@@ -104,13 +105,13 @@ def h_eval(t: float, gamma_minus: float, gamma_plus: float) -> float:
 def _ldexp(m, e):
     """m * 2**e as floats: +inf above the float range, 0 below it."""
     with np.errstate(over="ignore"):
-        return np.ldexp(m, e)
+        return np.ldexp(m, c_exponent(e))
 
 
 def _sum(m, e):
     """Sum of m * 2**e over the last axis, as (mantissa, exponent)."""
     top = np.where(m != 0, e, _EXP_ZERO).max(axis=-1)
-    return np.ldexp(m, e - top[..., None]).sum(axis=-1), top
+    return np.ldexp(m, c_exponent(e - top[..., None])).sum(axis=-1), top
 
 
 def _exp(y):
@@ -285,9 +286,7 @@ class EnvelopeTable:
                 acc = sums.setdefault(b, np.zeros((count, layout.size)))
                 acc[:, lo:] += coef @ stacked
         total = np.zeros((count, size * size))
-        # band 0 needs no scaling, and np.ldexp by an int64 exponent costs
-        # about as much as the whole sum
-        total[:, layout] = sum(_ldexp(acc, b * _BAND) if b else acc
+        total[:, layout] = sum(_ldexp(acc, b * _BAND)
                                for b, acc in sums.items())
         return total.reshape(count, size, size)
 

@@ -160,11 +160,21 @@ class Problem:
         """sum_k W[t, k] |N|^k for every grid time, shape (T, n, n)."""
         return self.table.matrix_series(np.abs(self.n_mat))
 
+    def kernel_blocks(self):
+        """Yield (ks, gs, norms) along the grid, a kernel block at a time:
+        ks is the block's slice of the grid, gs its G(t) and norms their
+        p-norms (``GreenKernel.norms``), so each G is evaluated once."""
+        start = 0
+        for gs in self.kernel.blocks(self.t):
+            ks = slice(start, start + len(gs))
+            start = ks.stop
+            yield ks, gs, self.kernel.norms(self.t[ks], gs, self.p)
+
     @cached_property
     def exact_norm(self) -> list:
-        """The norm of G along the grid, one call per kernel block."""
-        return [exact for gs in self.kernel.blocks(self.t)
-                for exact in induced_norm(gs, self.p).tolist()]
+        """The norm of G along the grid."""
+        return [exact for _, _, norms in self.kernel_blocks()
+                for exact in norms.tolist()]
 
     @cached_property
     def bound_triangular(self) -> np.ndarray:
@@ -303,13 +313,9 @@ def cmd_check(args) -> int:
                           f"{scale!r}")
     problem = _grid_problem(args)
     slack = 1.0 + 1e-9
-    start = 0
-    for gs in problem.kernel.blocks(problem.t):
+    for ks, gs, exact in problem.kernel_blocks():
         # the times of this block, checked at once; the first violation in
         # grid order is reported, a norm column before an entry
-        ks = slice(start, start + len(gs))
-        start = ks.stop
-        exact = induced_norm(gs, problem.p)
         bounds = np.array([getattr(problem, col)[ks]
                            for col in BOUND_COLUMNS], float).T * scale
         by_norm = exact[:, None] > bounds * slack  # None reads as NaN

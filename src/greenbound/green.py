@@ -26,8 +26,8 @@ import scipy.linalg
 
 from .errors import (DomainError, FloatOverflow, SpectrumOnAxis,
                      UndefinedAtZero)
-from .matcore import (as_matrix, binary_scale, induced_norm, ldexp,
-                      split_triangular)
+from .matcore import (EXPONENT_CLIP, as_matrix, binary_scale, c_exponent,
+                      induced_norm, ldexp, norm_kind, split_triangular)
 from .schur import schur_decompose
 
 AXIS_RTOL = 1e-12
@@ -212,15 +212,24 @@ class GreenKernel:
     is balanced once to S^-1 T S, S a diagonal of powers of two (LAPACK
     gebal), so one large entry cannot set the squaring count; the
     projectors and the Taylor table are built for the balanced matrix, and
-    G is mapped back as S G S^-1, exactly.  No other state is kept, so
-    every call returns a fresh array.  The table holds B^30 .. B^0, B the
-    balanced matrix over 2^k, 2^k the power of two just above its
-    norm_inf, each power as its upper triangle (n (n + 1) / 2 entries, row
-    by row, at the flat indices ``upper``); alpha >= ALPHA_MIN bounds
+    G is mapped back as S G S^-1, exactly.  Every call returns a fresh
+    array.  The table holds B^30 .. B^0, B the balanced matrix over 2^k,
+    2^k the power of two just above its norm_inf, each power as its upper
+    triangle (n (n + 1) / 2 entries, row by row, at the flat indices
+    ``upper``); alpha >= ALPHA_MIN bounds
     norm(B^k)^(1/k) for every k >= 31 (see ``__init__``), so the Taylor
     tail of e^{cB} is at most 3^31 / 31! e^3 where |c| alpha <=
     TAYLOR_RANGE.  With the spectrum on one side, one projector is 0 and
     the other I, and the kernel makes no product with either.
+
+    ``norms`` takes the norms of a block just evaluated.  Its two-norm runs
+    on G's rank-r core: G(t) = P G(t) P has rank r = m for t > 0 (P = P-)
+    and r = l for t < 0 (P+), and with orthonormal bases C and R of P's
+    column and row space, norm(G) = norm(C^H G R), an r x r SVD in place
+    of an n x n one.  The bases are exact spans, read off P's unit
+    diagonal with no rank decision, and are built by one stacked QR on
+    first use; they are the only state the kernel adds after
+    ``__init__``.
     """
 
     def __init__(self, a, split: SpectralSplit | None = None):
@@ -234,13 +243,15 @@ class GreenKernel:
         # T 2^(e_j - e_i), one exact ldexp per entry
         gebal, = scipy.linalg.lapack.get_lapack_funcs(("gebal",), (tri,))
         scale = gebal(tri, scale=1, permute=0)[3]
-        e = np.frexp(scale)[1]
+        self.scale_exp = e = np.frexp(scale)[1]  # S = diag(2^e)
         shift = e[:, None] - e[None, :]
         balanced = ldexp(tri, -shift)
         # S G S^-1 = G 2^(e_i - e_j) as two exact factors 2^h of one sign:
         # gebal keeps the scales within 2^±970, so each half h fits a float
         half = shift // 2
-        self.unscale = np.ldexp(1.0, half), np.ldexp(1.0, shift - half)
+        self.unscale = (np.ldexp(1.0, c_exponent(half)),
+                        np.ldexp(1.0, c_exponent(shift - half)))
+        self._bases = {}  # ``norms``' (C^H, R) by side, on first use
         if split.m and split.l:
             self.p_minus, self.p_plus = spectral_projectors(balanced)
         else:  # I on the occupied side, 0 on the other
@@ -380,6 +391,77 @@ class GreenKernel:
             r *= factor
         np.negative(r[mid:], out=r[mid:])
         g[order] = r
+
+    def norms(self, ts, g, p) -> np.ndarray:
+        """The p-norm of each G(t) in g, the stack ``block(ts)`` returned.
+
+        p = 1 and inf are ``induced_norm``'s.  For p = 2, G(t) = P G(t) P
+        with P = P- for t > 0 and P+ for t < 0, of rank r, the count of
+        eigenvalues on that side.  r = n is P = I, and G's own SVD is
+        taken; r = 0 is G = 0, with no SVD.  Otherwise, with C and R
+        orthonormal bases of P's column and row space (``_core_bases``),
+        G = C C^H G R R^H, so norm(G) = norm(C^H G R), the largest
+        singular value of an r x r matrix.  A basis that misses its space
+        by an angle d lowers the value by about d^2 / 2 of it, never
+        raises it.  Each G is scaled by a power of two to entries below
+        2 before the products and the norm scaled back, so a finite G
+        whose norm leaves the float range gives +inf, with no warning.
+        """
+        p = norm_kind(p)
+        if p != 2:
+            return induced_norm(g, p)
+        ts, g = np.asarray(ts, dtype=float), np.asarray(g)
+        n, out = g.shape[-1], np.zeros(ts.size)
+        for side, rank, positive in ((ts > 0, self.split.m, True),
+                                     (ts < 0, self.split.l, False)):
+            if not rank or not side.any():
+                continue
+            if rank == n:
+                out[side] = induced_norm(g[side], 2)
+                continue
+            cols_h, rows = self._core_bases()[positive]
+            x = g[side]
+            e = np.frexp(np.maximum(np.abs(x.real), np.abs(x.imag))
+                         .max(axis=(1, 2)))[1]
+            core = cols_h @ ldexp(x, -e[:, None, None]) @ rows
+            with np.errstate(over="ignore"):
+                out[side] = np.ldexp(induced_norm(core, 2), e)
+        return out
+
+    def _core_bases(self) -> dict:
+        """{True: (C-^H, R-), False: (C+^H, R+)} for ``norms``, built on
+        first use: C and R are orthonormal bases of the column and row
+        space of P- (t > 0) or P+ (t < 0), n x m or n x l.
+
+        P- is upper triangular with a unit diagonal on the indices K of
+        the left eigenvalues and zeros on the rest, so P-[K, K] is
+        nonsingular and P-[:, K] spans P-'s column space, with no rank
+        decision; P+ likewise on the complement of K.  M = [P-[:, K] |
+        P+[:, ~K]] is then nonsingular, and the Q factor of M is [C- | R+]:
+        P+ = I - P- has the row space ker(P+)^perp = range(P-)^perp.  With
+        the two blocks swapped it is [C+ | R-], so one stacked QR gives all
+        four.  P is the unbalanced S P_B S^-1, entries P_B[i, j]
+        2^(e_i - e_j); each column of M is scaled by a power of two to a
+        largest entry in [1/2, 1), which keeps its span and lets no entry
+        overflow.  Dense input maps the bases by Q.
+        """
+        if self._bases:
+            return self._bases
+        left = np.diag(self.p_minus).real > 0  # exactly 0 or 1
+        cols = np.where(left, self.p_minus, self.p_plus)
+        big = np.maximum(np.abs(cols.real), np.abs(cols.imag))
+        e = self.scale_exp[:, None]
+        top = np.where(big > 0, np.frexp(big)[1] + e, -EXPONENT_CLIP)
+        cols = ldexp(cols, e - top.max(axis=0))
+        order = np.argsort(~left, kind="stable")  # K first
+        q = np.linalg.qr(np.stack([cols[:, order], cols[:, order[::-1]]]))[0]
+        if self.q is not None:
+            q = self.q @ q
+        m = np.count_nonzero(left)
+        for positive, (c, r) in ((True, (q[0, :, :m], q[1, :, -m:])),
+                                 (False, (q[1, :, :-m], q[0, :, m:]))):
+            self._bases[positive] = c.conj().T, r
+        return self._bases
 
     def blocks(self, ts):
         """Yield G over ts as consecutive stacks of at most KERNEL_BLOCK

@@ -16,6 +16,10 @@ from .errors import ConvergenceFailure, NotStrictlyTriangular, NotTriangular
 
 # Subdiagonal noise below this (relative to the inf-norm) is treated as zero.
 TRIANGULAR_ATOL_FACTOR = 1e-13
+# np.ldexp takes about 16x as long by an int64 exponent as by a C int.  Past
+# 2^+-4096 every finite nonzero mantissa has saturated to inf or 0, so an
+# exponent clipped to this range gives the same result bit for bit.
+EXPONENT_CLIP = 4096
 
 _NORM_ALIASES = {1: 1, "1": 1, 2: 2, "2": 2, np.inf: np.inf, "inf": np.inf}
 
@@ -40,12 +44,26 @@ def as_matrix(a, stacked: bool = False) -> np.ndarray:
     return m
 
 
+def c_exponent(e):
+    """An integer exponent, or an array of them, as np.ldexp takes it
+    fastest: a Python int, or an array of C ints, clipped to
+    +-EXPONENT_CLIP.  np.ldexp(m, c_exponent(e)) is np.ldexp(m, e)."""
+    if not isinstance(e, np.ndarray):
+        return min(max(int(e), -EXPONENT_CLIP), EXPONENT_CLIP)
+    if e.dtype == np.intc:  # np.frexp's exponents, say
+        return e
+    # two ufuncs: np.clip costs twice as much on small arrays
+    e = np.maximum(e, -EXPONENT_CLIP)
+    return np.minimum(e, EXPONENT_CLIP, out=e).astype(np.intc)
+
+
 def ldexp(a, e) -> np.ndarray:
     """A * 2^e entry by entry, e an integer or an integer array that
     broadcasts against A; exact, signed zeros included, unless an entry
     underflows."""
     out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(e)),
                    dtype=complex)
+    e = c_exponent(e)
     out.real, out.imag = np.ldexp(a.real, e), np.ldexp(a.imag, e)
     return out
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
+import greenbound.bounds as bounds
 from greenbound import (
     BoundParams,
     DomainError,
@@ -230,6 +231,33 @@ def test_matrix_series_overflows_only_where_its_own_entry_does():
     got[1, 0, 2] = 0.0
     np.testing.assert_allclose(got[1], [[h, 1e300 * h, 0], [0, h, 1e300 * h],
                                         [0, 0, h]], rtol=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_c_int_exponents_match_the_int64_path(monkeypatch):
+    # the exponents are clipped to +-4096 and passed as C ints; np.ldexp by
+    # the raw int64 exponents must give the same bytes, with exponents past
+    # +-1100 (saturating to inf or 0) and _EXP_ZERO entries for zero terms
+    rng = np.random.default_rng(11)
+    count, n = 6, 9
+    mant = rng.uniform(0.5, 1.0, (count, n))
+    expo = rng.integers(-1300, 1300, (count, n))
+    expo[:, 0] = rng.integers(-5, 5, count)  # some sums stay in range
+    zero = rng.random((count, n)) < 0.2
+    mant[zero], expo[zero] = 0.0, bounds._EXP_ZERO
+    expo[0, 1] = bounds._EXP_ZERO  # a nonzero mantissa at _EXP_ZERO
+    table = bounds.EnvelopeTable(mant, expo)
+    wm, we = rng.uniform(0.5, 1.0, n), rng.integers(-1200, 1200, n)
+    nabs = np.abs(np.triu(rng.normal(size=(n, n)), 1)) * 1e100
+    runs = []
+    for exponent in (bounds.c_exponent, lambda e: e):
+        monkeypatch.setattr(bounds, "c_exponent", exponent)
+        runs.append([table.values(), table.dot(wm, we),
+                     table.matrix_series(nabs)])
+    for fast, raw in zip(*runs):
+        assert fast.tobytes() == raw.tobytes()
+    values = runs[0][0]
+    assert np.isinf(values).any() and (values[~zero] == 0).any()
 
 
 def test_van_loan_bound():

@@ -558,6 +558,8 @@ def test_each_command_computes_only_what_it_prints(tmp_path, capsys,
     with monkeypatch.context() as m:
         for name in ("envelope_table", "qtds18_grid"):
             m.setattr(bounds, name, _forbidden)
+        # an inf-norm takes no bases for the two-norm's rank-r core
+        m.setattr(GreenKernel, "_core_bases", _forbidden)
         code, out, _ = run_cli(capsys, "exact", path, *grid)
         assert code == 0 and len(out.splitlines()) == 7
     with monkeypatch.context() as m:
@@ -574,6 +576,7 @@ def test_each_command_computes_only_what_it_prints(tmp_path, capsys,
     with monkeypatch.context() as m:
         m.setattr(GreenKernel, "block",
                   lambda self, ts: times.extend(ts) or real_block(self, ts))
+        m.setattr(GreenKernel, "_core_bases", _forbidden)
         code, out, _ = run_cli(capsys, "check", path, *grid)
         assert (code, out) == (0, "ok\n")
     assert len(times) == len(set(times)) == 6
@@ -595,6 +598,78 @@ def test_each_command_computes_only_what_it_prints(tmp_path, capsys,
             code, _, _ = run_cli(capsys, command, dense, *args)
             assert code == 0
     assert all(calls and not any(calls) for calls in compute_v.values())
+
+
+def _log_svd_shapes(monkeypatch) -> list:
+    """Record the shape of every array whose SVD is taken: numpy's
+    two-norm and numpy.linalg.svd."""
+    shapes = []
+    norm, svd = np.linalg.norm, np.linalg.svd
+
+    def logged_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            shapes.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    def logged_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", logged_norm)
+    monkeypatch.setattr(np.linalg, "svd", logged_svd)
+    return shapes
+
+
+def test_two_norm_of_g_takes_svds_of_its_rank_r_core(tmp_path, capsys,
+                                                     monkeypatch):
+    # G(t) has rank m for t > 0 and l for t < 0: each time takes one m x m
+    # or l x l SVD, in stacks, and the only n x n ones are norm(N) and
+    # norm(T); with the spectrum on one side G is n x n there and 0 on the
+    # other, with no SVD
+    n, rng = 12, np.random.default_rng(12)
+    two = random_triangular(rng, n)
+    m = int((np.diag(two).real < 0).sum())
+    one = two - 2.0 * np.diag(np.maximum(np.diag(two).real, 0.0))
+    assert 0 < m < n and m != n - m
+    for a, sizes in ((two, {m: 20, n - m: 20}), (one, {n: 20})):
+        path = write_matrix(tmp_path / "m.json", a)
+        with monkeypatch.context() as patch:
+            shapes = _log_svd_shapes(patch)
+            code, _, _ = run_cli(capsys, "compare", path, "--norm", "2",
+                                 "--t-min", "-10", "--t-max", "10")
+        assert code == 0
+        single = [s for s in shapes if len(s) == 2]
+        assert single == [(n, n)] * (2 if a is two else 1)
+        stacked = {}
+        for count, rows, cols in (s for s in shapes if len(s) == 3):
+            assert rows == cols
+            stacked[rows] = stacked.get(rows, 0) + count
+        assert stacked == sizes
+        assert len(single) + sum(len(s) == 3 for s in shapes) == len(shapes)
+
+
+# row 0 of P- is (1, c / 0.02, c / 0.02), so G(t) has two entries near
+# 50 c for small |t|: its norm is 7.07e307 at c = 1e306 and beyond the
+# float range at c = 3e306
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [1e306, 3e306])
+def test_exact_norm_at_the_edge_of_the_float_range(tmp_path, capsys, c):
+    a = np.array([[-0.01, c, c], [0, 0.01, 0], [0, 0, 0.01]])
+    path = write_matrix(tmp_path / "m.json", a)
+    code, out, err = run_cli(capsys, "exact", path, "--t-min", "-0.5",
+                             "--t-max", "0.5", "--steps", "4")
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    ts = np.array([row["t"] for row in rows])
+    with np.errstate(over="ignore"):
+        full = np.linalg.norm(GreenKernel(a).block(ts), 2, axis=(1, 2))
+    exact = np.array([row["exact_norm"] for row in rows])
+    if c < 2e306:
+        assert np.isfinite(full).all() and full.min() > 7e307
+        np.testing.assert_allclose(exact, full, rtol=1e-14)
+    else:
+        assert (full == math.inf).all()
+        assert all(line.endswith(",inf") for line in out.splitlines()[1:])
 
 
 def test_exit_code_library_failure(tmp_path, capsys, monkeypatch):

@@ -848,3 +848,55 @@ def test_kernel_where_the_unbalanced_kernel_overflowed():
         exact = green_parlett(a, t, dps=120)
         err = np.abs(next(kernel.along([t])) - exact).max()
         assert err <= 1e-12 * np.abs(exact).max(), t
+
+
+# the norm taken on G's rank-r core against the full SVD of the same G:
+# within 1e-14, and above it by at most the rounding of two n-term complex
+# products and an SVD, 4 n eps (a basis off by an angle d lowers the value
+# by about d^2 / 2 of it; the largest rise seen is 14.4 eps, on a dense
+# n = 8 input)
+@pytest.mark.parametrize("a", [
+    # norm_inf(P-) reaches 4.3e32 here
+    pytest.param(random_triangular(np.random.default_rng(5), 200),
+                 id="random-200"),
+    pytest.param(scaled_nilpotent(50, 50, 1e4), id="Nx1e4-50"),
+    pytest.param(random_triangular(np.random.default_rng(50), 50, gap=1e-3),
+                 id="near-axis-50"),
+    pytest.param(_one_sided(20), id="one-sided"),
+] + [
+    pytest.param(_hadamard(n, scale, draw),
+                 id=f"dense-n={n}-Nx{scale:g}-{draw}")
+    for n, scale in ((4, 100.0), (16, 10.0), (8, 30.0)) for draw in (0, 1)
+])
+def test_two_norm_on_the_core_is_the_full_svd(a):
+    kernel = GreenKernel(a)
+    ts = make_grid(-10.0, 10.0, 12)
+    g = kernel.block(ts)
+    assert np.isfinite(g).all()
+    full = induced_norm(g, 2)
+    got = kernel.norms(ts, g, 2)
+    assert (np.abs(got - full) <= 1e-14 * full).all()
+    assert (got <= full * (1 + 4 * len(a) * np.finfo(float).eps)).all()
+    if not (kernel.split.m and kernel.split.l):  # n x n SVDs and zeros
+        assert np.array_equal(got, full)
+
+
+# row 0 of P- is (1, c / 0.02, c / 0.02), so G(t) has two entries near
+# 50 c for small |t|: at c = 1e306 its norm is 7.07e307, and at c = 3e306
+# 2.12e308, beyond the float range, with finite entries
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [1e306, 3e306])
+def test_two_norm_of_g_at_the_edge_of_the_float_range(c):
+    a = np.array([[-0.01, c, c], [0, 0.01, 0], [0, 0, 0.01]])
+    kernel = GreenKernel(a)
+    assert (kernel.split.m, kernel.split.l) == (1, 2)
+    ts = np.array([-0.5, -1e-3, 1e-3, 0.5])
+    g = kernel.block(ts)
+    assert np.isfinite(g).all() and np.abs(g).max() > 4e307
+    full = induced_norm(g, 2)
+    got = kernel.norms(ts, g, 2)
+    if c < 2e306:
+        assert np.isfinite(full).all()
+        np.testing.assert_allclose(got, full, rtol=1e-14)
+    else:
+        assert (full == math.inf).all() and (got == math.inf).all()
