@@ -65,7 +65,6 @@ class BoundParams:
     norm_n: float
     gamma_minus: float
     gamma_plus: float
-    norm_p: object = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -428,13 +427,20 @@ def qtds18_grid(params: QtdsParams, ts) -> np.ndarray:
     two_a = 2.0 * params.norm_a
     if two_a == INF:  # gamma <= 2 rho(A) <= 2 ||A|| may overflow too
         return np.full(ts.shape, INF)
-    gamma = params.gamma
+    # one one-sided table, u^k / k! e^{-gap u} at each time's own gap: the
+    # side of t > 0 reads its first m columns, that of t < 0 its first l
+    u = np.abs(ts)
+    fm, fe = _series(u, max(m, l))
+    with np.errstate(over="ignore"):  # gap * u beyond the range is inf
+        hm, he = _exp(-np.where(ts > 0, params.gamma_minus,
+                                params.gamma_plus) * u)
+    mant, expo = fm * hm[:, None], fe + he[:, None]
     out = np.empty(ts.shape)
-    for side, outer, inner, gap in ((ts > 0, m, l, params.gamma_minus),
-                                    (ts < 0, l, m, params.gamma_plus)):
+    for side, outer, inner in ((ts > 0, m, l), (ts < 0, l, m)):
         if side.any():
-            table = envelope_table(outer, gap, INF, np.abs(ts[side]))
-            out[side] = table.dot(*_qtds_weights(outer, inner, two_a, gamma))
+            table = EnvelopeTable(mant[side, :outer], expo[side, :outer])
+            out[side] = table.dot(*_qtds_weights(outer, inner, two_a,
+                                                 params.gamma))
     return out
 
 

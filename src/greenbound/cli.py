@@ -313,18 +313,22 @@ def cmd_check(args) -> int:
                           f"{scale!r}")
     problem = _grid_problem(args)
     slack = 1.0 + 1e-9
+    # every bound, the entrywise stack included, is built before the
+    # kernel, so that stack and a kernel block are never built at once
+    columns = np.array([getattr(problem, col) for col in BOUND_COLUMNS],
+                       float)  # None reads as NaN
+    entrywise = problem.entrywise if problem.was_triangular else None
     for ks, gs, exact in problem.kernel_blocks():
         # the times of this block, checked at once; the first violation in
         # grid order is reported, a norm column before an entry
-        bounds = np.array([getattr(problem, col)[ks]
-                           for col in BOUND_COLUMNS], float).T * scale
-        by_norm = exact[:, None] > bounds * slack  # None reads as NaN
+        bounds = columns[:, ks].T * scale
+        by_norm = exact[:, None] > bounds * slack
         by_entry = np.zeros_like(by_norm[:, 0])
-        if problem.was_triangular:
+        if entrywise is not None:
             # the entrywise inequality holds entry by entry; checking it
             # directly makes corrupted bounds detectable on every matrix
             abs_g = np.abs(gs)
-            ew = problem.entrywise[ks]
+            ew = entrywise[ks]
             bad = abs_g > ew * scale * slack
             by_entry = bad.any(axis=(1, 2))
         hits = np.flatnonzero(by_norm.any(axis=1) | by_entry)
@@ -342,8 +346,7 @@ def cmd_check(args) -> int:
                          f"exact={float(abs_g[i, r, c])!r} "
                          f"bound_entrywise={float(ew[i, r, c] * scale)!r}\n")
         return 4
-    bounds = np.array([getattr(problem, col) for col in BOUND_COLUMNS], float)
-    unchecked = np.count_nonzero(~np.isfinite(bounds).any(axis=0))
+    unchecked = np.count_nonzero(~np.isfinite(columns).any(axis=0))
     if unchecked:
         print(f"note: every norm bound is inf or nan at {unchecked} of "
               f"{len(problem.t)} times", file=sys.stderr)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (DomainError, FloatOverflow, SpectrumOnAxis,
-                     UndefinedAtZero)
+from .errors import (ConvergenceFailure, DomainError, FloatOverflow,
+                     SpectrumOnAxis, UndefinedAtZero)
 from .matcore import (EXPONENT_CLIP, as_matrix, binary_scale, c_exponent,
                       induced_norm, ldexp, norm_kind, split_triangular)
 from .schur import schur_decompose
@@ -113,10 +113,13 @@ def _triangular_sign(t) -> np.ndarray:
     from U^2 = I, (u_ii + u_jj) u_ij = -(U U)_ij, a division by +-2, and a
     pair on opposite sides from T U = U T, (t_ii - t_jj) u_ij =
     (U T - T U)_ij, a division by at least gamma- + gamma+.  The sums run
-    over i <= k <= j, u_ij still 0, on band copies: row i of x_right is
-    x[i, i:] and row j of x_up x[j::-1, j].  T is scaled by a power of two
-    to norm_inf in [2^511, 2^512): no entry flushes unless T spans 2^1533,
-    and norm(U) norm(T) passes the float range only where norm(U)^2 does.
+    over i <= k <= j, u_ij still 0, on band copies of U and T stacked:
+    rows[:, i] holds x[i, i:] and cols[:, j] x[j::-1, j], so one einsum
+    takes a superdiagonal's U U and T U sums and one more its U T, and U
+    is assembled from its band after the last.  T is scaled by a power of
+    two to norm_inf in [2^511, 2^512): no entry flushes unless T spans
+    2^1533, and norm(U) norm(T) passes the float range only where
+    norm(U)^2 does.
     Each quotient is Python's complex division, which divides by
     t_ii - t_jj; numpy forms the reciprocal, which overflows where that is
     subnormal.  A difference the scaling flushes to 0 raises FloatOverflow."""
@@ -127,24 +130,26 @@ def _triangular_sign(t) -> np.ndarray:
     t = ldexp(t, SIGN_EXPONENT - binary_scale(t)[0])
     n, d, idx = t.shape[0], np.diag(t), np.arange(t.shape[0])
     right, up = idx[:, None] + idx, idx[:, None] - idx
-    t_right = np.where(right < n, t[idx[:, None], right % n], 0)
-    t_up = np.where(up >= 0, t[up % n, idx[:, None]], 0)
-    u, (u_right, u_up) = np.diag(sign + 0j), np.zeros((2, n, n), complex)
-    u_right[:, 0] = u_up[:, 0] = sign
-    same, flat = sign[:, None] == sign, u.ravel()
+    rows, cols = np.zeros((2, 2, n, n), complex)  # [U; T] band copies
+    rows[1] = np.where(right < n, t[idx[:, None], right % n], 0)
+    cols[1] = np.where(up >= 0, t[up % n, idx[:, None]], 0)
+    rows[0, :, 0] = cols[0, :, 0] = sign
+    same = sign[:, None] == sign
     den = np.where(same, 2 * sign[:, None], d[:, None] - d)
     if not den.all():
         raise FloatOverflow("matrix sign: a gap t_ii - t_jj underflows")
     with np.errstate(all="ignore"):  # checked once below
         for p in range(1, n):
-            ui, uj = u_right[:n - p, :p + 1], u_up[p:, p::-1]
-            square = np.einsum("ik,ik->i", ui, uj)
-            comm = (np.einsum("ik,ik->i", ui, t_up[p:, p::-1])
-                    - np.einsum("ik,ik->i", t_right[:n - p, :p + 1], uj))
-            num = np.where(np.diagonal(same, p), -square, comm)
-            flat[p:(n - p) * n:n + 1] = u_right[:n - p, p] = u_up[p:, p] = [
+            r, c = rows[:, :n - p, :p + 1], cols[:, p:, p::-1]
+            square, tu = np.einsum("aik,ik->ai", r, c[0])
+            ut = np.einsum("ik,ik->i", r[0], c[1])
+            num = np.where(np.diagonal(same, p), -square, ut - tu)
+            rows[0, :n - p, p] = cols[0, p:, p] = [
                 x / y for x, y in zip(num.tolist(),
                                       np.diagonal(den, p).tolist())]
+    i, k = np.nonzero(right < n)
+    u = np.zeros((n, n), complex)
+    u[i, i + k] = rows[0, i, k]
     if not np.isfinite(u).all():
         raise FloatOverflow("matrix sign overflows")
     return u
@@ -216,7 +221,7 @@ class GreenKernel:
     array.  The table holds B^30 .. B^0, B the balanced matrix over 2^k,
     2^k the power of two just above its norm_inf, each power as its upper
     triangle (n (n + 1) / 2 entries, row by row, at the flat indices
-    ``upper``); alpha >= ALPHA_MIN bounds
+    ``upper``), filled one power at a time; alpha >= ALPHA_MIN bounds
     norm(B^k)^(1/k) for every k >= 31 (see ``__init__``), so the Taylor
     tail of e^{cB} is at most 3^31 / 31! e^3 where |c| alpha <=
     TAYLOR_RANGE.  With the spectrum on one side, one projector is 0 and
@@ -224,12 +229,12 @@ class GreenKernel:
 
     ``norms`` takes the norms of a block just evaluated.  Its two-norm runs
     on G's rank-r core: G(t) = P G(t) P has rank r = m for t > 0 (P = P-)
-    and r = l for t < 0 (P+), and with orthonormal bases C and R of P's
-    column and row space, norm(G) = norm(C^H G R), an r x r SVD in place
-    of an n x n one.  The bases are exact spans, read off P's unit
-    diagonal with no rank decision, and are built by one stacked QR on
-    first use; they are the only state the kernel adds after
-    ``__init__``.
+    and r = l for t < 0 (P+), and with C an orthonormal basis of P's
+    column space, norm(G)^2 is the largest eigenvalue of the r x r Gram
+    matrix of C^H G, a Hermitian eigensolve in place of an n x n SVD.
+    The bases are exact spans, read off P's unit diagonal with no rank
+    decision, and are built by one QR a side on first use; they are the
+    only state the kernel adds after ``__init__``.
     """
 
     def __init__(self, a, split: SpectralSplit | None = None):
@@ -247,11 +252,13 @@ class GreenKernel:
         shift = e[:, None] - e[None, :]
         balanced = ldexp(tri, -shift)
         # S G S^-1 = G 2^(e_i - e_j) as two exact factors 2^h of one sign:
-        # gebal keeps the scales within 2^±970, so each half h fits a float
+        # gebal keeps the scales within 2^±970, so each half h fits a
+        # float; with S = I (gebal's exponents all equal) there are none
         half = shift // 2
-        self.unscale = (np.ldexp(1.0, c_exponent(half)),
-                        np.ldexp(1.0, c_exponent(shift - half)))
-        self._bases = {}  # ``norms``' (C^H, R) by side, on first use
+        self.unscale = () if not shift.any() else (
+            np.ldexp(1.0, c_exponent(half)),
+            np.ldexp(1.0, c_exponent(shift - half)))
+        self._bases = {}  # ``norms``' C^H by side, on first use
         if split.m and split.l:
             self.p_minus, self.p_plus = spectral_projectors(balanced)
         else:  # I on the occupied side, 0 on the other
@@ -259,12 +266,25 @@ class GreenKernel:
             self.p_minus = eye if split.m else 0 * eye
             self.p_plus = 0 * eye if split.m else eye
         self.k, b = binary_scale(balanced)
-        # the powers B^TAYLOR_POWERS[i], full while alpha is read off them
+        # row i of the table is the upper triangle of B^TAYLOR_POWERS[i],
+        # row by row: the powers of the triangular B are 0 below it.  It is
+        # stored by columns, an entry's 31 coefficients adjacent: the GEMV
+        # of each Taylor sum reads it so, and its rounding follows the
+        # layout.  The powers pass through two n x n buffers, B^4 .. B^7
+        # leaving their norm_inf on the way
         n = b.shape[0]
-        powers = np.empty((TAYLOR_DEGREE + 1, n, n), dtype=complex)
-        powers[-1] = np.eye(n)
-        for i in range(TAYLOR_DEGREE, 0, -1):
-            np.matmul(powers[i], b, out=powers[i - 1])
+        self.upper = np.flatnonzero(np.tri(n, dtype=bool).T)
+        self.table = np.empty((self.upper.size, TAYLOR_DEGREE + 1),
+                              complex).T
+        power, spare = np.eye(n, dtype=complex), np.empty((n, n), complex)
+        norms = np.empty(4)  # norm_inf of B^7, B^6, B^5, B^4
+        for j in range(TAYLOR_DEGREE + 1):  # power = B^j
+            self.table[TAYLOR_DEGREE - j] = power.ravel()[self.upper]
+            if 4 <= j <= 7:  # induced_norm's sum, without its checks
+                norms[7 - j] = np.abs(power).sum(axis=1).max()
+            if j < TAYLOR_DEGREE:
+                np.matmul(power, b, out=spare)
+                power, spare = spare, power
         # alpha = min(norm_inf(B), alpha_4, alpha_6), alpha_p the larger of
         # (norm_inf(B^j) + rho_j)^(1/j) over j = p, p + 1: p (p - 1) <= 31, so
         # every k >= 31 is a sum of p's and (p + 1)'s and norm(B^k) <=
@@ -280,16 +300,10 @@ class GreenKernel:
             w = abs_b @ w
             sums.append(w.max())
         j = np.arange(7, 3, -1)  # B^7, B^6, B^5, B^4
-        norms = induced_norm(powers[TAYLOR_DEGREE - 7:TAYLOR_DEGREE - 3],
-                             np.inf)
         rho = 4 * j * n * 2.0 ** -53 * np.take(sums, j - 1)
         roots = (norms + rho) ** (1 / j)
         self.alpha = max(ALPHA_MIN, min(induced_norm(b, np.inf),
                                         roots[2:].max(), roots[:2].max()))
-        # row i of the table is the upper triangle of B^TAYLOR_POWERS[i],
-        # row by row: the powers of the triangular B are 0 below it
-        self.upper = np.flatnonzero(np.tri(n, dtype=bool).T)
-        self.table = powers.reshape(TAYLOR_DEGREE + 1, -1)[:, self.upper]
 
     def at(self, t: float) -> np.ndarray:
         """G(t); inf/NaN where it leaves the float range (``along`` checks)."""
@@ -398,19 +412,21 @@ class GreenKernel:
         p = 1 and inf are ``induced_norm``'s.  For p = 2, G(t) = P G(t) P
         with P = P- for t > 0 and P+ for t < 0, of rank r, the count of
         eigenvalues on that side.  r = n is P = I, and G's own SVD is
-        taken; r = 0 is G = 0, with no SVD.  Otherwise, with C and R
-        orthonormal bases of P's column and row space (``_core_bases``),
-        G = C C^H G R R^H, so norm(G) = norm(C^H G R), the largest
-        singular value of an r x r matrix.  A basis that misses its space
-        by an angle d lowers the value by about d^2 / 2 of it, never
-        raises it.  Each G is scaled by a power of two to entries below
-        2 before the products and the norm scaled back, so a finite G
-        whose norm leaves the float range gives +inf, with no warning.
+        taken; r = 0 is G = 0, with no SVD.  Otherwise, with C an
+        orthonormal basis of P's column space (``_core_bases``), G =
+        C C^H G, so norm(G)^2 = norm(Y)^2, Y = C^H G, is the largest
+        eigenvalue of the r x r Gram matrix Y Y^H, one Hermitian
+        eigensolve (LAPACK heevd).  A basis that misses its space by an
+        angle d lowers the value by about d^2 / 2 of it, never raises it.
+        Each G is scaled by a power of two to entries below 2 before the
+        products and the norm scaled back, so a finite G whose norm
+        leaves the float range gives +inf, with no warning.  An
+        eigensolve that does not converge raises ConvergenceFailure.
         """
         p = norm_kind(p)
         if p != 2:
             return induced_norm(g, p)
-        ts, g = np.asarray(ts, dtype=float), np.asarray(g)
+        ts, g = np.asarray(ts, dtype=float), np.asarray(g, dtype=complex)
         n, out = g.shape[-1], np.zeros(ts.size)
         for side, rank, positive in ((ts > 0, self.split.m, True),
                                      (ts < 0, self.split.l, False)):
@@ -419,31 +435,32 @@ class GreenKernel:
             if rank == n:
                 out[side] = induced_norm(g[side], 2)
                 continue
-            cols_h, rows = self._core_bases()[positive]
-            x = g[side]
-            e = np.frexp(np.maximum(np.abs(x.real), np.abs(x.imag))
-                         .max(axis=(1, 2)))[1]
-            core = cols_h @ ldexp(x, -e[:, None, None]) @ rows
+            parts = g[side].view(float)  # a copy, each re, im side by side
+            e = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
+            y = (self._core_bases()[positive]
+                 @ np.ldexp(parts, -e[:, None, None]).view(complex))
+            try:
+                top = np.linalg.eigvalsh(y @ y.conj().transpose(0, 2, 1))
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceFailure(
+                    f"two-norm eigensolve failed: {exc}") from exc
             with np.errstate(over="ignore"):
-                out[side] = np.ldexp(induced_norm(core, 2), e)
+                out[side] = np.ldexp(np.sqrt(top[:, -1]), e)
         return out
 
     def _core_bases(self) -> dict:
-        """{True: (C-^H, R-), False: (C+^H, R+)} for ``norms``, built on
-        first use: C and R are orthonormal bases of the column and row
-        space of P- (t > 0) or P+ (t < 0), n x m or n x l.
+        """{True: C-^H, False: C+^H} for ``norms``, built on first use: C
+        is an orthonormal basis of the column space of P- (t > 0) or P+
+        (t < 0), n x m or n x l.
 
         P- is upper triangular with a unit diagonal on the indices K of
         the left eigenvalues and zeros on the rest, so P-[K, K] is
         nonsingular and P-[:, K] spans P-'s column space, with no rank
-        decision; P+ likewise on the complement of K.  M = [P-[:, K] |
-        P+[:, ~K]] is then nonsingular, and the Q factor of M is [C- | R+]:
-        P+ = I - P- has the row space ker(P+)^perp = range(P-)^perp.  With
-        the two blocks swapped it is [C+ | R-], so one stacked QR gives all
-        four.  P is the unbalanced S P_B S^-1, entries P_B[i, j]
-        2^(e_i - e_j); each column of M is scaled by a power of two to a
-        largest entry in [1/2, 1), which keeps its span and lets no entry
-        overflow.  Dense input maps the bases by Q.
+        decision; P+ likewise on the complement of K.  Each C is the Q
+        factor of those columns.  P is the unbalanced S P_B S^-1, entries
+        P_B[i, j] 2^(e_i - e_j); each column is scaled by a power of two
+        to a largest entry in [1/2, 1), which keeps its span and lets no
+        entry overflow.  Dense input maps the bases by Q.
         """
         if self._bases:
             return self._bases
@@ -453,14 +470,11 @@ class GreenKernel:
         e = self.scale_exp[:, None]
         top = np.where(big > 0, np.frexp(big)[1] + e, -EXPONENT_CLIP)
         cols = ldexp(cols, e - top.max(axis=0))
-        order = np.argsort(~left, kind="stable")  # K first
-        q = np.linalg.qr(np.stack([cols[:, order], cols[:, order[::-1]]]))[0]
-        if self.q is not None:
-            q = self.q @ q
-        m = np.count_nonzero(left)
-        for positive, (c, r) in ((True, (q[0, :, :m], q[1, :, -m:])),
-                                 (False, (q[1, :, :-m], q[0, :, m:]))):
-            self._bases[positive] = c.conj().T, r
+        for positive, kept in ((True, left), (False, ~left)):
+            c = np.linalg.qr(cols[:, kept])[0]
+            if self.q is not None:
+                c = self.q @ c
+            self._bases[positive] = c.conj().T
         return self._bases
 
     def blocks(self, ts):

@@ -84,7 +84,7 @@ def test_criterion_01_norm_domination(ensemble_rows):
         for p in NORMS:
             params = BoundParams(
                 n, induced_norm(row["n_mat"], p),
-                split.gamma_minus, split.gamma_plus, p,
+                split.gamma_minus, split.gamma_plus,
             )
             for t, g in row["greens"].items():
                 exact = induced_norm(g, p)

@@ -600,52 +600,68 @@ def test_each_command_computes_only_what_it_prints(tmp_path, capsys,
     assert all(calls and not any(calls) for calls in compute_v.values())
 
 
-def _log_svd_shapes(monkeypatch) -> list:
-    """Record the shape of every array whose SVD is taken: numpy's
-    two-norm and numpy.linalg.svd."""
-    shapes = []
-    norm, svd = np.linalg.norm, np.linalg.svd
+def _log_solver_shapes(monkeypatch) -> dict:
+    """Record the shape of every array whose SVD is taken, numpy's two-norm
+    and numpy.linalg.svd, under "svd", and of every Hermitian eigensolve,
+    numpy.linalg.eigvalsh, under "eigvalsh"."""
+    shapes = {"svd": [], "eigvalsh": []}
+    norm, svd, eigvalsh = np.linalg.norm, np.linalg.svd, np.linalg.eigvalsh
 
     def logged_norm(x, ord=None, *args, **kwargs):
         if ord == 2:
-            shapes.append(np.shape(x))
+            shapes["svd"].append(np.shape(x))
         return norm(x, ord, *args, **kwargs)
 
     def logged_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+        shapes["svd"].append(np.shape(a))
         return svd(a, *args, **kwargs)
+
+    def logged_eigvalsh(a, *args, **kwargs):
+        shapes["eigvalsh"].append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", logged_norm)
     monkeypatch.setattr(np.linalg, "svd", logged_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", logged_eigvalsh)
     return shapes
 
 
-def test_two_norm_of_g_takes_svds_of_its_rank_r_core(tmp_path, capsys,
-                                                     monkeypatch):
+def _stacked_counts(shapes) -> dict:
+    """{r: count} over stacks of r x r matrices."""
+    counts = {}
+    for count, rows, cols in shapes:
+        assert rows == cols
+        counts[rows] = counts.get(rows, 0) + count
+    return counts
+
+
+def test_two_norm_of_g_takes_eigensolves_of_its_rank_r_gram(tmp_path,
+                                                            capsys,
+                                                            monkeypatch):
     # G(t) has rank m for t > 0 and l for t < 0: each time takes one m x m
-    # or l x l SVD, in stacks, and the only n x n ones are norm(N) and
-    # norm(T); with the spectrum on one side G is n x n there and 0 on the
-    # other, with no SVD
+    # or l x l Hermitian eigensolve, in stacks, and the only SVDs are the
+    # n x n ones of norm(N) and norm(T); with the spectrum on one side G is
+    # n x n there, with its own SVD, and 0 on the other, with neither
     n, rng = 12, np.random.default_rng(12)
     two = random_triangular(rng, n)
     m = int((np.diag(two).real < 0).sum())
     one = two - 2.0 * np.diag(np.maximum(np.diag(two).real, 0.0))
     assert 0 < m < n and m != n - m
-    for a, sizes in ((two, {m: 20, n - m: 20}), (one, {n: 20})):
+    for a, svds, eigensolves in ((two, {}, {m: 20, n - m: 20}),
+                                 (one, {n: 20}, {})):
         path = write_matrix(tmp_path / "m.json", a)
         with monkeypatch.context() as patch:
-            shapes = _log_svd_shapes(patch)
+            shapes = _log_solver_shapes(patch)
             code, _, _ = run_cli(capsys, "compare", path, "--norm", "2",
                                  "--t-min", "-10", "--t-max", "10")
         assert code == 0
-        single = [s for s in shapes if len(s) == 2]
+        single = [s for s in shapes["svd"] if len(s) == 2]
         assert single == [(n, n)] * (2 if a is two else 1)
-        stacked = {}
-        for count, rows, cols in (s for s in shapes if len(s) == 3):
-            assert rows == cols
-            stacked[rows] = stacked.get(rows, 0) + count
-        assert stacked == sizes
-        assert len(single) + sum(len(s) == 3 for s in shapes) == len(shapes)
+        stacked = [s for s in shapes["svd"] if len(s) == 3]
+        assert len(single) + len(stacked) == len(shapes["svd"])
+        assert _stacked_counts(stacked) == svds
+        assert all(len(s) == 3 for s in shapes["eigvalsh"])
+        assert _stacked_counts(shapes["eigvalsh"]) == eigensolves
 
 
 # row 0 of P- is (1, c / 0.02, c / 0.02), so G(t) has two entries near

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -347,6 +348,20 @@ def test_squarings_fall_below_the_norm_rule(monkeypatch, n, kind):
     assert after.sum() < before.sum()
     assert (after <= degree_18).all()
     assert after.sum() < degree_18.sum()
+
+
+def test_kernel_set_up_holds_one_power_at_a_time():
+    # the table is filled a power at a time, through two n x n buffers; a
+    # (31, n, n) stack of the powers alone would pass this bound
+    n = 120
+    a = random_triangular(np.random.default_rng(5), n)
+    tracemalloc.start()
+    try:
+        kernel = GreenKernel(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= kernel.table.nbytes + 12 * n * n * 16
 
 
 def _exact_norm_of_power(b, j):
