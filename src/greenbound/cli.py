@@ -22,9 +22,11 @@ import numpy as np
 
 from . import bounds as bnd
 from .errors import GreenboundError, NotTriangular, SpectrumOnAxis
-from .green import GreenKernel, SpectralSplit, spectral_gaps_from_eigenvalues
+from .green import (GreenKernel, SpectralSplit, _triangular_form,
+                    spectral_gaps_from_eigenvalues)
 from .matcore import induced_norm, norm_kind, split_triangular
-from .schur import schur_decompose
+# kept for perfbench/tracing.py, which rebinds it here as in schur
+from .schur import schur_decompose  # noqa: F401
 
 BOUND_COLUMNS = (
     "bound_triangular", "bound_entrywise_norm", "bound_vanloan",
@@ -114,9 +116,10 @@ class Problem:
         try:
             d, self.n_mat = split_triangular(a)
             self.was_triangular = True
-        except NotTriangular:
-            form = schur_decompose(a, vectors=False)  # the CLI reads only T
-            d, self.n_mat = split_triangular(form.t)
+        except NotTriangular:  # the CLI reads only T, exactly triangular
+            tri = _triangular_form(a, vectors=False)[1]
+            d = np.diag(np.diag(tri))
+            self.n_mat = tri - d
             self.was_triangular = False
             if norm_kind(p) != 2:
                 print("note: input is not triangular; Schur form applied and "
@@ -213,7 +216,7 @@ class Problem:
 
     @cached_property
     def ratio_triangular(self) -> list:
-        with np.errstate(over="ignore"):  # a ratio beyond the range is inf
+        with np.errstate(over="ignore", invalid="ignore"):  # inf / inf is nan
             return [tri / exact if exact > 0 else None
                     for tri, exact in zip(self.bound_triangular,
                                           self.exact_norm)]
@@ -321,16 +324,17 @@ def cmd_check(args) -> int:
     for ks, gs, exact in problem.kernel_blocks():
         # the times of this block, checked at once; the first violation in
         # grid order is reported, a norm column before an entry
-        bounds = columns[:, ks].T * scale
-        by_norm = exact[:, None] > bounds * slack
-        by_entry = np.zeros_like(by_norm[:, 0])
-        if entrywise is not None:
-            # the entrywise inequality holds entry by entry; checking it
-            # directly makes corrupted bounds detectable on every matrix
-            abs_g = np.abs(gs)
-            ew = entrywise[ks]
-            bad = abs_g > ew * scale * slack
-            by_entry = bad.any(axis=(1, 2))
+        with np.errstate(over="ignore"):  # an overflowing bound is inf
+            bounds = columns[:, ks].T * scale
+            by_norm = exact[:, None] > bounds * slack
+            by_entry = np.zeros_like(by_norm[:, 0])
+            if entrywise is not None:
+                # the entrywise inequality holds entry by entry; checking it
+                # directly makes corrupted bounds detectable on every matrix
+                abs_g = np.abs(gs)
+                ew = entrywise[ks]
+                bad = abs_g > ew * scale * slack
+                by_entry = bad.any(axis=(1, 2))
         hits = np.flatnonzero(by_norm.any(axis=1) | by_entry)
         if not hits.size:
             continue

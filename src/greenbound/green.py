@@ -28,7 +28,7 @@ from .errors import (ConvergenceFailure, DomainError, FloatOverflow,
                      SpectrumOnAxis, UndefinedAtZero)
 from .matcore import (EXPONENT_CLIP, as_matrix, binary_scale, c_exponent,
                       induced_norm, ldexp, norm_kind, split_triangular)
-from .schur import schur_decompose
+from . import schur
 
 AXIS_RTOL = 1e-12
 GAUSS_NODES = 16
@@ -155,16 +155,17 @@ def _triangular_sign(t) -> np.ndarray:
     return u
 
 
-def _triangular_form(a) -> tuple[np.ndarray | None, np.ndarray]:
+def _triangular_form(a, vectors=True) -> tuple[np.ndarray | None, np.ndarray]:
     """(Q, T) with A = Q T Q^H and T upper triangular, from one
-    ``schur_decompose``; (None, A) where A is upper triangular already.
+    ``schur_decompose``, the package's one reduction of a dense A; (None, A)
+    where A is upper triangular already, and Q is None for vectors=False.
     Raises SpectrumOnAxis where |Re t_ii| is within the QR iteration's
     backward error, AXIS_RTOL times norm_inf of the block gees iterates on;
     the eigenvalues its permutation (gebal, job P) isolates are exact."""
     a = as_matrix(a)
     if not np.tril(a, -1).any():
         return None, a
-    form = schur_decompose(a)
+    form = schur.schur_decompose(a, vectors)
     gebal, = scipy.linalg.lapack.get_lapack_funcs(("gebal",), (a,))
     permuted, lo, hi = gebal(a, permute=1, scale=0)[:3]
     if hi > lo:  # a 1 x 1 block is not iterated on either
@@ -211,13 +212,12 @@ class GreenKernel:
 
     Dense input is reduced once to Schur form and G is mapped back: a
     non-triangular A becomes A = Q T Q^H (``_triangular_form``; q is None
-    for triangular A, which is T), the split is read off diag(T),
-    ``_schur_block`` evaluates G(T) and ``block`` returns Q G(T) Q^H.
-    ``bounded_solution`` reads q and sums on G(T), so Q has one owner.  T
-    is balanced once to S^-1 T S, S a diagonal of powers of two (LAPACK
-    gebal), so one large entry cannot set the squaring count; the
-    projectors and the Taylor table are built for the balanced matrix, and
-    G is mapped back as S G S^-1, exactly.  Every call returns a fresh
+    for triangular A, which is T), the split is read off diag(T), and
+    ``block`` evaluates G(T) and returns Q G(T) Q^H.  T is balanced once to
+    S^-1 T S, S a diagonal of powers of two (LAPACK gebal), so one large
+    entry cannot set the squaring count; the projectors and the Taylor
+    table are built for the balanced matrix, and G is mapped back as
+    S G S^-1, exactly.  Every call returns a fresh
     array.  The table holds B^30 .. B^0, B the balanced matrix over 2^k,
     2^k the power of two just above its norm_inf, each power as its upper
     triangle (n (n + 1) / 2 entries, row by row, at the flat indices
@@ -311,12 +311,7 @@ class GreenKernel:
 
     def block(self, ts) -> np.ndarray:
         """G(t) for each t in ts, stacked (len(ts), n, n): Q G(T) Q^H for
-        dense input; inf/NaN where G leaves the float range (``blocks``)."""
-        g = self._schur_block(ts)
-        return g if self.q is None else self.q @ g @ self.q.conj().T
-
-    def _schur_block(self, ts) -> np.ndarray:
-        """G(T, t) for each t in ts, stacked as ``block`` returns it.
+        dense input; inf/NaN where G leaves the float range (``blocks``).
 
         Plain e^{At} P cancels catastrophically once the discarded half of
         the spectrum makes e^{At} large, so project once, R = e^{At/2^s} P,
@@ -347,7 +342,7 @@ class GreenKernel:
         g = np.empty((ts.size, n, n), dtype=complex)
         for part in self._parts(ts.size):
             self._fill(ts[part], g[part])
-        return g
+        return g if self.q is None else self.q @ g @ self.q.conj().T
 
     def _parts(self, count: int) -> list:
         """Slices of range(count), KERNEL_BLOCK // n^2 (at least 1) long."""
@@ -541,17 +536,17 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
     the carry, one matrix-vector product, is the only per-panel step.  G
     is never asked for at 0.
 
-    For a non-triangular A = Q T Q^H the sums run on the kernel's G(T),
-    with f(s) taken in as Q^H f(s) and x returned as Q x_T: there the
-    eigenvalues M discards are exactly 0, where Q M Q^H, rounded, diverges
-    on a non-normal A.
+    A non-triangular A is reduced once, A = Q T Q^H (``_triangular_form``),
+    and the sums run on the kernel of T, with f(s) taken in as Q^H f(s)
+    and x returned as Q x_T: there the eigenvalues M discards are exactly
+    0, where Q M Q^H, rounded, diverges on a non-normal A.
     Raises ValueError when f does not return shape (n,) and DomainError,
     before any kernel or f call, when t is not finite.
     """
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
-    kernel = GreenKernel(a)
-    q, n = kernel.q, kernel.a.shape[0]
+    q, tri = _triangular_form(a)
+    kernel, n = GreenKernel(tri), tri.shape[0]
     radius, panels = default_quad(kernel.split)
     h = radius / panels
     delta = 0.5 * h * (1.0 + GAUSS_X)
@@ -563,7 +558,7 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
         for sign, occupied in ((1.0, kernel.split.m), (-1.0, kernel.split.l)):
             if not occupied:
                 continue
-            g = kernel._schur_block(sign * np.append(delta, h))
+            g = kernel.block(sign * np.append(delta, h))
             inner = g[:-1] * weights[:, None, None]
             if q is not None:  # f(s) enters as Q^H f(s)
                 inner = inner @ q.conj().T

@@ -11,7 +11,7 @@ import pytest
 import greenbound.bounds as bounds
 import greenbound.green
 import greenbound.schur
-from greenbound import ConvergenceFailure, GreenKernel, schur_decompose
+from greenbound import GreenKernel, schur_decompose
 from greenbound.cli import BOUND_COLUMNS, CliError, main, make_grid
 
 from conftest import (random_dense, random_triangular, random_unitary,
@@ -302,6 +302,17 @@ def test_check_entrywise_margin_is_relative(tmp_path, capsys):
     assert out.startswith("violation: t=25.0 entry=(0,0) ")
 
 
+def test_check_with_a_bound_scale_beyond_the_float_range_is_quiet(
+        tmp_path, capsys):
+    # the scaled bounds overflow to inf, which bounds every norm and entry,
+    # with no numpy overflow warning on stderr
+    path = write_matrix(tmp_path / "m.json",
+                        random_triangular(np.random.default_rng(8), 8))
+    code, out, err = run_cli(capsys, "check", path, "--norm", "1",
+                             "--bound-scale", "1e300")
+    assert (code, out, err) == (0, "ok\n", "")
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
 def test_check_rejects_a_bound_scale_that_checks_nothing(tmp_path, capsys,
                                                          scale):
@@ -395,6 +406,40 @@ def test_exit_code_spectrum_on_axis(tmp_path, capsys, command):
     path = write_matrix(tmp_path / "m.json", np.diag([1j, -1.0]))
     code, _, err = run_cli(capsys, command, str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["gaps", "exact", "compare", "check"])
+def test_exit_code_eigenvalue_on_axis_to_schur_accuracy(tmp_path, capsys,
+                                                        command):
+    # Re 1e-9 is below Schur's backward error, 1e-12 times 1e4, and the
+    # computed T puts it left of the axis: a split read off that T is
+    # m=2 l=0, where the eigenvalues 1e-9 and -1 split m = 1, l = 1
+    q = np.linalg.qr(random_dense(np.random.default_rng(0), 2))[0]
+    a = q @ np.array([[1e-9, 1e4], [0.0, -1.0]]) @ q.conj().T
+    path = write_matrix(tmp_path / "a.json", a)
+    code, out, err = run_cli(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_dense_input_is_reduced_once_through_the_schur_module(
+        tmp_path, capsys, monkeypatch):
+    # the CLI's one reduction calls greenbound.schur.schur_decompose by its
+    # module attribute, where a wrapper bound there sees it, and asks for T
+    # alone
+    calls = []
+    decompose = greenbound.schur.schur_decompose
+
+    def record(a, vectors=True):
+        calls.append(vectors)
+        return decompose(a, vectors)
+
+    monkeypatch.setattr(greenbound.schur, "schur_decompose", record)
+    path = write_matrix(tmp_path / "a.json",
+                        random_dense(np.random.default_rng(31), 5))
+    code, out, _ = run_cli(capsys, "gaps", path)
+    assert code == 0 and out.startswith("eigenvalues:")
+    assert calls == [False]
 
 
 def test_exit_code_bad_override(tmp_path, capsys):
@@ -688,11 +733,23 @@ def test_exact_norm_at_the_edge_of_the_float_range(tmp_path, capsys, c):
         assert all(line.endswith(",inf") for line in out.splitlines()[1:])
 
 
-def test_exit_code_library_failure(tmp_path, capsys, monkeypatch):
-    def no_convergence(a, vectors=True):
-        raise ConvergenceFailure("QR iteration did not converge\nin 30 steps")
+def test_compare_ratio_of_two_infinite_norms_is_a_quiet_nan(tmp_path,
+                                                            capsys):
+    # exact_norm and bound_triangular are both inf, and their ratio is nan,
+    # with no numpy invalid-value warning on stderr
+    a = [[-0.01, 3e306, 3e306], [0, 0.01, 0], [0, 0, 0.01]]
+    path = write_matrix(tmp_path / "m.json", a)
+    code, out, err = run_cli(capsys, "compare", path, "--norm", "2")
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert len(rows) == 40
+    for row in rows:
+        assert row["exact_norm"] == row["bound_triangular"] == math.inf
+        assert math.isnan(row["ratio_triangular"])
 
-    monkeypatch.setattr("greenbound.cli.schur_decompose", no_convergence)
+
+def test_exit_code_library_failure(tmp_path, capsys, monkeypatch):
+    _no_schur(monkeypatch)
     rng = np.random.default_rng(47)
     path = write_matrix(tmp_path / "a.json", random_dense(rng, 3))
     for command in ("gaps", "exact"):
