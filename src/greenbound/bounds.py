@@ -306,10 +306,16 @@ def envelope_table(n: int, gamma_minus: float, gamma_plus: float,
     ts = np.asarray(ts, dtype=float)
     if np.isnan(ts).any():
         raise DomainError("times must not be NaN")
-    u = np.abs(ts)
     gamma = gamma_minus + gamma_plus
-    fm, fe = _series(u, n, gamma if gamma < INF else None)
-    rate = np.where(ts >= 0, gamma_minus, gamma_plus)
+    return _table(ts, n, np.where(ts >= 0, gamma_minus, gamma_plus),
+                  gamma if gamma < INF else None)
+
+
+def _table(ts, n: int, rate, gamma=None) -> EnvelopeTable:
+    """W[t, k] = f_k(|t|) e^{-rate |t|}, k < n, with f_k from ``_series``
+    and each time's own rate; a rate of +inf makes its row 0."""
+    u = np.abs(ts)
+    fm, fe = _series(u, n, gamma)
     live = rate < INF
     with np.errstate(over="ignore"):  # rate * u beyond the range is inf
         hm, he = _exp(-np.where(live, rate, 0.0) * u)
@@ -429,16 +435,13 @@ def qtds18_grid(params: QtdsParams, ts) -> np.ndarray:
         return np.full(ts.shape, INF)
     # one one-sided table, u^k / k! e^{-gap u} at each time's own gap: the
     # side of t > 0 reads its first m columns, that of t < 0 its first l
-    u = np.abs(ts)
-    fm, fe = _series(u, max(m, l))
-    with np.errstate(over="ignore"):  # gap * u beyond the range is inf
-        hm, he = _exp(-np.where(ts > 0, params.gamma_minus,
-                                params.gamma_plus) * u)
-    mant, expo = fm * hm[:, None], fe + he[:, None]
+    both = _table(ts, max(m, l),
+                  np.where(ts > 0, params.gamma_minus, params.gamma_plus))
     out = np.empty(ts.shape)
     for side, outer, inner in ((ts > 0, m, l), (ts < 0, l, m)):
         if side.any():
-            table = EnvelopeTable(mant[side, :outer], expo[side, :outer])
+            table = EnvelopeTable(both.mant[side, :outer],
+                                  both.expo[side, :outer])
             out[side] = table.dot(*_qtds_weights(outer, inner, two_a,
                                                  params.gamma))
     return out

@@ -104,30 +104,28 @@ def _fmt(x) -> str:
 
 
 class Problem:
-    """Matrix plus derived data shared by every subcommand.
+    """The upper triangular T plus derived data shared by every subcommand:
+    T is the hard-zeroed triangular input or the Schur form of a dense one,
+    and N = triu(T, 1), the eigenvalues and the kernel are read off it.
 
     ``t`` is the grid of times (None for ``gaps``) and each CSV column is a
     cached property over it; ``row(i, names)`` reads grid point i.  Columns,
     kernel, norms and tables are built on first use, so a command computes
-    only what it prints.
+    only what it prints or checks.
     """
 
     def __init__(self, a, p, t=None, gm_override=None, gp_override=None):
-        try:
-            d, self.n_mat = split_triangular(a)
-            self.was_triangular = True
-        except NotTriangular:  # the CLI reads only T, exactly triangular
-            tri = _triangular_form(a, vectors=False)[1]
-            d = np.diag(np.diag(tri))
-            self.n_mat = tri - d
-            self.was_triangular = False
+        try:  # the CLI's tolerance test for triangular input
+            split_triangular(a)
+            self.tri = np.triu(a)
+        except NotTriangular:  # the CLI reads only T
+            self.tri = _triangular_form(a, vectors=False)[1]
             if norm_kind(p) != 2:
                 print("note: input is not triangular; Schur form applied and "
                       "the two-norm forced", file=sys.stderr)
             p = 2
-        self.tri = d + self.n_mat
         self.p = norm_kind(p)
-        self.max_split = spectral_gaps_from_eigenvalues(np.diag(d))
+        self.max_split = spectral_gaps_from_eigenvalues(np.diag(self.tri))
         self.split = self._apply_overrides(gm_override, gp_override)
         self.n = self.tri.shape[0]
         self.t = t
@@ -147,11 +145,11 @@ class Problem:
 
     @cached_property
     def kernel(self) -> GreenKernel:
-        return GreenKernel(self.tri, split=self.max_split)
+        return GreenKernel(self.tri)
 
     @cached_property
     def norm_n(self) -> float:
-        return induced_norm(self.n_mat, self.p)
+        return induced_norm(np.triu(self.tri, 1), self.p)
 
     @cached_property
     def table(self) -> bnd.EnvelopeTable:
@@ -161,7 +159,7 @@ class Problem:
     @cached_property
     def entrywise(self) -> np.ndarray:
         """sum_k W[t, k] |N|^k for every grid time, shape (T, n, n)."""
-        return self.table.matrix_series(np.abs(self.n_mat))
+        return self.table.matrix_series(np.abs(np.triu(self.tri, 1)))
 
     def kernel_blocks(self):
         """Yield (ks, gs, norms) along the grid, a kernel block at a time:
@@ -185,7 +183,7 @@ class Problem:
 
     @cached_property
     def bound_entrywise_norm(self):
-        if not (self.was_triangular and self.p in (1, np.inf)):
+        if self.p not in (1, np.inf):
             return [None] * len(self.t)
         with np.errstate(over="ignore"):  # an overflowing row sum is inf
             sums = self.entrywise.sum(axis=2 if self.p == np.inf else 1)
@@ -198,12 +196,12 @@ class Problem:
         ms, s = self.max_split, self.split
         if ms.m and ms.l:
             return [None] * len(self.t)
-        table = (self.table if (s.gamma_minus, s.gamma_plus)
-                 == (ms.gamma_minus, ms.gamma_plus)
-                 else bnd.envelope_table(self.n, ms.gamma_minus,
-                                         ms.gamma_plus, self.t))
-        return np.where((self.t > 0) == (ms.l == 0),
-                        table.series(self.norm_n), None)
+        series = (self.bound_triangular if (s.gamma_minus, s.gamma_plus)
+                  == (ms.gamma_minus, ms.gamma_plus)
+                  else bnd.envelope_table(self.n, ms.gamma_minus,
+                                          ms.gamma_plus, self.t)
+                  .series(self.norm_n))
+        return np.where((self.t > 0) == (ms.l == 0), series, None)
 
     @cached_property
     def bound_qtds18(self):
@@ -320,22 +318,20 @@ def cmd_check(args) -> int:
     # kernel, so that stack and a kernel block are never built at once
     columns = np.array([getattr(problem, col) for col in BOUND_COLUMNS],
                        float)  # None reads as NaN
-    entrywise = problem.entrywise if problem.was_triangular else None
+    entrywise = problem.entrywise
     for ks, gs, exact in problem.kernel_blocks():
         # the times of this block, checked at once; the first violation in
-        # grid order is reported, a norm column before an entry
+        # grid order is reported, a norm column before an entry.  The kernel
+        # runs on T, triangular input or a dense input's Schur form, so
+        # |G(T)| <= E(T) is checked entry by entry on every input: that
+        # catches a corrupted bound where the norm bounds are loose
         with np.errstate(over="ignore"):  # an overflowing bound is inf
             bounds = columns[:, ks].T * scale
             by_norm = exact[:, None] > bounds * slack
-            by_entry = np.zeros_like(by_norm[:, 0])
-            if entrywise is not None:
-                # the entrywise inequality holds entry by entry; checking it
-                # directly makes corrupted bounds detectable on every matrix
-                abs_g = np.abs(gs)
-                ew = entrywise[ks]
-                bad = abs_g > ew * scale * slack
-                by_entry = bad.any(axis=(1, 2))
-        hits = np.flatnonzero(by_norm.any(axis=1) | by_entry)
+            ew = entrywise[ks] * scale
+            abs_g = np.abs(gs)
+            bad = abs_g > ew * slack
+        hits = np.flatnonzero(by_norm.any(axis=1) | bad.any(axis=(1, 2)))
         if not hits.size:
             continue
         i = hits[0]
@@ -348,7 +344,7 @@ def cmd_check(args) -> int:
             r, c = np.argwhere(bad[i])[0]
             _write(args, f"violation: t={t!r} entry=({r},{c}) "
                          f"exact={float(abs_g[i, r, c])!r} "
-                         f"bound_entrywise={float(ew[i, r, c] * scale)!r}\n")
+                         f"bound_entrywise={float(ew[i, r, c])!r}\n")
         return 4
     unchecked = np.count_nonzero(~np.isfinite(columns).any(axis=0))
     if unchecked:

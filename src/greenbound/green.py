@@ -127,6 +127,8 @@ def _triangular_sign(t) -> np.ndarray:
     if not sign.all():
         raise SpectrumOnAxis(f"eigenvalue {np.diag(t)[sign == 0][0]} lies "
                              "on the imaginary axis")
+    if (sign == sign[0]).all():  # one side: sign(T) = +-I
+        return sign[0] * np.eye(t.shape[0], dtype=complex)
     t = ldexp(t, SIGN_EXPONENT - binary_scale(t)[0])
     n, d, idx = t.shape[0], np.diag(t), np.arange(t.shape[0])
     right, up = idx[:, None] + idx, idx[:, None] - idx
@@ -237,12 +239,10 @@ class GreenKernel:
     only state the kernel adds after ``__init__``.
     """
 
-    def __init__(self, a, split: SpectralSplit | None = None):
+    def __init__(self, a):
         self.a = as_matrix(a)
         self.q, tri = _triangular_form(self.a)
-        if split is None:
-            split = spectral_gaps_from_eigenvalues(np.diag(tri))
-        self.split = split
+        self.split = spectral_gaps_from_eigenvalues(np.diag(tri))
         # only gebal's scales are kept: it scales a row and then a column,
         # so a tiny diagonal entry can underflow on the way; S^-1 T S is
         # T 2^(e_j - e_i), one exact ldexp per entry
@@ -259,12 +259,7 @@ class GreenKernel:
             np.ldexp(1.0, c_exponent(half)),
             np.ldexp(1.0, c_exponent(shift - half)))
         self._bases = {}  # ``norms``' C^H by side, on first use
-        if split.m and split.l:
-            self.p_minus, self.p_plus = spectral_projectors(balanced)
-        else:  # I on the occupied side, 0 on the other
-            eye = np.eye(self.a.shape[0], dtype=complex)
-            self.p_minus = eye if split.m else 0 * eye
-            self.p_plus = 0 * eye if split.m else eye
+        self.p_minus, self.p_plus = spectral_projectors(balanced)
         self.k, b = binary_scale(balanced)
         # row i of the table is the upper triangle of B^TAYLOR_POWERS[i],
         # row by row: the powers of the triangular B are 0 below it.  It is

@@ -67,7 +67,7 @@ def ensemble_rows(ensemble):
     for b in ensemble:
         d, n_mat = split_triangular(b)
         split = spectral_gaps(b)
-        kernel = GreenKernel(b, split=split)
+        kernel = GreenKernel(b)
         greens = {float(t): kernel.at(float(t)) for t in TIME_GRID}
         rows.append({
             "b": b, "d": d, "n_mat": n_mat, "split": split, "greens": greens,

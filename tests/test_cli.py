@@ -280,14 +280,20 @@ def test_check_ok(tmp_path, capsys):
 
 
 def test_check_negative_control(tmp_path, capsys):
+    # a halved bound is flagged on dense input too: its two-norm bounds are
+    # too loose for the halving to show, but |G(T)| <= E(T) is checked
+    # entry by entry on its Schur form T
     rng = np.random.default_rng(37)
-    path = write_matrix(tmp_path / "m.json", random_triangular(rng, 3))
-    code, out, _ = run_cli(
-        capsys, "check", path, "--t-min", "-3.0", "--t-max", "3.0",
-        "--steps", "12", "--bound-scale", "0.5",
-    )
-    assert code == 4
-    assert out.startswith("violation:")
+    for name, a in (("m", random_triangular(rng, 3)),
+                    ("a", random_dense(rng, 6))):
+        path = write_matrix(tmp_path / f"{name}.json", a)
+        code, out, _ = run_cli(
+            capsys, "check", path, "--t-min", "-3.0", "--t-max", "3.0",
+            "--steps", "12", "--bound-scale", "0.5",
+        )
+        assert code == 4
+        assert out.startswith("violation:")
+    assert " entry=(" in out
 
 
 def test_check_entrywise_margin_is_relative(tmp_path, capsys):
@@ -625,8 +631,11 @@ def test_each_command_computes_only_what_it_prints(tmp_path, capsys,
         code, out, _ = run_cli(capsys, "check", path, *grid)
         assert (code, out) == (0, "ok\n")
     assert len(times) == len(set(times)) == 6
-    # every number printed for dense input depends on T alone: Q is never built
+    # every number printed for dense input depends on T alone: Q is never
+    # built; only check, which tests |G(T)| <= E(T), builds E(T)
     compute_v = {}  # command -> compute_v of each gees call
+    series = []  # the command of each matrix_series call
+    real_series = bounds.EnvelopeTable.matrix_series
     dense = write_matrix(tmp_path / "a.json", random_dense(rng, 6))
     for command in ("gaps", "exact", "compare", "check"):
         calls = compute_v[command] = []
@@ -637,12 +646,18 @@ def test_each_command_computes_only_what_it_prints(tmp_path, capsys,
                 return gees(*args, compute_v=compute_v, **kwargs)
             return gees_logged
 
+        def series_logged(self, nabs, command=command):
+            series.append(command)
+            return real_series(self, nabs)
+
         with monkeypatch.context() as m:
             _lapack_gees(m, record)
+            m.setattr(bounds.EnvelopeTable, "matrix_series", series_logged)
             args = () if command == "gaps" else grid[:-2]
             code, _, _ = run_cli(capsys, command, dense, *args)
             assert code == 0
     assert all(calls and not any(calls) for calls in compute_v.values())
+    assert series == ["check"]
 
 
 def _log_solver_shapes(monkeypatch) -> dict:

@@ -166,11 +166,17 @@ def test_projector_block_triangular_sylvester():
 
 
 def test_projectors_one_sided():
+    # sign(T) = +-I exactly when the spectrum is on one side, so P-/P+ are
+    # exactly I and 0, however large N is
     a = random_triangular(np.random.default_rng(5), 4)
     a = a - np.diag(np.abs(np.diag(a).real) * 2)  # push spectrum left
-    k = GreenKernel(a)
-    assert np.allclose(k.p_minus, np.eye(4), atol=1e-10)
-    assert np.abs(k.p_plus).max() <= 1e-10
+    strict = np.triu(a, 1)
+    for b, left in ((a, True), (-a, False), (a + 1e50 * strict, True)):
+        k = GreenKernel(b)
+        p_side, p_empty = ((k.p_minus, k.p_plus) if left
+                           else (k.p_plus, k.p_minus))
+        assert np.array_equal(p_side, np.eye(4))
+        assert not p_empty.any()
 
 
 def test_projector_algebra(rng):
