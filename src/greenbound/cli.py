@@ -55,13 +55,20 @@ class _Parser(argparse.ArgumentParser):
 def load_matrix(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            text = fh.read()
+        obj = json.loads(text)
         n = obj["n"]
         if type(n) is not int or n < 1:  # bool is an int subclass
             raise ValueError("n must be a positive integer")
         pairs = np.array(obj["data"])
         if pairs.dtype.kind not in "iuf" or pairs.shape != (n, n, 2):
             raise ValueError("data must be an n x n array of [re, im] pairs")
+        # np.array reads a boolean among numbers as 1 or 0; only a file
+        # with a true or false token is scanned for one
+        if ("true" in text or "false" in text) and any(
+                type(x) is bool
+                for row in obj["data"] for pair in row for x in pair):
+            raise ValueError("data must hold numbers, not booleans")
         a = pairs[..., 0] + 1j * pairs[..., 1]
     except Exception as exc:
         raise CliError(1, f"cannot parse matrix file {path}: {exc}") from exc

@@ -264,8 +264,8 @@ class GreenKernel:
         # row i of the table is the upper triangle of B^TAYLOR_POWERS[i],
         # row by row: the powers of the triangular B are 0 below it.  It is
         # stored by columns, an entry's 31 coefficients adjacent: the GEMV
-        # of each Taylor sum reads it so, and its rounding follows the
-        # layout.  The powers pass through two n x n buffers, B^4 .. B^7
+        # of each time's Taylor sum reads it so, and its rounding follows
+        # the layout.  The powers pass through two n x n buffers, B^4 .. B^7
         # leaving their norm_inf on the way
         n = b.shape[0]
         self.upper = np.flatnonzero(np.tri(n, dtype=bool).T)
@@ -320,12 +320,12 @@ class GreenKernel:
         none, P = I and R = e^{cB}.
 
         The times are taken KERNEL_BLOCK // n^2 at a time (one from
-        n = 128 on).  Each time keeps its own arithmetic: one GEMV over the
-        packed table for its Taylor sum, written to the upper triangle (the
-        strict lower one is 0), one product with P unless P = I, and one
-        product per squaring.  On each side of 0 the times are sorted by s,
-        so those still squaring are a prefix and each squaring is one
-        stacked product.
+        n = 128 on).  Each time keeps its own arithmetic, and each matrix
+        operation of a part is one stacked product per side of 0 (numpy
+        runs one GEMV or GEMM per time): the Taylor sums over the packed
+        table, written to the upper triangle (the strict lower one is 0),
+        the product with P unless P = I, and each squaring, taken over the
+        times still squaring, a prefix once each side is sorted by s.
         """
         ts = np.asarray(ts, dtype=float)
         if (ts == 0).any():
@@ -363,11 +363,10 @@ class GreenKernel:
         # t > 0 first, each side by descending s
         order = np.lexsort((-s, ts < 0))
         ts, s = ts[order], s[order]
-        coef = np.ldexp(ts, self.k - s)[:, None] ** TAYLOR_POWERS
-        coef = (coef / TAYLOR_FACTORIALS).astype(complex)
+        coef = (np.ldexp(ts, self.k - s)[:, None] ** TAYLOR_POWERS
+                / TAYLOR_FACTORIALS)
         sq = np.zeros((ts.size, n, n), dtype=complex)  # e^{cB}, the squares
         r = np.empty_like(sq)
-        taylor = np.empty((ts.size, self.upper.size), dtype=complex)
         mid = np.count_nonzero(ts > 0)
         for lo, hi, p, occupied in ((0, mid, self.p_minus, self.split.m),
                                     (mid, ts.size, self.p_plus, self.split.l)):
@@ -376,9 +375,8 @@ class GreenKernel:
             if not occupied:  # P = 0
                 r[lo:hi] = 0
                 continue
-            for row, c in zip(taylor[lo:hi], coef[lo:hi]):
-                np.matmul(c, self.table, out=row)
-            sq.reshape(-1, n * n)[lo:hi, self.upper] = taylor[lo:hi]
+            sq.reshape(-1, n * n)[lo:hi, self.upper] = np.matmul(
+                coef[lo:hi, None], self.table)[:, 0]
             # R = e^{cB} P (P = I leaves R = e^{cB}), then R squared s
             # times: each step moves a time's value from sq to r or back
             first = int(occupied < n)

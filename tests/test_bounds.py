@@ -25,6 +25,10 @@ from greenbound import (
     qtds18_grid,
     van_loan_bound,
 )
+from greenbound.cli import make_grid
+from greenbound.green import GreenKernel, spectral_gaps
+
+from conftest import random_triangular, scaled_nilpotent
 
 INF = float("inf")
 
@@ -231,6 +235,73 @@ def test_matrix_series_overflows_only_where_its_own_entry_does():
     got[1, 0, 2] = 0.0
     np.testing.assert_allclose(got[1], [[h, 1e300 * h, 0], [0, h, 1e300 * h],
                                         [0, 0, h]], rtol=1e-15)
+
+
+def _near_axis(n):
+    """random_triangular(default_rng(n), n) with Re a[5, 5] = 1e-3, which
+    makes gamma+ = 1e-3."""
+    a = random_triangular(np.random.default_rng(n), n)
+    a[5, 5] = 1e-3 + 1j * a[5, 5].imag
+    return a
+
+
+def _one_sided(n, sign):
+    """random_triangular(default_rng(100 + n), n) with every eigenvalue on
+    the left (sign -1) or right (+1) of the axis."""
+    a = random_triangular(np.random.default_rng(100 + n), n)
+    d = np.diag(a)
+    np.fill_diagonal(a, sign * np.abs(d.real) + 1j * d.imag)
+    return a
+
+
+# The envelope h = c G(A_h, .) b is the Green's function of A_h = diag(-gamma-,
+# gamma+) between b = (1, 1)^T and c = (1, -1), so sum_k W[t, k] |N|^k =
+# (I (x) c) G(A, t) (I (x) b) with A = I (x) A_h + |N| (x) (b c), upper
+# triangular in (i, side) order; one-sided, A_h = -+gamma, b = 1 and c = +-1
+# give Van Loan's e^{(-gamma I + |N|) t} on the decaying side.  The kernel
+# shares no code with matrix_series.  rtol is twice the largest entrywise
+# relative difference seen on the grid
+@pytest.mark.parametrize("a, rtol", [
+    pytest.param(random_triangular(np.random.default_rng(104), 4),
+                 2 * 1.77e-15, id="random-4"),
+    pytest.param(random_triangular(np.random.default_rng(108), 8),
+                 2 * 1.03e-14, id="random-8"),
+    pytest.param(random_triangular(np.random.default_rng(112), 12),
+                 2 * 1.12e-15, id="random-12"),
+    pytest.param(scaled_nilpotent(12, 12, 1e4), 2 * 1.99e-15, id="Nx1e4-12"),
+    pytest.param(_near_axis(12), 2 * 8.35e-16, id="near-axis-12"),
+    pytest.param(_one_sided(4, -1), 2 * 8.39e-16, id="left-4"),
+    pytest.param(_one_sided(8, 1), 2 * 5.17e-16, id="right-8"),
+    pytest.param(_one_sided(12, -1), 2 * 6.15e-16, id="left-12"),
+])
+def test_matrix_series_is_the_kernel_of_the_lifted_matrix(a, rtol):
+    n = len(a)
+    split = spectral_gaps(a)
+    ts = make_grid(-10.0, 10.0, 40)
+    if split.gamma_plus == INF:
+        a_h, b, c = np.array([[-split.gamma_minus]]), np.ones(1), np.ones(1)
+        empty = ts < 0
+    elif split.gamma_minus == INF:
+        a_h, b, c = np.array([[split.gamma_plus]]), np.ones(1), -np.ones(1)
+        empty = ts > 0
+    else:
+        a_h = np.diag([-split.gamma_minus, split.gamma_plus])
+        b, c = np.ones(2), np.array([1.0, -1.0])
+        empty = np.zeros(ts.size, dtype=bool)
+    nabs = np.abs(np.triu(a, 1))
+    lifted = np.kron(np.eye(n), a_h) + np.kron(nabs, np.outer(b, c))
+    assert not np.tril(lifted, -1).any()
+    oracle = (np.kron(np.eye(n), c) @ GreenKernel(lifted).block(ts)
+              @ np.kron(np.eye(n), b[:, None]))
+    got = envelope_table(n, split.gamma_minus, split.gamma_plus,
+                         ts).matrix_series(nabs)
+    # 0 exactly on the strict lower triangle and on the side with no
+    # spectrum, on both sides of the identity
+    zero = got == 0
+    assert (zero == (np.tri(n, k=-1, dtype=bool) | empty[:, None, None])).all()
+    assert not oracle[zero].any()
+    rel = np.abs(oracle - got)[~zero] / got[~zero]
+    assert rel.max() <= rtol
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -391,6 +391,8 @@ ENTRY_01 = '{"n": 2, "data": [[[1, 0], %s], [[0, 0], [1, 0]]]}'
                  id="ragged-row"),
     pytest.param('{"n": true, "data": [[[-1.0, 0.0]]]}', id="boolean-n"),
     pytest.param('{"n": 1, "data": [[[true, false]]]}', id="boolean-data"),
+    pytest.param(ENTRY_01 % "[true, 0]", id="boolean-re"),
+    pytest.param(ENTRY_01 % "[0, false]", id="boolean-im"),
     pytest.param('{"n": 0, "data": []}', id="zero-n"),
     pytest.param('{"n": 2.5, "data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
                  id="fractional-n"),

@@ -27,8 +27,8 @@ from greenbound import (
 )
 from greenbound.cli import make_grid
 from greenbound.green import (FORCING_BLOCK, GAUSS_NODES, GAUSS_X,
-                              TAYLOR_FACTORIALS, TAYLOR_POWERS, TAYLOR_RANGE,
-                              default_quad)
+                              TAYLOR_DEGREE, TAYLOR_FACTORIALS, TAYLOR_POWERS,
+                              TAYLOR_RANGE, default_quad)
 from greenbound.matcore import ldexp
 from greenbound.oracles import green_parlett
 from greenbound.schur import schur_decompose
@@ -548,16 +548,20 @@ def _count_products(monkeypatch, kernel, ts):
 def test_one_sided_kernel_makes_no_product_with_its_projector(monkeypatch,
                                                               a):
     # P is 0 on the side with no spectrum, where G is exactly 0, and I on
-    # the other, which squares without reprojecting: one GEMV per time
-    # there and one stacked product per squaring
+    # the other, which squares without reprojecting: the grid is one part,
+    # so one Taylor product over the table for the occupied side and one
+    # stacked product per squaring
     kernel = GreenKernel(a)
     ts = make_grid(-10.0, 10.0, 40)
     occupied = ts < 0 if kernel.split.m == 0 else ts > 0
     g, products = _count_products(monkeypatch, kernel, ts)
     projectors = (kernel.p_minus, kernel.p_plus)
     assert not any(x is p or y is p for x, y in products for p in projectors)
+    taylor = [x for x, y in products if y is kernel.table]
+    assert [x.shape for x in taylor] == [
+        (occupied.sum(), 1, TAYLOR_DEGREE + 1)]
     squarings = kernel.squarings(ts[occupied])
-    assert len(products) == occupied.sum() + squarings.max() > occupied.sum()
+    assert len(products) == 1 + squarings.max() > 1
     assert not g[~occupied].any()
     for t, gt in zip(ts[occupied], g[occupied]):
         exact = green_parlett(a, t, dps=60)
@@ -566,18 +570,24 @@ def test_one_sided_kernel_makes_no_product_with_its_projector(monkeypatch,
 
 @pytest.mark.parametrize("n", [3, 20, 50])
 def test_two_sided_kernel_projects_once_per_time(monkeypatch, n):
-    # R = e^{cB} P is formed once per time and then squared s times with
-    # no reprojection: len(ts) + sum(s) matrix products per grid, where
-    # reprojecting every square made len(ts) + 2 sum(s).  At n = 50 the
-    # grid takes seven blocks of at most six times
+    # The Taylor sums of a part's times on one side are one stacked product
+    # over the table; R = e^{cB} P is formed once per time and then
+    # squared s times with no reprojection: len(ts) + sum(s) matrix
+    # products per grid, where reprojecting every square made len(ts) +
+    # 2 sum(s).  At n = 50 the grid takes seven parts of at most six times,
+    # one of them on both sides of 0
     kernel = GreenKernel(random_triangular(np.random.default_rng(n), n))
     assert kernel.split.m and kernel.split.l
     ts = make_grid(-10.0, 10.0, 40)
     g, products = _count_products(monkeypatch, kernel, ts)
-    gemv = [x for x, _ in products if x.ndim == 1]
-    assert len(gemv) == ts.size
-    matrices = [(x, y) for x, y in products if x.ndim == 3]
-    assert len(matrices) + len(gemv) == len(products)
+    taylor = [x for x, y in products if y is kernel.table]
+    sides = [side for part in kernel._parts(ts.size)
+             for side in (ts[part] > 0, ts[part] < 0) if side.any()]
+    assert [x.shape for x in taylor] == [
+        (side.sum(), 1, TAYLOR_DEGREE + 1) for side in sides]
+    assert len(sides) == (2 if n < 50 else 8)
+    matrices = [(x, y) for x, y in products if y is not kernel.table]
+    assert all(x.ndim == 3 for x, _ in matrices)
     for p, side in ((kernel.p_minus, ts > 0), (kernel.p_plus, ts < 0)):
         assert sum(len(x) for x, y in matrices if y is p) == side.sum()
     squares = [(x, y) for x, y in matrices
