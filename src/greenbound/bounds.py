@@ -51,8 +51,8 @@ LN2 = math.log(2.0)
 _EXP_ZERO = -(1 << 20)
 # Exponent band width in matrix sums: n terms below 2**1000 cannot overflow.
 _BAND = 1000
-# Matrix entries per batch of stacked powers in matrix sums (1 MiB).
-_BATCH_ENTRIES = 1 << 17
+# Powers of a matrix per batch in matrix sums: a batch is one product.
+_BATCH_POWERS = 16
 # exp(y) saturates beyond this |y|: exponents near 2**60 cannot wrap an int64
 _EXP_ARG_MAX = 2.0 ** 60 * LN2
 
@@ -200,7 +200,8 @@ def _matrix_powers(nabs, layout, start):
     k and above in the order of ``_band_layout``: the rest is 0.
 
     The k-th power is zero outside rows [0, size - k) and columns
-    [k, size), so each product multiplies only that block.
+    [k, size), so each product multiplies only that block, and the next
+    power overwrites the block in place.
     """
     size = nabs.shape[0]
     step = math.frexp(float(nabs.max()))[1]
@@ -214,8 +215,8 @@ def _matrix_powers(nabs, layout, start):
         if peak == 0.0:
             return
         shift = math.frexp(peak)[1]
-        power = np.zeros_like(power)
-        power[:hi, k + 1:] = np.ldexp(block, -shift)
+        power[:, k] = power[hi] = 0.0  # the k-th power's column k, row hi
+        power[:hi, k + 1:] = np.ldexp(block, -shift, out=block)
         e += step + shift
 
 
@@ -249,45 +250,63 @@ class EnvelopeTable:
                             self.values()[:, 0], INF)
         return self.dot(*_powers(x, self.mant.shape[1]))
 
-    def matrix_series(self, nabs) -> np.ndarray:
+    def packed_series(self, nabs):
         """sum_k W[:, k] nabs^k for a nonnegative strictly upper triangular
-        nabs, shape (T, n, n).
+        nabs, on and above the diagonal: (sums, layout), where sums[:, j],
+        shape (T, size (size + 1) / 2), is the entry at flat (row-major)
+        index layout[j] of the size x size sum.
 
-        Each power is formed once.  The entries are summed in a band
-        layout, superdiagonal by superdiagonal: nabs^k is 0 below
+        Each power is formed once.  The entries are laid out superdiagonal
+        by superdiagonal (``_band_layout``): nabs^k is 0 below
         superdiagonal k, so it is a suffix of that layout, and a batch of
-        powers is one matrix product over the suffix of its first.  The
-        weights times the power scales are grouped into exponent bands of
-        width 2**1000; a band's terms are summed in its own scale and
-        scaled back, so an entry overflows to +inf only when its own value
-        does.  The strict lower triangle is 0.
+        _BATCH_POWERS powers is one matrix product over the suffix of its
+        first.  The weights times the power scales are grouped into
+        exponent bands of width 2**1000.  Band 0 is summed in sums itself;
+        a band above it is summed in its own scale and added, scaled back,
+        at the end, so an entry overflows to +inf only when its own value
+        does.
         """
         count, terms = self.mant.shape
-        size = nabs.shape[0]
-        layout, start = _band_layout(size)
-        batch = max(1, _BATCH_ENTRIES // layout.size)
-        sums = {}
+        layout, start = _band_layout(nabs.shape[0])
+        sums = np.zeros((count, layout.size))
+        high = {}  # band above 0 -> its sums, in its own scale
         powers = _matrix_powers(nabs, layout, start)
-        for first in range(0, terms, batch):
-            chunk = list(itertools.islice(powers, min(batch, terms - first)))
-            if not chunk:
-                break
-            ks = slice(first, first + len(chunk))
+        for first in range(0, terms, _BATCH_POWERS):
             lo = start[first]  # the batch's suffix of the layout
-            stacked = np.zeros((len(chunk), layout.size - lo))
-            for row, (p, _) in zip(stacked, chunk):
+            stacked = np.zeros((min(_BATCH_POWERS, terms - first),
+                                layout.size - lo))
+            scales = []
+            # zip takes a row before a power: none is drawn past the batch
+            for row, (p, e) in zip(stacked, powers):
                 row[row.size - p.size:] = p
-            x = self.expo[:, ks] + np.array([e for _, e in chunk])
+                scales.append(e)
+            if not scales:
+                break
+            ks = slice(first, first + len(scales))
+            x = self.expo[:, ks] + np.array(scales)
             band = np.maximum((x - 1) // _BAND, 0)
             for b in np.unique(band):
                 coef = np.where(band == b,
                                 _ldexp(self.mant[:, ks], x - b * _BAND), 0.0)
-                acc = sums.setdefault(b, np.zeros((count, layout.size)))
-                acc[:, lo:] += coef @ stacked
-        total = np.zeros((count, size * size))
-        total[:, layout] = sum(_ldexp(acc, b * _BAND)
-                               for b, acc in sums.items())
-        return total.reshape(count, size, size)
+                if lo == 0 and b == 0:  # sums is still 0: write, not add
+                    np.matmul(coef, stacked[:len(scales)], out=sums)
+                    continue
+                acc = (sums if b == 0
+                       else high.setdefault(b, np.zeros_like(sums)))
+                acc[:, lo:] += np.matmul(coef, stacked[:len(scales)])
+        for b, acc in high.items():
+            sums += _ldexp(acc, b * _BAND)
+        return sums, layout
+
+    def matrix_series(self, nabs) -> np.ndarray:
+        """sum_k W[:, k] nabs^k for a nonnegative strictly upper triangular
+        nabs, shape (T, n, n): ``packed_series`` scattered into full
+        matrices, whose strict lower triangle is 0."""
+        sums, layout = self.packed_series(nabs)
+        size = nabs.shape[0]
+        total = np.zeros((len(sums), size * size))
+        total[:, layout] = sums
+        return total.reshape(-1, size, size)
 
 
 def envelope_table(n: int, gamma_minus: float, gamma_plus: float,

@@ -148,7 +148,7 @@ class Problem:
                 f"(maximal gamma_minus={ms.gamma_minus:g}, "
                 f"gamma_plus={ms.gamma_plus:g})",
             )
-        return SpectralSplit(gm, gp, ms.alpha, ms.m, ms.l)
+        return SpectralSplit(gm, gp, ms.alpha, ms.m, ms.l, ms.rho)
 
     @cached_property
     def kernel(self) -> GreenKernel:
@@ -164,9 +164,11 @@ class Problem:
         return bnd.envelope_table(self.n, s.gamma_minus, s.gamma_plus, self.t)
 
     @cached_property
-    def entrywise(self) -> np.ndarray:
-        """sum_k W[t, k] |N|^k for every grid time, shape (T, n, n)."""
-        return self.table.matrix_series(np.abs(np.triu(self.tri, 1)))
+    def entrywise(self) -> tuple:
+        """sum_k W[t, k] |N|^k for every grid time, on and above the
+        diagonal: (sums, layout), sums[:, j] the entry at flat index
+        layout[j] of the n x n matrix (``EnvelopeTable.packed_series``)."""
+        return self.table.packed_series(np.abs(np.triu(self.tri, 1)))
 
     def kernel_blocks(self):
         """Yield (ks, gs, norms) along the grid, a kernel block at a time:
@@ -192,9 +194,18 @@ class Problem:
     def bound_entrywise_norm(self):
         if self.p not in (1, np.inf):
             return [None] * len(self.t)
+        sums, layout = self.entrywise
+        # each time's E is summed as a full matrix, so that numpy adds the
+        # entries of a row (pairwise) or column in the same order at any n
+        full = np.zeros(self.n * self.n)
+        square = full.reshape(self.n, self.n)
+        axis = 1 if self.p == np.inf else 0
+        norms = np.empty(len(sums))
         with np.errstate(over="ignore"):  # an overflowing row sum is inf
-            sums = self.entrywise.sum(axis=2 if self.p == np.inf else 1)
-        return sums.max(axis=1)
+            for i, packed in enumerate(sums):
+                full[layout] = packed
+                norms[i] = square.sum(axis=axis).max()
+        return norms
 
     @cached_property
     def bound_vanloan(self):
@@ -325,20 +336,21 @@ def cmd_check(args) -> int:
     # kernel, so that stack and a kernel block are never built at once
     columns = np.array([getattr(problem, col) for col in BOUND_COLUMNS],
                        float)  # None reads as NaN
-    entrywise = problem.entrywise
+    entrywise, layout = problem.entrywise
     for ks, gs, exact in problem.kernel_blocks():
         # the times of this block, checked at once; the first violation in
         # grid order is reported, a norm column before an entry.  The kernel
         # runs on T, triangular input or a dense input's Schur form, so
         # |G(T)| <= E(T) is checked entry by entry on every input: that
-        # catches a corrupted bound where the norm bounds are loose
+        # catches a corrupted bound where the norm bounds are loose.  G(T)
+        # is upper triangular, as E(T) is: both are read at E's flat indices
         with np.errstate(over="ignore"):  # an overflowing bound is inf
             bounds = columns[:, ks].T * scale
             by_norm = exact[:, None] > bounds * slack
             ew = entrywise[ks] * scale
-            abs_g = np.abs(gs)
+            abs_g = np.abs(gs.reshape(len(gs), -1)[:, layout])
             bad = abs_g > ew * slack
-        hits = np.flatnonzero(by_norm.any(axis=1) | bad.any(axis=(1, 2)))
+        hits = np.flatnonzero(by_norm.any(axis=1) | bad.any(axis=1))
         if not hits.size:
             continue
         i = hits[0]
@@ -348,10 +360,13 @@ def cmd_check(args) -> int:
             _write(args, f"violation: t={t!r} exact={float(exact[i])!r} "
                          f"{BOUND_COLUMNS[c]}={float(bounds[i, c])!r}\n")
         else:
-            r, c = np.argwhere(bad[i])[0]
+            # the violating entry first in row-major order
+            js = np.flatnonzero(bad[i])
+            j = js[np.argmin(layout[js])]
+            r, c = divmod(int(layout[j]), problem.n)
             _write(args, f"violation: t={t!r} entry=({r},{c}) "
-                         f"exact={float(abs_g[i, r, c])!r} "
-                         f"bound_entrywise={float(ew[i, r, c])!r}\n")
+                         f"exact={float(abs_g[i, j])!r} "
+                         f"bound_entrywise={float(ew[i, j])!r}\n")
         return 4
     unchecked = np.count_nonzero(~np.isfinite(columns).any(axis=0))
     if unchecked:

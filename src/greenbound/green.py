@@ -64,7 +64,8 @@ class SpectralSplit:
 
     gamma_minus / gamma_plus are the distances from the imaginary axis to the
     left / right part of the spectrum (+inf when that part is empty); alpha is
-    the largest real part; m and l count left/right eigenvalues.
+    the largest real part; m and l count left/right eigenvalues; rho is the
+    largest modulus.
     """
 
     gamma_minus: float
@@ -72,6 +73,7 @@ class SpectralSplit:
     alpha: float
     m: int
     l: int
+    rho: float
 
     @property
     def gamma(self) -> float:
@@ -86,7 +88,8 @@ def spectral_gaps_from_eigenvalues(eigs) -> SpectralSplit:
     """
     eigs = np.asarray(eigs, dtype=complex).ravel()
     re = eigs.real
-    axis_tol = AXIS_RTOL * (float(np.abs(eigs).max()) if eigs.size else 0.0)
+    rho = float(np.abs(eigs).max()) if eigs.size else 0.0
+    axis_tol = AXIS_RTOL * rho
     near = np.abs(re) <= axis_tol
     if near.any():
         raise SpectrumOnAxis(f"eigenvalue {eigs[near][0]} lies on the "
@@ -95,7 +98,7 @@ def spectral_gaps_from_eigenvalues(eigs) -> SpectralSplit:
     return SpectralSplit(
         gamma_minus=float(-left.max()) if left.size else INF,
         gamma_plus=float(right.min()) if right.size else INF,
-        alpha=float(re.max()), m=int(left.size), l=int(right.size))
+        alpha=float(re.max()), m=int(left.size), l=int(right.size), rho=rho)
 
 
 def spectral_gaps(t_mat) -> SpectralSplit:
@@ -499,10 +502,11 @@ def green_function(a, t: float) -> np.ndarray:
 
 def default_quad(split: SpectralSplit) -> tuple[float, int]:
     """(radius, panels): the h-envelope tail beyond the radius is below 1e-12,
-    and the panels are at most min(1, 1/gamma) wide."""
+    and the panels are at most min(1, 1/gamma, 4/rho) wide: |lambda| h <= 4
+    on every panel, where 16 Gauss-Legendre nodes resolve e^{lambda s}."""
     finite = [g for g in (split.gamma_minus, split.gamma_plus) if g != INF]
     radius = -math.log(1e-12) / min(finite)
-    width = min(1.0, 1.0 / sum(finite))
+    width = min(1.0, 1.0 / sum(finite), 4.0 / split.rho)
     return radius, max(1, math.ceil(radius / width))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -235,6 +236,49 @@ def test_matrix_series_overflows_only_where_its_own_entry_does():
     got[1, 0, 2] = 0.0
     np.testing.assert_allclose(got[1], [[h, 1e300 * h, 0], [0, h, 1e300 * h],
                                         [0, 0, h]], rtol=1e-15)
+
+
+def test_packed_series_takes_sixteen_powers_per_product(monkeypatch):
+    # n = 400 takes ceil(400 / 16) = 25 batch products, each of (T, 16)
+    # weights by the 16 powers over the suffix of the batch's first; one
+    # exponent band here, as |N| / sqrt(n) keeps every term below 2^1000
+    n = 400
+    nabs = np.abs(np.triu(np.random.default_rng(7).normal(size=(n, n)), 1))
+    table = envelope_table(n, 0.2, 0.5, [-1.0, 2.0])
+    shapes = []
+    matmul = np.matmul
+
+    def logged(x, y, *args, **kwargs):
+        shapes.append((x.shape, y.shape))
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", logged)
+    sums, layout = table.packed_series(nabs / math.sqrt(n))
+    monkeypatch.setattr(np, "matmul", matmul)
+    size = n * (n + 1) // 2
+    suffix = [size - (n - k) * (n - k + 1) // 2 for k in range(0, n, 16)]
+    assert shapes == [((2, 16), (16, size - lo)) for lo in suffix]
+    assert sums.shape == (2, size) and sorted(layout) == sorted(
+        np.flatnonzero(np.triu(np.ones((n, n)))))
+
+
+def test_packed_series_holds_one_batch_and_one_product():
+    # below the packed sums plus one batch of 16 powers plus one (T, L)
+    # product, L = n (n + 1) / 2 entries on and above the diagonal (14.7
+    # MiB here; 14.5 MiB seen).  Summed in full (T, n, n) accumulators and
+    # mapped back through a full sum, it peaked at 25.2 MiB
+    n = 200
+    nabs = np.abs(np.triu(np.random.default_rng(3).normal(size=(n, n)), 1))
+    nabs /= math.sqrt(n)
+    table = envelope_table(n, 0.2, 0.5, make_grid(-10.0, 10.0, 40))
+    count, size = 40, n * (n + 1) // 2
+    tracemalloc.start()
+    try:
+        table.packed_series(nabs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (count + 16 + count) * size * 8
 
 
 def _near_axis(n):

@@ -308,6 +308,32 @@ def test_check_entrywise_margin_is_relative(tmp_path, capsys):
     assert out.startswith("violation: t=25.0 entry=(0,0) ")
 
 
+def test_check_reports_the_violating_entry_first_in_row_major_order(
+        tmp_path, capsys):
+    # on t > 0, |G| / E is 1 on (1, 1) and (2, 2), (1 - e^-t) / t on (0, 2)
+    # and e^-t on (0, 0), and every norm bound is above 1 / 0.93 of ||G||:
+    # at t = 0.1 a 0.93 bound fails on those three entries and no norm.
+    # (1, 1) comes first superdiagonal by superdiagonal, (0, 2) row by row
+    a = np.array([[-2.0, 0.0, 1.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+    path = write_matrix(tmp_path / "m.json", a)
+    scale = 0.93
+    code, out, _ = run_cli(capsys, "check", path, "--norm", "inf",
+                           "--bound-scale", str(scale))
+    ts = make_grid(0.1, 10.0, 40)
+    g = np.abs(GreenKernel(a).block(ts))
+    e = bounds.envelope_table(3, 1.0, math.inf, ts).matrix_series(
+        np.abs(np.triu(a, 1)))
+    bad = g > e * scale * (1 + 1e-9)
+    first = np.flatnonzero(bad.any(axis=(1, 2)))[0]
+    assert ts[first] == 0.1
+    assert np.argwhere(bad[first]).tolist() == [[0, 2], [1, 1], [2, 2]]
+    r, c = np.argwhere(bad[first])[0]
+    assert code == 4
+    assert out == (f"violation: t=0.1 entry=({r},{c}) "
+                   f"exact={float(g[first, r, c])!r} "
+                   f"bound_entrywise={float(e[first, r, c] * scale)!r}\n")
+
+
 def test_check_with_a_bound_scale_beyond_the_float_range_is_quiet(
         tmp_path, capsys):
     # the scaled bounds overflow to inf, which bounds every norm and entry,
@@ -620,7 +646,7 @@ def test_each_command_computes_only_what_it_prints(tmp_path, capsys,
             m.setattr(GreenKernel, name, _forbidden)
         code, out, _ = run_cli(capsys, "bound", path, *grid)
         assert code == 0 and len(out.splitlines()) == 7
-        m.setattr(bounds.EnvelopeTable, "matrix_series", _forbidden)
+        m.setattr(bounds.EnvelopeTable, "packed_series", _forbidden)
         code, _, _ = run_cli(capsys, "bound", path, "--bound", "triangular",
                              *grid)
         assert code == 0
@@ -636,8 +662,8 @@ def test_each_command_computes_only_what_it_prints(tmp_path, capsys,
     # every number printed for dense input depends on T alone: Q is never
     # built; only check, which tests |G(T)| <= E(T), builds E(T)
     compute_v = {}  # command -> compute_v of each gees call
-    series = []  # the command of each matrix_series call
-    real_series = bounds.EnvelopeTable.matrix_series
+    series = []  # the command of each packed_series call
+    real_series = bounds.EnvelopeTable.packed_series
     dense = write_matrix(tmp_path / "a.json", random_dense(rng, 6))
     for command in ("gaps", "exact", "compare", "check"):
         calls = compute_v[command] = []
@@ -654,7 +680,7 @@ def test_each_command_computes_only_what_it_prints(tmp_path, capsys,
 
         with monkeypatch.context() as m:
             _lapack_gees(m, record)
-            m.setattr(bounds.EnvelopeTable, "matrix_series", series_logged)
+            m.setattr(bounds.EnvelopeTable, "packed_series", series_logged)
             args = () if command == "gaps" else grid[:-2]
             code, _, _ = run_cli(capsys, command, dense, *args)
             assert code == 0

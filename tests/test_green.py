@@ -794,6 +794,36 @@ def test_bounded_solution_across_forcing_blocks():
     assert sorted(calls) == sorted(nodes)
 
 
+@pytest.mark.parametrize("d", [
+    pytest.param([-1 + 100j, -0.5, 0.7], id="oscillatory"),
+    pytest.param([-1000.0, -0.5, 0.7], id="stiff"),
+])
+@pytest.mark.parametrize("omega", [0.0, 1.0])
+def test_bounded_solution_resolves_the_largest_eigenvalue(d, omega):
+    # panels min(1, 1 / gamma) = 0.833 wide left e^{lambda s} unresolved at
+    # |lambda| = 100 and 1000: x erred by up to 3.6e-1 and 9.6e-4 of
+    # max|x|.  Capped at 4 / max|lambda|, one panel spans |lambda| h <= 4
+    a = np.diag(np.array(d, dtype=complex))
+    c, t = np.ones(3, dtype=complex), 0.5
+    x = bounded_solution(a, lambda s: np.exp(1j * omega * s) * c, t)
+    exact = np.linalg.solve(1j * omega * np.eye(3) - a, c) * np.exp(
+        1j * omega * t)
+    np.testing.assert_allclose(x, exact, rtol=1e-10)
+
+
+def test_bounded_solution_nodes_where_the_gap_sets_the_panels():
+    # |lambda| <= 2 sqrt 2, as on the benchmark's solve inputs (gap 0.5, |Re|
+    # and |Im| at most 2): 4 / max|lambda| > 1, so the panels stay 1 wide,
+    # 56 of them over the radius 27.6 / 0.5 on the one occupied side
+    a = np.diag([-0.5 + 1j, -2.0 + 2j, -1.2 - 2j]) + np.triu(
+        np.full((3, 3), 0.3), 1)
+    assert default_quad(GreenKernel(a).split) == (pytest.approx(
+        -math.log(1e-12) / 0.5), 56)
+    calls = []
+    bounded_solution(a, lambda s: calls.append(s) or np.ones(3), 0.2)
+    assert len(calls) == 56 * GAUSS_NODES == 896
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_bounded_solution_rejects_a_non_finite_time(monkeypatch, t):
     # x(nan) and x(inf) read [0.5, -0.5] here, f evaluated at nan or inf

@@ -41,3 +41,22 @@ def test_replay_runs_each_call_and_reports_what_differs(tmp_path):
         f"{labels[1]}: output line 1: 'ok' -> 'violation'",
         f"{labels[2]}: x line 1: {results[2]['x']!r} -> "
         "'raised FloatOverflow: x'"]
+
+
+def test_replay_sizes_csv_tables_that_differ_by_numbers():
+    table = "t,exact_norm,bound_qtds18\n-1.0,%s,\n1.0,2.0,%s\n"
+    calls = [{"label": "compare a"}, {"label": "compare b --output out.csv"},
+             {"label": "compare c"}]
+    old = [{"code": 0, "stdout": table % ("1.0", "3.0")},
+           {"code": 0, "stdout": "", "output": table % ("1.0", "3.0")},
+           {"code": 0, "stdout": table % ("1.0", "3.0")}]
+    new = [{"code": 0, "stdout": table % ("1.0000000000000002", "3.0")},
+           {"code": 0, "stdout": "",
+            "output": table % ("1.0000000000000004", "3.0")},
+           {"code": 0, "stdout": table % ("inf", "")}]
+    # numbers on both sides are sized per column, at the largest relative
+    # difference; an inf or an empty cell is shown line by line
+    assert replay.differences(calls, old, new) == [
+        "compare c: stdout line 2: '-1.0,1.0,' -> '-1.0,inf,'",
+        "column exact_norm: largest relative difference 4.44e-16 (2 ulps) "
+        "in compare b --output out.csv"]

@@ -19,8 +19,11 @@ own interpreter, with one BLAS thread, on the same input files:
 
 A CLI call is compared by its exit code, stdout, stderr and ``--output``
 file, a solve by the bytes of x or its exception.  Each difference is
-printed with the first line that differs; the last line counts them.  The
-exit status is 0 when the trees agree on every call and 1 otherwise.
+printed with the first line that differs, except that two CSV tables that
+differ only by finite numbers are sized: each such CSV column gets one line
+with its largest relative difference and the call that shows it.  The last
+line counts the calls that differ.  The exit status is 0 when the trees
+agree on every call and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -211,14 +214,56 @@ def _first_difference(old, new) -> str:
     return f"{len(old_lines)} -> {len(new_lines)} lines"
 
 
+def _numbers(old: str, new: str):
+    """The (column, old, new) of every cell that differs between two CSV
+    tables of the same header and shape, when each such pair is a pair of
+    finite numbers; None otherwise."""
+    old_rows = [line.split(",") for line in old.splitlines()]
+    new_rows = [line.split(",") for line in new.splitlines()]
+    shape = [len(row) for row in old_rows]
+    if (len(old_rows) < 2 or shape != [len(row) for row in new_rows]
+            or len(set(shape)) != 1 or old_rows[0] != new_rows[0]):
+        return None
+    cells = []
+    for old_row, new_row in zip(old_rows[1:], new_rows[1:]):
+        for column, a, b in zip(old_rows[0], old_row, new_row):
+            if a == b:
+                continue
+            try:
+                a, b = float(a), float(b)
+            except ValueError:
+                return None
+            if not (math.isfinite(a) and math.isfinite(b)):
+                return None
+            cells.append((column, a, b))
+    return cells
+
+
 def differences(calls, old_results, new_results) -> list:
-    """One line per (call, field) whose value differs between the trees."""
-    lines = []
+    """One line per (call, field) whose value differs between the trees,
+    except where two CSV tables differ only by finite numbers: those
+    differences make one line per CSV column, with the largest relative
+    difference |new - old| / |old| (and in units of the spacing of old,
+    ulps) and the first call that shows it."""
+    lines, columns = [], {}
     for call, old, new in zip(calls, old_results, new_results):
         for field in old:
-            if old[field] != new[field]:
+            if old[field] == new[field]:
+                continue
+            cells = (_numbers(old[field], new[field])
+                     if isinstance(old[field], str)
+                     and isinstance(new[field], str) else None)
+            if cells is None:
                 lines.append(f"{call['label']}: {field} "
                              f"{_first_difference(old[field], new[field])}")
+            for column, a, b in cells or ():
+                rel = abs(b - a) / abs(a) if a else math.inf
+                if rel > columns.get(column, (-1.0,))[0]:
+                    ulps = abs(b - a) / np.spacing(abs(a))
+                    columns[column] = (rel, ulps, call["label"])
+    for column, (rel, ulps, label) in columns.items():
+        lines.append(f"column {column}: largest relative difference "
+                     f"{rel:.3g} ({ulps:.3g} ulps) in {label}")
     return lines
 
 
