@@ -300,13 +300,15 @@ class EnvelopeTable:
 
     def matrix_series(self, nabs) -> np.ndarray:
         """sum_k W[:, k] nabs^k for a nonnegative strictly upper triangular
-        nabs, shape (T, n, n): ``packed_series`` scattered into full
-        matrices, whose strict lower triangle is 0."""
-        sums, layout = self.packed_series(nabs)
-        size = nabs.shape[0]
-        total = np.zeros((len(sums), size * size))
-        total[:, layout] = sums
-        return total.reshape(-1, size, size)
+        nabs: ``packed_series`` unpacked, shape (T, n, n)."""
+        return unpack(*self.packed_series(nabs), nabs.shape[0])
+
+
+def unpack(sums, layout, size: int) -> np.ndarray:
+    """``packed_series``' (sums, layout) as full (T, size, size) matrices."""
+    total = np.zeros((len(sums), size * size))
+    total[:, layout] = sums
+    return total.reshape(-1, size, size)
 
 
 def envelope_table(n: int, gamma_minus: float, gamma_plus: float,

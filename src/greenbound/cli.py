@@ -23,7 +23,7 @@ import numpy as np
 from . import bounds as bnd
 from .errors import GreenboundError, NotTriangular, SpectrumOnAxis
 from .green import (GreenKernel, SpectralSplit, _triangular_form,
-                    spectral_gaps_from_eigenvalues)
+                    kernel_parts, spectral_gaps_from_eigenvalues)
 from .matcore import induced_norm, norm_kind, split_triangular
 # kept for perfbench/tracing.py, which rebinds it here as in schur
 from .schur import schur_decompose  # noqa: F401
@@ -165,10 +165,14 @@ class Problem:
 
     @cached_property
     def entrywise(self) -> tuple:
-        """sum_k W[t, k] |N|^k for every grid time, on and above the
-        diagonal: (sums, layout), sums[:, j] the entry at flat index
-        layout[j] of the n x n matrix (``EnvelopeTable.packed_series``)."""
+        """E(t) = sum_k W[t, k] |N|^k at every grid time, the packed pair
+        of ``EnvelopeTable.packed_series``; ``entrywise_block`` reads it."""
         return self.table.packed_series(np.abs(np.triu(self.tri, 1)))
+
+    def entrywise_block(self, ks) -> np.ndarray:
+        """E(t) at the grid slice ks as full (k, n, n) matrices."""
+        sums, layout = self.entrywise
+        return bnd.unpack(sums[ks], layout, self.n)
 
     def kernel_blocks(self):
         """Yield (ks, gs, norms) along the grid, a kernel block at a time:
@@ -194,18 +198,12 @@ class Problem:
     def bound_entrywise_norm(self):
         if self.p not in (1, np.inf):
             return [None] * len(self.t)
-        sums, layout = self.entrywise
-        # each time's E is summed as a full matrix, so that numpy adds the
-        # entries of a row (pairwise) or column in the same order at any n
-        full = np.zeros(self.n * self.n)
-        square = full.reshape(self.n, self.n)
-        axis = 1 if self.p == np.inf else 0
-        norms = np.empty(len(sums))
+        # full E blocks: each row summed pairwise, each column in row order
+        axis = 2 if self.p == np.inf else 1
         with np.errstate(over="ignore"):  # an overflowing row sum is inf
-            for i, packed in enumerate(sums):
-                full[layout] = packed
-                norms[i] = square.sum(axis=axis).max()
-        return norms
+            return np.concatenate([
+                self.entrywise_block(ks).sum(axis=axis).max(axis=1)
+                for ks in kernel_parts(len(self.t), self.n)])
 
     @cached_property
     def bound_vanloan(self):
@@ -332,24 +330,23 @@ def cmd_check(args) -> int:
                           f"{scale!r}")
     problem = _grid_problem(args)
     slack = 1.0 + 1e-9
-    # every bound, the entrywise stack included, is built before the
-    # kernel, so that stack and a kernel block are never built at once
+    # every bound, packed E included, is built before the kernel, so that
+    # the packed sums and a kernel block are never built at once
     columns = np.array([getattr(problem, col) for col in BOUND_COLUMNS],
                        float)  # None reads as NaN
-    entrywise, layout = problem.entrywise
+    problem.entrywise
     for ks, gs, exact in problem.kernel_blocks():
         # the times of this block, checked at once; the first violation in
         # grid order is reported, a norm column before an entry.  The kernel
         # runs on T, triangular input or a dense input's Schur form, so
         # |G(T)| <= E(T) is checked entry by entry on every input: that
-        # catches a corrupted bound where the norm bounds are loose.  G(T)
-        # is upper triangular, as E(T) is: both are read at E's flat indices
+        # catches a corrupted bound where the norm bounds are loose
         with np.errstate(over="ignore"):  # an overflowing bound is inf
             bounds = columns[:, ks].T * scale
             by_norm = exact[:, None] > bounds * slack
-            ew = entrywise[ks] * scale
-            abs_g = np.abs(gs.reshape(len(gs), -1)[:, layout])
-            bad = abs_g > ew * slack
+            ew = problem.entrywise_block(ks) * scale
+            abs_g = np.abs(gs)
+            bad = (abs_g > ew * slack).reshape(len(gs), -1)
         hits = np.flatnonzero(by_norm.any(axis=1) | bad.any(axis=1))
         if not hits.size:
             continue
@@ -361,12 +358,10 @@ def cmd_check(args) -> int:
                          f"{BOUND_COLUMNS[c]}={float(bounds[i, c])!r}\n")
         else:
             # the violating entry first in row-major order
-            js = np.flatnonzero(bad[i])
-            j = js[np.argmin(layout[js])]
-            r, c = divmod(int(layout[j]), problem.n)
+            r, c = divmod(int(np.flatnonzero(bad[i])[0]), problem.n)
             _write(args, f"violation: t={t!r} entry=({r},{c}) "
-                         f"exact={float(abs_g[i, j])!r} "
-                         f"bound_entrywise={float(ew[i, j])!r}\n")
+                         f"exact={float(abs_g[i, r, c])!r} "
+                         f"bound_entrywise={float(ew[i, r, c])!r}\n")
         return 4
     unchecked = np.count_nonzero(~np.isfinite(columns).any(axis=0))
     if unchecked:

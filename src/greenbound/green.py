@@ -212,6 +212,12 @@ def matrix_exp(a) -> np.ndarray:
     return scipy.linalg.expm(as_matrix(a))
 
 
+def kernel_parts(count: int, n: int) -> list:
+    """Slices of range(count), max(1, KERNEL_BLOCK // n^2) long."""
+    per = max(1, KERNEL_BLOCK // (n * n))
+    return [slice(lo, lo + per) for lo in range(0, count, per)]
+
+
 class GreenKernel:
     """Green's function evaluator for a fixed coefficient matrix.
 
@@ -343,10 +349,7 @@ class GreenKernel:
         return g if self.q is None else self.q @ g @ self.q.conj().T
 
     def _parts(self, count: int) -> list:
-        """Slices of range(count), KERNEL_BLOCK // n^2 (at least 1) long."""
-        n = self.a.shape[0]
-        per = max(1, KERNEL_BLOCK // (n * n))
-        return [slice(lo, lo + per) for lo in range(0, count, per)]
+        return kernel_parts(count, self.a.shape[0])
 
     def squarings(self, ts) -> np.ndarray:
         """The squaring count s of each nonzero finite t: the least s >= 0

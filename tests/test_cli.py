@@ -13,6 +13,7 @@ import greenbound.green
 import greenbound.schur
 from greenbound import GreenKernel, schur_decompose
 from greenbound.cli import BOUND_COLUMNS, CliError, main, make_grid
+from greenbound.matcore import induced_norm
 
 from conftest import (random_dense, random_triangular, random_unitary,
                       scaled_nilpotent)
@@ -375,6 +376,38 @@ def test_check_reports_the_first_violation_in_grid_order(tmp_path, capsys):
         assert code == 4 and out.startswith(f"violation: t={t!r} {verdict}")
 
 
+def test_check_reports_a_violating_entry_in_a_later_kernel_block(
+        tmp_path, capsys):
+    # left eigenvalues 10 and 30 sit exactly at the gap, so |G_ii| = E_ii
+    # for t > 0; the halved gamma_plus keeps |G| / E below 0.99 at t < 0.
+    # A bound scale just below 1 then fails those two entries first at the
+    # first t > 0, grid index 20, in the fourth kernel block of six times
+    a = random_triangular(np.random.default_rng(0), 50)
+    d = np.diag(a)
+    re = np.where(d.real < 0, d.real - 0.5, d.real)
+    re[[10, 30]] = -0.5
+    a[np.diag_indices(50)] = re + 1j * d.imag
+    gamma_plus = float(re[re > 0].min()) / 2
+    path = write_matrix(tmp_path / "m.json", a)
+    scale = 0.999999
+    code, out, _ = run_cli(capsys, "check", path, "--norm", "inf",
+                           "--t-min", "-10", "--t-max", "10", "--gamma-plus",
+                           repr(gamma_plus), "--bound-scale", str(scale))
+    ts = make_grid(-10.0, 10.0, 40)
+    g = np.abs(GreenKernel(a).block(ts))
+    e = bounds.envelope_table(50, 0.5, gamma_plus, ts).matrix_series(
+        np.abs(np.triu(a, 1)))
+    bad = g > e * scale * (1 + 1e-9)
+    first = np.flatnonzero(bad.any(axis=(1, 2)))[0]
+    assert first == 20 and ts[first] == 0.1
+    assert first // (greenbound.green.KERNEL_BLOCK // 50 ** 2) == 3
+    assert np.argwhere(bad[first]).tolist() == [[10, 10], [30, 30]]
+    assert code == 4
+    assert out == (f"violation: t=0.1 entry=(10,10) "
+                   f"exact={float(g[first, 10, 10])!r} "
+                   f"bound_entrywise={float(e[first, 10, 10] * scale)!r}\n")
+
+
 @pytest.mark.parametrize("scale, code, verdict", [
     ("1.0", 0, "ok\n"),
     ("0.5", 4, "violation: "),
@@ -623,6 +656,33 @@ def test_entrywise_row_sums_overflow_quietly(tmp_path, capsys):
         "--t-min", "3", "--t-max", "3", "--steps", "1",
     )
     assert (code, out, err) == (0, "t,bound_entrywise_norm\n3.0,inf\n", "")
+
+
+@pytest.mark.parametrize("command", [
+    ("compare", "--norm", "inf"),
+    ("compare", "--norm", "1"),
+    ("bound", "--bound", "entrywise", "--norm", "1"),
+])
+def test_entrywise_column_is_the_norm_of_each_full_matrix(tmp_path, capsys,
+                                                          command):
+    # n = 50 takes the 40 times in seven kernel blocks; every cell is the
+    # induced norm of that time's full E, to the last bit
+    a = random_triangular(np.random.default_rng(50), 50)
+    split = greenbound.green.spectral_gaps(a)
+    assert split.m and split.l
+    assert -(-40 // (greenbound.green.KERNEL_BLOCK // 50 ** 2)) == 7
+    path = write_matrix(tmp_path / "m.json", a)
+    code, out, _ = run_cli(capsys, command[0], path, "--t-min", "-10",
+                           "--t-max", "10", *command[1:])
+    ts = make_grid(-10.0, 10.0, 40)
+    e = bounds.envelope_table(50, split.gamma_minus, split.gamma_plus,
+                              ts).matrix_series(np.abs(np.triu(a, 1)))
+    p = math.inf if command[-1] == "inf" else 1
+    lines = out.splitlines()
+    column = lines[0].split(",").index("bound_entrywise_norm")
+    assert code == 0 and len(lines) == 41
+    assert [line.split(",")[column] for line in lines[1:]] == [
+        repr(induced_norm(x, p)) for x in e]
 
 
 def _forbidden(*args, **kwargs):

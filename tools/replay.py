@@ -9,8 +9,8 @@ own interpreter, with one BLAS thread, on the same input files:
 
 * inputs: every matrix of ``tests/data/cli_compare_reference.json``, seeded
   triangular (two-sided, one-sided left and right, N x 1e4, near-axis) and
-  dense matrices with n <= 50, and three files with a JSON boolean in
-  ``data``;
+  dense matrices with n <= 80, two-sided n = 80 being two kernel times per
+  block, and three files with a JSON boolean in ``data``;
 * CLI calls on the 40-point grid from -10 to 10: ``gaps``, and ``exact``,
   ``bound --bound all``, ``compare``, ``check`` and ``check --bound-scale
   0.5`` at norms 1, 2 and inf, each with and without ``--output``;
@@ -78,9 +78,9 @@ def _near_axis(seed, n):
 
 
 def generated_inputs() -> dict:
-    """Seeded matrices, n <= 50, by label."""
+    """Seeded matrices, n <= 80, by label."""
     inputs = {}
-    for n in (1, 3, 8, 20, 50):
+    for n in (1, 3, 8, 20, 50, 80):
         inputs[f"two-sided-{n}"] = _triangular(n, n)
     for n in (6, 20):
         inputs[f"left-{n}"] = _triangular(100 + n, n, side=-1)
