@@ -12,14 +12,14 @@ Every bound is a sum over k of envelope weights W[t, k] times a power of a
 norm or matrix, so the whole family reads one table (``EnvelopeTable``) built
 once per grid of times:
 
-  * two-sided spectra:  W[t, k] = h^{*(k+1)}(t);
+  * two-sided spectra:  W[t, k] = h^{*(k+1)}(t) = h(t) P_k(|t|);
   * one-sided spectra:  W[t, k] = h(t) |t|^k / k!  (zero on the side with no
-    spectrum).
+    spectrum), the limit of h(t) P_k(|t|) as gamma_minus + gamma_plus -> inf.
 
-The table holds each weight as mantissa * 2**exponent, built by recurrences
-over k with exact power-of-two rescaling, so no intermediate overflows: a
-bound whose true value fits in a float comes out finite, and one that does
-not comes out +inf.
+The table holds each weight as mantissa * 2**exponent, built by one
+recurrence over k for P_k with exact power-of-two rescaling, so no
+intermediate overflows: a bound whose true value fits in a float comes out
+finite, and one that does not comes out +inf.
 
 Bounds provided (each scalar function is a one-point view of the table):
   * triangular_bound  - sum_k ||N||^k h^{*(k+1)}(t), the main estimate for an
@@ -138,11 +138,9 @@ def _powers(x: float, n: int):
 
 # --- the envelope-weight table -----------------------------------------------
 
-def _series(u, n: int, gamma=None):
-    """f_k(u) for k < n on a 1-D grid u, as (mantissa, exponent), (T, n).
-
-    ``gamma=None`` gives the one-sided weights f_k = u^k / k!.  A finite
-    ``gamma`` gives the factor P_k(u) = h^{*(k+1)}(t) / h(t), u = |t|,
+def _series(u, n: int, gamma: float):
+    """P_k(u) = h^{*(k+1)}(t) / h(t), u = |t|, for k < n on a 1-D grid u,
+    as (mantissa, exponent), (T, n), with gamma = gamma_minus + gamma_plus:
 
         P_k(u) = sum_{j<=k} (k+j)! u^(k-j) / (k! j! (k-j)! gamma^j),
 
@@ -151,31 +149,28 @@ def _series(u, n: int, gamma=None):
         P_0 = 1,  P_1 = 2/gamma + u,
         P_k = 2(2k-1)/(gamma k) P_{k-1} + u^2/(k(k-1)) P_{k-2}.
 
-    Every coefficient is nonnegative, so the forward recurrence loses no
-    accuracy; the carried values are rescaled by a power of two after every
-    step.  A u >= 1 enters as its mantissa u 2^-e, through
-    P_k(u; gamma) = 2^(ke) P_k(u 2^-e; gamma 2^e), so u^2 cannot overflow.
-    A gamma below 2^-1000 makes e at least eg > 0 and enters as the float
-    gamma 2^eg, so 2(2k-1)/(gamma k) cannot overflow either.
+    gamma = +inf (one-sided spectra) gives its limit P_k = u^k / k!, Van
+    Loan's weights.  Every coefficient is nonnegative, so the forward
+    recurrence loses no accuracy; the carried values are rescaled by a power
+    of two after every step.  gamma enters as gamma 2^eg, eg = -998 - (the
+    binary exponent of gamma), so 2(2k-1)/(gamma 2^eg k) <= 2^1001 cannot
+    overflow; u enters as u 2^-e, e = max(binary exponent of u, eg), through
+    P_k(u; gamma) = 2^(ke) P_k(u 2^-e; gamma 2^e), so u^2 neither overflows
+    nor, for a tiny u, underflows.
     """
     k = np.arange(1, n)[:, None]
-    if gamma is None:
-        a, b, e = u / k, None, 0
-    else:
-        eg = max(0, -1000 - math.frexp(gamma)[1])
-        e = np.maximum(np.frexp(u)[1], eg)
-        u = np.ldexp(u, -e)
-        a = np.ldexp(2.0 * (2 * k - 1) / (math.ldexp(gamma, eg) * k), eg - e)
-        b = u * u / np.maximum(k * (k - 1), 1)
-        if n > 1:
-            b[0] = u  # P_1 = a_1 P_0 + u P_0
+    eg = -998 - math.frexp(gamma)[1]
+    e = np.maximum(np.frexp(u)[1], eg)
+    u = np.ldexp(u, -e)
+    a = np.ldexp(2.0 * (2 * k - 1) / (math.ldexp(gamma, eg) * k), eg - e)
+    b = u * u / np.maximum(k * (k - 1), 1)
+    if n > 1:
+        b[0] = u  # P_1 = a_1 P_0 + u P_0
     cur = prev = np.ones_like(u)
     mants, shifts = [cur], [np.zeros(u.shape, dtype=np.int64)]
     for j in range(n - 1):
-        nxt = a[j] * cur if b is None else a[j] * cur + b[j] * prev
-        nxt, shift = np.frexp(nxt)
-        if b is not None:
-            prev = np.ldexp(cur, -shift)
+        nxt, shift = np.frexp(a[j] * cur + b[j] * prev)
+        prev = np.ldexp(cur, -shift)
         cur = nxt
         mants.append(cur)
         shifts.append(shift)
@@ -318,23 +313,24 @@ def envelope_table(n: int, gamma_minus: float, gamma_plus: float,
     Two-sided spectra (both gaps finite) give h^{*(k+1)}(t) and need both
     gaps > 0.  With one gap +inf the side it decays on gives h(t)|t|^k/k!
     and the other side 0; a negative gap there gives the growing envelope
-    e^{alpha t} of the Van Loan bound.  A NaN gap or time raises DomainError.
+    e^{alpha t} of the Van Loan bound.  A NaN gap or a NaN or infinite time
+    raises DomainError.
     """
     if math.isnan(gamma_minus) or math.isnan(gamma_plus):
         raise DomainError("spectral gaps must not be NaN")
     if max(gamma_minus, gamma_plus) < INF and min(gamma_minus, gamma_plus) <= 0:
         raise DomainError("a two-sided envelope needs both gaps > 0")
     ts = np.asarray(ts, dtype=float)
-    if np.isnan(ts).any():
-        raise DomainError("times must not be NaN")
-    gamma = gamma_minus + gamma_plus
+    if not np.isfinite(ts).all():
+        raise DomainError("times must be finite")
     return _table(ts, n, np.where(ts >= 0, gamma_minus, gamma_plus),
-                  gamma if gamma < INF else None)
+                  gamma_minus + gamma_plus)
 
 
-def _table(ts, n: int, rate, gamma=None) -> EnvelopeTable:
-    """W[t, k] = f_k(|t|) e^{-rate |t|}, k < n, with f_k from ``_series``
-    and each time's own rate; a rate of +inf makes its row 0."""
+def _table(ts, n: int, rate, gamma: float) -> EnvelopeTable:
+    """W[t, k] = P_k(|t|) e^{-rate |t|}, k < n, with P_k from ``_series``
+    at the gap sum gamma and each time's own rate; a rate of +inf makes its
+    row 0."""
     u = np.abs(ts)
     fm, fe = _series(u, n, gamma)
     live = rate < INF
@@ -350,8 +346,11 @@ def conv_power_poly(k: int, u: float, gamma: float) -> float:
     """The degree-(k-1) polynomial factor P_{k-1}(u) of h^{*k}.
 
     Coefficient of u^(k-1-j) is (k-1+j)! / ((k-1)! j! (k-1-j)! gamma^j); the
-    leading coefficient is 1/(k-1)!.  The empty polynomial (k < 1) is 0.
+    leading coefficient is 1/(k-1)!, and gamma = +inf leaves u^(k-1)/(k-1)!.
+    The empty polynomial (k < 1) is 0; a NaN or infinite u raises DomainError.
     """
+    if not math.isfinite(u):
+        raise DomainError("u must be finite")
     if k < 1:
         return 0.0
     m, e = _series(np.array([float(u)]), k, gamma)
@@ -405,7 +404,8 @@ def entrywise_bound(
     """Entrywise bound matrix: sum_k |N|^k h^{*(k+1)}(t).
 
     Dominates |G(B, t)| entrywise (1- and inf-norm contexts).  The series
-    stops at the nilpotency index of |N|.
+    stops at the nilpotency index of |N|.  ``d``, the diagonal part of B,
+    is ignored: the gaps carry all the bound reads of it.
     """
     if t == 0:
         raise UndefinedAtZero("bound undefined at t = 0")
@@ -438,12 +438,12 @@ def _qtds_weights(outer: int, inner: int, two_a: float, gamma: float):
 
 
 def qtds18_grid(params: QtdsParams, ts) -> np.ndarray:
-    """qtds18_bound on a grid of nonzero times; the gaps must be > 0."""
+    """qtds18_bound on a grid of nonzero finite times; the gaps must be > 0."""
     ts = np.asarray(ts, dtype=float)
     if np.any(ts == 0):
         raise UndefinedAtZero("bound undefined at t = 0")
-    if np.isnan(ts).any():
-        raise DomainError("times must not be NaN")
+    if not np.isfinite(ts).all():
+        raise DomainError("times must be finite")
     m, l = params.m, params.l
     if m < 1 or l < 1:
         raise Inapplicable("bound requires eigenvalues in both half-planes")
@@ -457,7 +457,7 @@ def qtds18_grid(params: QtdsParams, ts) -> np.ndarray:
     # one one-sided table, u^k / k! e^{-gap u} at each time's own gap: the
     # side of t > 0 reads its first m columns, that of t < 0 its first l
     both = _table(ts, max(m, l),
-                  np.where(ts > 0, params.gamma_minus, params.gamma_plus))
+                  np.where(ts > 0, params.gamma_minus, params.gamma_plus), INF)
     out = np.empty(ts.shape)
     for side, outer, inner in ((ts > 0, m, l), (ts < 0, l, m)):
         if side.any():

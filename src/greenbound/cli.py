@@ -365,8 +365,10 @@ def cmd_check(args) -> int:
         return 4
     unchecked = np.count_nonzero(~np.isfinite(columns).any(axis=0))
     if unchecked:
+        times = len(problem.t)
         print(f"note: every norm bound is inf or nan at {unchecked} of "
-              f"{len(problem.t)} times", file=sys.stderr)
+              f"{times} times; the entrywise test |G(T)| <= E(T) ran at all "
+              f"{times}", file=sys.stderr)
     _write(args, "ok\n")
     return 0
 

@@ -344,12 +344,9 @@ class GreenKernel:
             raise DomainError(f"t must be finite, got {float(bad[0])!r}")
         n = self.a.shape[0]
         g = np.empty((ts.size, n, n), dtype=complex)
-        for part in self._parts(ts.size):
+        for part in kernel_parts(ts.size, n):
             self._fill(ts[part], g[part])
         return g if self.q is None else self.q @ g @ self.q.conj().T
-
-    def _parts(self, count: int) -> list:
-        return kernel_parts(count, self.a.shape[0])
 
     def squarings(self, ts) -> np.ndarray:
         """The squaring count s of each nonzero finite t: the least s >= 0
@@ -478,7 +475,7 @@ class GreenKernel:
         yielded and FloatOverflow is raised.  The caller's settings hold
         while a stack is yielded."""
         ts = np.asarray(ts, dtype=float)
-        for part in self._parts(ts.size):
+        for part in kernel_parts(ts.size, self.a.shape[0]):
             with np.errstate(over="ignore", invalid="ignore"):
                 g = self.block(ts[part])
             bad = np.flatnonzero(~np.isfinite(g).all(axis=(1, 2)))

@@ -64,6 +64,11 @@ def test_conv_power_domain():
     with pytest.raises(DomainError):
         conv_power_bessel(2, 0.0, 1.0, 1.0)
     assert conv_power_poly(0, 1.0, 1.0) == 0.0
+    # u = |t| must be finite, as t must: at u = +inf and gamma = +inf the
+    # recurrence would form 0 * inf = nan
+    for u, gamma in ((INF, INF), (INF, 1.0), (math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            conv_power_poly(3, u, gamma)
 
 
 def test_conv_power_bessel_agrees_with_poly():
@@ -499,9 +504,9 @@ def test_qtds18_where_the_sums_overflow():
 
 def exact_weight_factor(k, u, gamma):
     """W[t, k] / h(t) in exact rationals: h^{*(k+1)} / h for a finite gamma,
-    u^k / k! for a one-sided spectrum (gamma None)."""
+    u^k / k! for a one-sided spectrum (gamma = +inf)."""
     u = Fraction(u)
-    if gamma is None:
+    if gamma == INF:
         return u ** k / math.factorial(k)
     g = Fraction(gamma)
     # (k+j)! / (k! j! (k-j)!) = C(k+j, j) / (k-j)!
@@ -518,7 +523,7 @@ def test_envelope_table_matches_exact_reference(n, gm, gp):
     ts = np.array([-10.0, -2.5, -0.1, 0.01, 0.3, 1.7, 10.0])
     table = envelope_table(n, gm, gp, ts)
     got = table.values()
-    gamma = gm + gp if math.isfinite(gm + gp) else None
+    gamma = gm + gp
     for i, t in enumerate(ts):
         rate = gm if t > 0 else gp
         if rate == INF:
@@ -546,7 +551,7 @@ def test_envelope_table_at_extreme_times(gm, gp):
     table = envelope_table(8, gm, gp, ts)
     got = table.values()
     assert not np.isnan(table.mant).any()
-    gamma = gm + gp if math.isfinite(gm + gp) else None
+    gamma = gm + gp
     for i, t in enumerate(ts):
         rate = gm if t > 0 else gp
         if rate == INF or abs(t) > 1.0:
@@ -558,6 +563,56 @@ def test_envelope_table_at_extreme_times(gm, gp):
     np.testing.assert_array_equal(table.series(3.0)[[0, 1, 4, 5]], 0.0)
     # P_1(u) = 2/gamma + u fits although u^2 does not
     assert conv_power_poly(2, 1e300, 1.0) == 1e300
+
+
+def ulp(x: Fraction) -> Fraction:
+    """The spacing of 53-bit mantissas at x > 0, at any exponent."""
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    if x >= Fraction(2) ** e:
+        e += 1  # now 2^(e-1) <= x < 2^e
+    return Fraction(2) ** (e - 53)
+
+
+def test_one_sided_weights_are_powers_over_factorials():
+    # gamma = +inf in the two-sided recurrence: P_k = u^2/(k(k-1)) P_{k-2}
+    # from P_1 = u, that is u^k / k!.  A tiny u is scaled up before u^2 is
+    # formed, where it would underflow; h(t) = 1 at a gap of 0
+    us = [0.0, 5e-324, 1e-310, 1e-200, 0.3, 7.0, 1e200]
+    table = envelope_table(50, 0.0, INF, us)
+    for u, mants, expos in zip(us, table.mant, table.expo):
+        for k, (m, e) in enumerate(zip(mants.tolist(), expos.tolist())):
+            exact = Fraction(u) ** k / math.factorial(k)
+            got = Fraction(m) * Fraction(2) ** e
+            if exact == 0:
+                assert got == 0, (u, k)
+            else:
+                assert abs(got - exact) <= 4 * k * ulp(exact), (u, k)
+    # sum_{k<6} 1/k!: u^2 underflows at u = 1e-200 unless u is scaled
+    params = BoundParams(6, 1e200, 1.0, INF)
+    assert triangular_bound(params, 1e-200) == 2.7166666666666663
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gap_sums_near_the_float_limit_warn_nothing():
+    # gamma k overflowed in the recurrence's 2(2k-1)/(gamma k) from a gap
+    # sum of about 1.8e308 / (n - 1) on: an overflow warning, 0 coefficient
+    assert conv_power_poly(5, 1.0, 1.7e308) == pytest.approx(1 / 24,
+                                                              rel=1e-15)
+    ts = make_grid(-10.0, 10.0, 40)
+    got = envelope_table(40, 5e306, 5e306, ts).values()
+    assert (got == 0.0).all()  # h(t) = e^{-5e306 |t|}
+    gap = 8.5e307
+    t = 1e-307  # h(t) = e^{-8.5}
+    n_mat = np.triu(np.ones((3, 3)), 1)
+    factors = [exact_weight_factor(k, t, 2 * gap) for k in range(3)]
+    h = math.exp(-gap * t)
+    want = float(sum(factors)) * h
+    assert triangular_bound(BoundParams(3, 1.0, gap, gap), t) == (
+        pytest.approx(want, rel=1e-13))
+    out = entrywise_bound(None, n_mat, gap, gap, t)
+    np.testing.assert_allclose(np.diag(out), h, rtol=1e-14)
+    assert out[0, 2] == pytest.approx(float(factors[1] + factors[2]) * h,
+                                      rel=1e-13)
 
 
 # --- large n: finite where the value fits, +inf where it does not ------------

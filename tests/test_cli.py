@@ -1008,6 +1008,25 @@ def test_huge_times_give_zero_bounds(tmp_path, capsys, t):
     assert run_cli(capsys, "check", path, *grid) == (0, "ok\n", "")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("norm", ["1", "2", "inf"])
+def test_gap_sum_near_the_float_limit_warns_nothing(tmp_path, capsys, norm):
+    # gamma = 1e308: gamma k overflowed in the envelope recurrence, and every
+    # command that builds the table printed an overflow warning
+    path = write_matrix(tmp_path / "m.json", [[-5e307, 1, 0], [0, 5e307, 1],
+                                              [0, 0, -5e307]])
+    grid = ("--t-min", "-1e-307", "--t-max", "1e-307", "--steps", "4",
+            "--norm", norm)
+    code, out, err = run_cli(capsys, "compare", path, *grid)
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert all(0.0 < row["exact_norm"] <= row["bound_triangular"] < 1.0
+               for row in rows)
+    code, out, err = run_cli(capsys, "bound", path, "--bound", "all", *grid)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "check", path, *grid) == (0, "ok\n", "")
+
+
 @pytest.mark.parametrize("b, argv, note", [
     # gaps of 1e-300 make every norm bound inf
     pytest.param([[-1, 1, 1], [0, 2, 1], [0, 0, -3]],
@@ -1021,10 +1040,13 @@ def test_huge_times_give_zero_bounds(tmp_path, capsys, t):
 def test_check_notes_times_without_a_finite_norm_bound(tmp_path, capsys, b,
                                                        argv, note):
     # an inf bound checks nothing, so only the entrywise matrix test can
-    # fail there: check says at how many times it checked no norm bound
+    # fail there: check says at how many times it checked no norm bound,
+    # and that the entrywise test still ran at every time
     path = write_matrix(tmp_path / "m.json", b)
+    times = note.split()[-1]
     assert run_cli(capsys, "check", path, "--norm", "inf", *argv) == (
-        0, "ok\n", f"note: every norm bound is inf or nan at {note} times\n")
+        0, "ok\n", f"note: every norm bound is inf or nan at {note} times; "
+        f"the entrywise test |G(T)| <= E(T) ran at all {times}\n")
 
 
 @pytest.mark.parametrize("argv, code, lines", [

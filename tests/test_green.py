@@ -28,7 +28,7 @@ from greenbound import (
 from greenbound.cli import make_grid
 from greenbound.green import (FORCING_BLOCK, GAUSS_NODES, GAUSS_X,
                               TAYLOR_DEGREE, TAYLOR_FACTORIALS, TAYLOR_POWERS,
-                              TAYLOR_RANGE, default_quad)
+                              TAYLOR_RANGE, default_quad, kernel_parts)
 from greenbound.matcore import ldexp
 from greenbound.oracles import green_parlett
 from greenbound.schur import schur_decompose
@@ -581,7 +581,7 @@ def test_two_sided_kernel_projects_once_per_time(monkeypatch, n):
     ts = make_grid(-10.0, 10.0, 40)
     g, products = _count_products(monkeypatch, kernel, ts)
     taylor = [x for x, y in products if y is kernel.table]
-    sides = [side for part in kernel._parts(ts.size)
+    sides = [side for part in kernel_parts(ts.size, n)
              for side in (ts[part] > 0, ts[part] < 0) if side.any()]
     assert [x.shape for x in taylor] == [
         (side.sum(), 1, TAYLOR_DEGREE + 1) for side in sides]

@@ -3,7 +3,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import greenbound
+from greenbound.cli import Problem, make_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(greenbound.__file__).resolve().parents[1]
@@ -60,3 +64,18 @@ def test_replay_sizes_csv_tables_that_differ_by_numbers():
         "compare c: stdout line 2: '-1.0,1.0,' -> '-1.0,inf,'",
         "column exact_norm: largest relative difference 4.44e-16 (2 ulps) "
         "in compare b --output out.csv"]
+
+
+@pytest.mark.parametrize("p", [1, np.inf])
+def test_entrywise_column_is_below_the_triangular_column(p):
+    # || |N|^k ||_p <= ||N||_p^k for p = 1 and inf, so the norm of
+    # E = sum_k W_k |N|^k is at most sum_k W_k ||N||_p^k on every
+    # triangular input of the replay, one-sided, N x 1e4 and near-axis too
+    ts = make_grid(-10.0, 10.0, 40)
+    for label, a in replay.generated_inputs().items():
+        if label.startswith("dense"):
+            continue
+        problem = Problem(a, p, ts)
+        entrywise = np.asarray(problem.bound_entrywise_norm)
+        assert (entrywise <= problem.bound_triangular
+                * (1.0 + 1e-12)).all(), label

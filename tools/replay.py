@@ -10,7 +10,8 @@ own interpreter, with one BLAS thread, on the same input files:
 * inputs: every matrix of ``tests/data/cli_compare_reference.json``, seeded
   triangular (two-sided, one-sided left and right, N x 1e4, near-axis) and
   dense matrices with n <= 80, two-sided n = 80 being two kernel times per
-  block, and three files with a JSON boolean in ``data``;
+  block, a 3 x 3 triangular matrix whose gap sum gamma_minus + gamma_plus
+  is 1e308, and three files with a JSON boolean in ``data``;
 * CLI calls on the 40-point grid from -10 to 10: ``gaps``, and ``exact``,
   ``bound --bound all``, ``compare``, ``check`` and ``check --bound-scale
   0.5`` at norms 1, 2 and inf, each with and without ``--output``;
@@ -78,7 +79,7 @@ def _near_axis(seed, n):
 
 
 def generated_inputs() -> dict:
-    """Seeded matrices, n <= 80, by label."""
+    """Seeded matrices, n <= 80, and the huge-gaps matrix, by label."""
     inputs = {}
     for n in (1, 3, 8, 20, 50, 80):
         inputs[f"two-sided-{n}"] = _triangular(n, n)
@@ -90,6 +91,9 @@ def generated_inputs() -> dict:
     for n in (4, 8, 20, 50):
         rng = np.random.default_rng(300 + n)
         inputs[f"dense-{n}"] = _cgauss(rng, (n, n)) / math.sqrt(2.0 * n)
+    # gaps of 5e307 on both sides: the gap sum times k leaves the float range
+    inputs["huge-gaps-3"] = np.array([[-5e307, 1, 0], [0, 5e307, 1],
+                                      [0, 0, -5e307]], dtype=complex)
     return inputs
 
 
