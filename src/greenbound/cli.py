@@ -194,16 +194,21 @@ class Problem:
     def bound_triangular(self) -> np.ndarray:
         return self.table.series(self.norm_n)
 
+    def entrywise_norms(self, e) -> np.ndarray:
+        """The p-norm, p = 1 or inf, of each E(t) in a block e from
+        ``entrywise_block``: each row summed pairwise, each column in row
+        order."""
+        axis = 2 if self.p == np.inf else 1
+        with np.errstate(over="ignore"):  # an overflowing row sum is inf
+            return e.sum(axis=axis).max(axis=1)
+
     @cached_property
     def bound_entrywise_norm(self):
         if self.p not in (1, np.inf):
             return [None] * len(self.t)
-        # full E blocks: each row summed pairwise, each column in row order
-        axis = 2 if self.p == np.inf else 1
-        with np.errstate(over="ignore"):  # an overflowing row sum is inf
-            return np.concatenate([
-                self.entrywise_block(ks).sum(axis=axis).max(axis=1)
-                for ks in kernel_parts(len(self.t), self.n)])
+        return np.concatenate([
+            self.entrywise_norms(self.entrywise_block(ks))
+            for ks in kernel_parts(len(self.t), self.n)])
 
     @cached_property
     def bound_vanloan(self):
@@ -331,8 +336,14 @@ def cmd_check(args) -> int:
     problem = _grid_problem(args)
     slack = 1.0 + 1e-9
     # every bound, packed E included, is built before the kernel, so that
-    # the packed sums and a kernel block are never built at once
-    columns = np.array([getattr(problem, col) for col in BOUND_COLUMNS],
+    # the packed sums and a kernel block are never built at once; at p = 1
+    # and inf, E's norm is read off each block of E as the loop unpacks it
+    # for the entries
+    e_norm = (BOUND_COLUMNS.index("bound_entrywise_norm")
+              if problem.p in (1, np.inf) else None)
+    columns = np.array([[None] * len(problem.t) if i == e_norm
+                        else getattr(problem, col)
+                        for i, col in enumerate(BOUND_COLUMNS)],
                        float)  # None reads as NaN
     problem.entrywise
     for ks, gs, exact in problem.kernel_blocks():
@@ -341,10 +352,13 @@ def cmd_check(args) -> int:
         # runs on T, triangular input or a dense input's Schur form, so
         # |G(T)| <= E(T) is checked entry by entry on every input: that
         # catches a corrupted bound where the norm bounds are loose
+        e = problem.entrywise_block(ks)
+        if e_norm is not None:
+            columns[e_norm, ks] = problem.entrywise_norms(e)
         with np.errstate(over="ignore"):  # an overflowing bound is inf
             bounds = columns[:, ks].T * scale
             by_norm = exact[:, None] > bounds * slack
-            ew = problem.entrywise_block(ks) * scale
+            ew = e * scale
             abs_g = np.abs(gs)
             bad = (abs_g > ew * slack).reshape(len(gs), -1)
         hits = np.flatnonzero(by_norm.any(axis=1) | bad.any(axis=1))

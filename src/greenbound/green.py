@@ -13,7 +13,9 @@ back as Q G(T) Q^H.  The projectors come from sign(T), computed directly
 scaling and squaring around a degree-30 Taylor polynomial, read off a table
 of powers of T balanced and scaled to B, with the squaring count set by
 bounds on norm(B^k)^(1/k) (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
-2009, Thm 4.2; SIAM J. Sci. Comput. 33, 2011, Sec. 3).
+2009, Thm 4.2; SIAM J. Sci. Comput. 33, 2011, Sec. 3).  The balancing
+scales are LAPACK zgebal's, computed in house (``balance``), so a
+triangular A never imports scipy.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from .balance import balance_exponents
 from .errors import (ConvergenceFailure, DomainError, FloatOverflow,
                      SpectrumOnAxis, UndefinedAtZero)
 from .matcore import (EXPONENT_CLIP, as_matrix, binary_scale, c_exponent,
@@ -171,8 +173,7 @@ def _triangular_form(a, vectors=True) -> tuple[np.ndarray | None, np.ndarray]:
     if not np.tril(a, -1).any():
         return None, a
     form = schur.schur_decompose(a, vectors)
-    gebal, = scipy.linalg.lapack.get_lapack_funcs(("gebal",), (a,))
-    permuted, lo, hi = gebal(a, permute=1, scale=0)[:3]
+    permuted, lo, hi = schur.lapack("gebal", a)(a, permute=1, scale=0)[:3]
     if hi > lo:  # a 1 x 1 block is not iterated on either
         k, block = binary_scale(permuted[lo:hi + 1, lo:hi + 1])
         eigs = np.diag(form.t)[lo:hi + 1]
@@ -204,11 +205,13 @@ def spectral_projectors(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def matrix_exp(a) -> np.ndarray:
-    """e^A by ``scipy.linalg.expm``.
+    """e^A by ``scipy.linalg.expm``, imported on the first call.
 
     That is Al-Mohy & Higham's scaling and squaring (2009): the Pade degree
     (3 to 13) and the number of squarings come from 1-norm estimates.
     """
+    import scipy.linalg
+
     return scipy.linalg.expm(as_matrix(a))
 
 
@@ -225,10 +228,11 @@ class GreenKernel:
     non-triangular A becomes A = Q T Q^H (``_triangular_form``; q is None
     for triangular A, which is T), the split is read off diag(T), and
     ``block`` evaluates G(T) and returns Q G(T) Q^H.  T is balanced once to
-    S^-1 T S, S a diagonal of powers of two (LAPACK gebal), so one large
-    entry cannot set the squaring count; the projectors and the Taylor
-    table are built for the balanced matrix, and G is mapped back as
-    S G S^-1, exactly.  Every call returns a fresh
+    S^-1 T S, S a diagonal of powers of two, bitwise the scales of LAPACK
+    3.12's zgebal with job S (``balance_exponents``, a numpy transcription
+    of its loop), so one large entry cannot set the squaring count; the
+    projectors and the Taylor table are built for the balanced matrix, and
+    G is mapped back as S G S^-1, exactly.  Every call returns a fresh
     array.  The table holds B^30 .. B^0, B the balanced matrix over 2^k,
     2^k the power of two just above its norm_inf, each power as its upper
     triangle (n (n + 1) / 2 entries, row by row, at the flat indices
@@ -252,17 +256,15 @@ class GreenKernel:
         self.a = as_matrix(a)
         self.q, tri = _triangular_form(self.a)
         self.split = spectral_gaps_from_eigenvalues(np.diag(tri))
-        # only gebal's scales are kept: it scales a row and then a column,
+        # only zgebal's scales are kept: it scales a row and then a column,
         # so a tiny diagonal entry can underflow on the way; S^-1 T S is
         # T 2^(e_j - e_i), one exact ldexp per entry
-        gebal, = scipy.linalg.lapack.get_lapack_funcs(("gebal",), (tri,))
-        scale = gebal(tri, scale=1, permute=0)[3]
-        self.scale_exp = e = np.frexp(scale)[1]  # S = diag(2^e)
+        self.scale_exp = e = balance_exponents(tri)  # S = diag(2^e)
         shift = e[:, None] - e[None, :]
         balanced = ldexp(tri, -shift)
         # S G S^-1 = G 2^(e_i - e_j) as two exact factors 2^h of one sign:
-        # gebal keeps the scales within 2^±970, so each half h fits a
-        # float; with S = I (gebal's exponents all equal) there are none
+        # zgebal keeps the scales within 2^±970, so each half h fits a
+        # float; with S = I (all exponents equal) there are none
         half = shift // 2
         self.unscale = () if not shift.any() else (
             np.ldexp(1.0, c_exponent(half)),

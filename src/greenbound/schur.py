@@ -7,7 +7,9 @@ The workspace is queried for the same request, so T is bitwise the T of
 ``scipy.linalg.schur`` either way.  An exactly upper triangular input comes
 back unchanged, with T = A and Q = I.  A Schur form is unique only up to the
 order of the eigenvalues on the diagonal of T, and LAPACK's order is the one
-returned.
+returned.  LAPACK is reached through ``lapack``, and scipy through it and
+``hessenberg``: scipy is imported on the first Schur form of a dense A and
+never for a triangular one.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceFailure
 from .matcore import as_matrix, induced_norm
@@ -34,8 +35,18 @@ class SchurForm:
         return np.diag(self.t)
 
 
+def lapack(name: str, a):
+    """LAPACK's routine ``name`` for A's dtype (zgees for "gees" and a
+    complex A), from ``scipy.linalg.lapack``, imported on the first call."""
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack.get_lapack_funcs((name,), (a,))[0]
+
+
 def hessenberg(a) -> tuple[np.ndarray, np.ndarray]:
     """Reduce A to upper Hessenberg H with unitary Q0, A = Q0 H Q0^H."""
+    import scipy.linalg
+
     h, q = scipy.linalg.hessenberg(as_matrix(a), calc_q=True)
     return q, h
 
@@ -50,7 +61,7 @@ def schur_decompose(a, vectors: bool = True) -> SchurForm:
     Raises ConvergenceFailure when LAPACK's QR iteration does not converge.
     """
     a = as_matrix(a)
-    gees, = scipy.linalg.lapack.get_lapack_funcs(("gees",), (a,))
+    gees = lapack("gees", a)
     lwork = int(gees(_no_sort, a, compute_v=vectors, lwork=-1)[-2][0].real)
     t, _, _, q, _, info = gees(_no_sort, a, compute_v=vectors, lwork=lwork)
     if info > 0:

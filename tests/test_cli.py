@@ -600,6 +600,59 @@ def test_import_leaves_test_only_scipy_modules_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+# run with argv [block or run, matrix file]: each CLI command's stdout,
+# bounded_solution and green_function's bytes, then the exit codes; with
+# block, a meta path finder makes every import of scipy raise
+SCIPY_BLOCKED_CHILD = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, NoScipy())
+import numpy as np
+from greenbound import bounded_solution, green_function
+from greenbound.cli import load_matrix, main
+
+path = sys.argv[2]
+grid = ["--t-min", "-2", "--t-max", "2", "--steps", "6"]
+codes = []
+for argv in (["gaps", path], ["exact", path, *grid],
+             ["bound", path, *grid], ["compare", path, *grid],
+             ["check", path, *grid], ["check", path, *grid, "--norm", "1"]):
+    codes.append(main(argv))
+a = load_matrix(path)
+x = bounded_solution(a, lambda s: np.exp(1j * s) * np.ones(len(a)), 0.3)
+print(x.tobytes().hex(), green_function(a, -0.7).tobytes().hex())
+print(codes)
+"""
+
+
+def test_triangular_input_runs_without_scipy(tmp_path):
+    # the balancing is in house, so a triangular input never imports scipy;
+    # a dense one loads scipy.linalg for its Schur form
+    rng = np.random.default_rng(67)
+    path = write_matrix(tmp_path / "t.json", random_triangular(rng, 5))
+    runs = [subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED_CHILD, mode, path],
+        capture_output=True, text=True, env=CHILD_ENV)
+        for mode in ("block", "run")]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0]"
+    dense = write_matrix(tmp_path / "a.json", random_dense(rng, 4))
+    code = ("import sys; from greenbound.cli import main; "
+            f"main(['gaps', {dense!r}]); "
+            "print('scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=CHILD_ENV)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "True"
+
+
 def assert_rows_close(rows, expected, columns, rel):
     assert len(rows) == len(expected)
     for row, want in zip(rows, expected):
@@ -656,6 +709,27 @@ def test_entrywise_row_sums_overflow_quietly(tmp_path, capsys):
         "--t-min", "3", "--t-max", "3", "--steps", "1",
     )
     assert (code, out, err) == (0, "t,bound_entrywise_norm\n3.0,inf\n", "")
+
+
+@pytest.mark.parametrize("norm", ["1", "inf"])
+def test_check_unpacks_each_block_of_e_once(tmp_path, capsys, monkeypatch,
+                                            norm):
+    # E's norm column is read off the blocks of E that the entry compare
+    # unpacks: seven kernel blocks of 40 times at n = 50, seven unpacks
+    unpacked = []
+    unpack = bounds.unpack
+
+    def record(sums, layout, size):
+        unpacked.append(len(sums))
+        return unpack(sums, layout, size)
+
+    monkeypatch.setattr(bounds, "unpack", record)
+    a = random_triangular(np.random.default_rng(50), 50)
+    path = write_matrix(tmp_path / "m.json", a)
+    code, out, _ = run_cli(capsys, "check", path, "--norm", norm,
+                           "--t-min", "-10", "--t-max", "10")
+    assert (code, out) == (0, "ok\n")
+    assert unpacked == [6, 6, 6, 6, 6, 6, 4]
 
 
 @pytest.mark.parametrize("command", [
@@ -865,15 +939,13 @@ def test_exit_code_library_failure(tmp_path, capsys, monkeypatch):
 
 def _lapack_gees(monkeypatch, wrap):
     """Hand the Schur reduction ``wrap(gees)`` for LAPACK's ``gees``."""
-    lapack = greenbound.schur.scipy.linalg.lapack
-    get = lapack.get_lapack_funcs
+    lapack = greenbound.schur.lapack
 
-    def get_wrapped(names, arrays=()):
-        funcs = get(names, arrays)
-        return tuple(wrap(f) if name == "gees" else f
-                     for name, f in zip(names, funcs))
+    def lapack_wrapped(name, a):
+        func = lapack(name, a)
+        return wrap(func) if name == "gees" else func
 
-    monkeypatch.setattr(lapack, "get_lapack_funcs", get_wrapped)
+    monkeypatch.setattr(greenbound.schur, "lapack", lapack_wrapped)
 
 
 def _no_schur(monkeypatch):
@@ -914,22 +986,22 @@ def test_lapack_failure_is_typed(tmp_path, capsys, monkeypatch, break_lapack,
 
 def test_compare_on_triangular_input_takes_no_lu(tmp_path, capsys,
                                                  monkeypatch):
-    # T's sign is direct, so LAPACK is asked only for the kernel's
-    # balancing: no Schur reduction, LU (getrf, getri) or inverse (trtri)
-    lapack = greenbound.green.scipy.linalg.lapack
-    get = lapack.get_lapack_funcs
+    # T's sign is direct and the kernel's balancing in house, so LAPACK is
+    # asked for nothing: no Schur reduction, balancing (gebal), LU (getrf,
+    # getri) or inverse (trtri)
+    lapack = greenbound.schur.lapack
     asked = []
 
-    def record(names, arrays=()):
-        asked.extend(names)
-        return get(names, arrays)
+    def record(name, a):
+        asked.append(name)
+        return lapack(name, a)
 
-    monkeypatch.setattr(lapack, "get_lapack_funcs", record)
+    monkeypatch.setattr(greenbound.schur, "lapack", record)
     rng = np.random.default_rng(61)
     path = write_matrix(tmp_path / "t.json", random_triangular(rng, 12))
     code, out, err = run_cli(capsys, "compare", path)
     assert code == 0 and err == ""
-    assert asked == ["gebal"]
+    assert asked == []
 
 
 @pytest.mark.parametrize("argv, tables", [

@@ -313,6 +313,11 @@ def _benchmark_input(monkeypatch, n, kind):
     return inputs.triangular(rng, n, kind)
 
 
+# 10^-150 .. 10^150: D^-1 T D with D = diag(GRADE_150) has entries up to
+# 1e300 above the diagonal
+GRADE_150 = 10.0 ** np.linspace(-150, 150, 12)
+
+
 def _table_powers(kernel):
     """The table's rows as n x n powers B^TAYLOR_POWERS[i]: the table keeps
     each upper triangle, row by row, and the strict lower one is 0."""
@@ -424,14 +429,23 @@ def test_kernel_where_the_rounding_floor_held_alpha_high(t):
     pytest.param(np.diag(2.0 ** np.arange(0, 60, 6))
                  @ np.triu(np.random.default_rng(8).normal(size=(10, 10)))
                  @ np.diag(2.0 ** -np.arange(0, 60, 6)), id="graded"),
+    # 181 scale changes over 16 sweeps
+    pytest.param(scaled_nilpotent(50, 50, 10.0), id="Nx10-50"),
+    # scales of 2^-956 .. 2^949, near zgebal's bound 2^970 on a scale
+    pytest.param(scaled_nilpotent(3, 3, 1e300), id="Nx1e300-3"),
+    # entries up to 1e300, past zgebal's bound 2^969 on a norm
+    pytest.param(random_triangular(np.random.default_rng(3), 12)
+                 * GRADE_150 / GRADE_150[:, None], id="graded-1e150"),
 ])
 def test_balanced_table_is_scipys_balance(a):
-    # where no entry underflows, S^-1 A S from gebal's scales is bitwise
-    # the matrix scipy's balancing returns; the inputs are triangular, since
-    # the table of a dense A is that of its Schur form
+    # where no entry underflows, S^-1 A S from the in-house balance is
+    # bitwise the matrix LAPACK's zgebal (job S) returns; the inputs are
+    # triangular, since the table of a dense A is that of its Schur form.
+    # zgebal is called directly: scipy.linalg.matrix_balance warns on
+    # scales near 2^+-970 as it casts them
     kernel = GreenKernel(a)
-    balanced, _ = scipy.linalg.matrix_balance(a.astype(complex),
-                                              permute=False)
+    balanced = scipy.linalg.lapack.zgebal(a.astype(complex), scale=1,
+                                          permute=0)[0]
     assert not np.array_equal(balanced, a)
     b = _table_powers(kernel)[-2]
     assert b.tobytes() == ldexp(balanced, -kernel.k).tobytes()
