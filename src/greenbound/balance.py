@@ -11,32 +11,28 @@ factor of 2 of each other; accept it, scaling row i by 1/f and then column
 i by f, when c f + r / f < 0.95 (c + r); repeat whole sweeps until one
 accepts nothing.
 
-``_gebal_steps`` is the transcription, one index at a time, with every
-guard of the Fortran: the sfmin/sfmax bounds on the loop and on the scale,
-and CA and RA, the entry IZAMAX picks by |re| + |im|.  Each norm is taken
-on a copy scaled by a power of two, so it neither overflows nor underflows.
-
-Upper triangular T allows whole sweeps instead (``_sweeps``).  Row i has
-nothing left of the diagonal and the similarity leaves the diagonal as it
-is, so within a sweep row i still holds its values from the sweep's start
-when its turn comes: the row norms are known up front.  Column j, when its
-turn comes, has rows k < j scaled by this sweep's accepted 1/f_k and is
+Upper triangular T allows whole sweeps (``_sweeps``).  Row i has nothing
+left of the diagonal and the similarity leaves the diagonal as it is, so
+within a sweep row i still holds its values from the sweep's start when its
+turn comes: the row norms are known up front.  Column j, when its turn
+comes, has rows k < j scaled by this sweep's accepted 1/f_k and is
 otherwise as at the start.  So a guess of the sweep's f gives every column
 norm in one matrix-vector product, and every decision in a few array
 operations: a screen of the whole sweep.  A decision is exact once the
 guesses before it are, so the decisions up to the first one that differs
 from its guess are the sweep's; the guess is replaced by the decisions
 until they agree with it, which takes at most one screen more than the
-sweep has decisions that its earlier ones overturn.  The sweeps run while
-every row and column norm is within 2^+-NORM_RANGE = 2^+-400 and every
-exponent within +-EXPONENT_RANGE = +-500: there each f is within 2^+-401,
-so zgebal's bounds of 2^+-969 on its norms and of 2^+-970 on a scale never
-act.  Elsewhere the balance is stepped, and so it is where a nonzero part
-of T lies below 2^-511, whose square loses bits, once a sweep moves.
+sweep has decisions that its earlier ones overturn.
 
-Either way the norms are numpy's, not the BLAS dznrm2 that LAPACK calls;
-the two differ by a few ulps at most, which moves a decision only where c
-and r tie to within that.
+The sweeps' domain: a nonzero diagonal, every row and column norm within
+2^+-NORM_RANGE = 2^+-400, every exponent within +-EXPONENT_RANGE = +-500,
+and, once a sweep moves, no nonzero part of T below 2^-511, whose square
+loses bits.  There each f is within 2^+-401, so zgebal's bounds of 2^+-969
+on its norms and of 2^+-970 on a scale never act.  Off it, the scales are
+zgebal's own, from LAPACK through ``schur.lapack``; only there is scipy
+imported.  The sweeps' norms are numpy's, not the BLAS dznrm2 that LAPACK
+calls; the two differ by a few ulps at most, which moves a decision only
+where c and r tie to within that.
 """
 
 from __future__ import annotations
@@ -44,11 +40,6 @@ from __future__ import annotations
 import numpy as np
 
 FACTOR = 0.95
-# zgebal's bounds: a scale stays within 2^+-970, SFMIN1 = DLAMCH('S') /
-# DLAMCH('P') = 2^-1022 / 2^-52 and SFMAX1 = 1 / SFMIN1, and its loop within
-# SFMIN2 = 2 SFMIN1 and SFMAX2 = 1 / SFMIN2
-SCALE_BOUND = 970
-SFMIN2, SFMAX2 = 2.0 ** -969, 2.0 ** 969
 # the domain of ``_sweeps`` (see above)
 NORM_RANGE = 400
 EXPONENT_RANGE = 500
@@ -62,7 +53,12 @@ def balance_exponents(t) -> np.ndarray:
     # a screen off the sweeps' domain may overflow, or form 0 inf
     with np.errstate(over="ignore", invalid="ignore"):
         e = _sweeps(t)
-    return _gebal_steps(t) if e is None else e
+    if e is None:
+        from .schur import lapack
+
+        scales = lapack("gebal", t)(t, scale=1, permute=0)[3]
+        e = (np.frexp(scales)[1] - 1).astype(np.intc)  # scales are 2^e
+    return e
 
 
 def _sweeps(t) -> np.ndarray | None:
@@ -126,55 +122,3 @@ def _sweeps(t) -> np.ndarray | None:
         twice = 2 * e
         np.ldexp(upper, twice - twice[:, None], out=m[:n])
         v[:n] = 1.0
-
-
-def _gebal_steps(t) -> np.ndarray:
-    """zgebal's job-S loop on a copy of T, one index at a time."""
-    a = np.array(t, dtype=complex)
-    n = a.shape[0]
-    parts = a.view(float).reshape(n, n, 2)  # ZDSCAL scales re and im
-    e = [0] * n  # SCALE(i) = 2^e[i]
-    noconv = True
-    while noconv:
-        noconv = False
-        for i in range(n):
-            c, r = _norm2(a[:, i]), _norm2(a[i])
-            ca, ra = _largest(a[:, i]), _largest(a[i])
-            if c == 0.0 or r == 0.0:
-                continue
-            k, g, s = 0, r / 2, c + r  # F = 2^k
-            while (c < g and max(2.0 ** k, c, ca) < SFMAX2
-                   and min(r, g, ra) > SFMIN2):
-                k, c, ca, r, g, ra = k + 1, c * 2, ca * 2, r / 2, g / 2, ra / 2
-            g = c / 2
-            while (g >= r and max(r, ra) < SFMAX2
-                   and min(2.0 ** k, c, g, ca) > SFMIN2):
-                k, c, g, ca, r, ra = k - 1, c / 2, g / 2, ca / 2, r * 2, ra * 2
-            if (c + r >= FACTOR * s
-                    # F SCALE(i) <= SFMIN1, SCALE(i) >= SFMAX1 / F
-                    or k < 0 and e[i] < 0 and k + e[i] <= -SCALE_BOUND
-                    or k > 0 and e[i] > 0 and k + e[i] >= SCALE_BOUND):
-                continue
-            e[i] += k
-            noconv = True
-            parts[i] *= 2.0 ** -k
-            parts[:, i] *= 2.0 ** k
-    return np.array(e, np.intc)
-
-
-def _norm2(x) -> float:
-    """The 2-norm of x, taken on x over the power of two at its largest
-    part."""
-    x = np.ascontiguousarray(x).view(float)
-    big = np.abs(x).max()
-    if not big:
-        return 0.0
-    k = np.frexp(big)[1]
-    y = np.ldexp(x, -k)
-    return float(np.ldexp(np.sqrt(y @ y), k))
-
-
-def _largest(x) -> float:
-    """|x_i| at the first i with the largest |re x_i| + |im x_i|, IZAMAX's
-    pick."""
-    return abs(complex(x[np.argmax(np.abs(x.real) + np.abs(x.imag))]))

@@ -313,9 +313,11 @@ def envelope_table(n: int, gamma_minus: float, gamma_plus: float,
     Two-sided spectra (both gaps finite) give h^{*(k+1)}(t) and need both
     gaps > 0.  With one gap +inf the side it decays on gives h(t)|t|^k/k!
     and the other side 0; a negative gap there gives the growing envelope
-    e^{alpha t} of the Van Loan bound.  A NaN gap or a NaN or infinite time
-    raises DomainError.
+    e^{alpha t} of the Van Loan bound.  A dimension n < 1, a NaN gap or a
+    NaN or infinite time raises DomainError.
     """
+    if n < 1:
+        raise DomainError("dimension must be >= 1")
     if math.isnan(gamma_minus) or math.isnan(gamma_plus):
         raise DomainError("spectral gaps must not be NaN")
     if max(gamma_minus, gamma_plus) < INF and min(gamma_minus, gamma_plus) <= 0:
@@ -347,10 +349,13 @@ def conv_power_poly(k: int, u: float, gamma: float) -> float:
 
     Coefficient of u^(k-1-j) is (k-1+j)! / ((k-1)! j! (k-1-j)! gamma^j); the
     leading coefficient is 1/(k-1)!, and gamma = +inf leaves u^(k-1)/(k-1)!.
-    The empty polynomial (k < 1) is 0; a NaN or infinite u raises DomainError.
+    The empty polynomial (k < 1) is 0; a NaN or infinite u, or a gamma that
+    is NaN or <= 0, raises DomainError.
     """
     if not math.isfinite(u):
         raise DomainError("u must be finite")
+    if not gamma > 0:
+        raise DomainError("gamma must be > 0")
     if k < 1:
         return 0.0
     m, e = _series(np.array([float(u)]), k, gamma)
@@ -415,9 +420,14 @@ def entrywise_bound(
 
 
 def van_loan_bound(alpha: float, norm_n: float, n: int, t: float) -> float:
-    """||e^{At}|| <= e^{alpha t} sum_{k<n} ||N t||^k / k!  for t >= 0."""
+    """||e^{At}|| <= e^{alpha t} sum_{k<n} ||N t||^k / k!  for t >= 0.
+
+    Like ``BoundParams``, a NaN or negative ||N||, and n < 1, raise
+    DomainError."""
     if t < 0:
         raise DomainError("van_loan_bound requires t >= 0")
+    if not norm_n >= 0:
+        raise DomainError("||N|| must be nonnegative")
     return float(envelope_table(n, -alpha, INF, [t]).series(norm_n)[0])
 
 

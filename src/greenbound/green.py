@@ -14,8 +14,9 @@ scaling and squaring around a degree-30 Taylor polynomial, read off a table
 of powers of T balanced and scaled to B, with the squaring count set by
 bounds on norm(B^k)^(1/k) (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
 2009, Thm 4.2; SIAM J. Sci. Comput. 33, 2011, Sec. 3).  The balancing
-scales are LAPACK zgebal's, computed in house (``balance``), so a
-triangular A never imports scipy.
+scales are LAPACK zgebal's, computed in house by whole sweeps
+(``balance``), so a triangular A imports no scipy inside the sweeps'
+domain; beyond it they are LAPACK's own.
 """
 
 from __future__ import annotations
@@ -229,12 +230,12 @@ class GreenKernel:
     for triangular A, which is T), the split is read off diag(T), and
     ``block`` evaluates G(T) and returns Q G(T) Q^H.  T is balanced once to
     S^-1 T S, S a diagonal of powers of two, bitwise the scales of LAPACK
-    3.12's zgebal with job S (``balance_exponents``, a numpy transcription
-    of its loop), so one large entry cannot set the squaring count; the
-    projectors and the Taylor table are built for the balanced matrix, and
-    G is mapped back as S G S^-1, exactly.  Every call returns a fresh
-    array.  The table holds B^30 .. B^0, B the balanced matrix over 2^k,
-    2^k the power of two just above its norm_inf, each power as its upper
+    3.12's zgebal with job S (``balance_exponents``: whole sweeps in numpy,
+    LAPACK beyond their domain), so one large entry cannot set the squaring
+    count; the projectors and the Taylor table are built for the balanced
+    matrix, and G is mapped back as S G S^-1, exactly.  Every call returns
+    a fresh array.  The table holds B^30 .. B^0, B the balanced matrix over
+    2^k, 2^k the power of two just above its norm_inf, each power as its upper
     triangle (n (n + 1) / 2 entries, row by row, at the flat indices
     ``upper``), filled one power at a time; alpha >= ALPHA_MIN bounds
     norm(B^k)^(1/k) for every k >= 31 (see ``__init__``), so the Taylor

@@ -4,9 +4,11 @@ import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenbound.balance import _gebal_steps, _sweeps, balance_exponents
+import greenbound.schur
+from greenbound.balance import _sweeps, balance_exponents
+from greenbound.schur import schur_decompose
 
-from conftest import random_triangular, scaled_nilpotent
+from conftest import random_dense, random_triangular, scaled_nilpotent
 
 
 def gebal_scales(a) -> np.ndarray:
@@ -69,14 +71,14 @@ def tiny_part():
     pytest.param(tiny_part(), id="tiny-part"),
 ])
 def test_exponents_are_zgebals(a):
-    # whole sweeps where they run, and the stepped transcription on every
-    # input, give LAPACK's scales bit for bit
-    scales = gebal_scales(a)
-    assert np.array_equal(np.ldexp(1.0, balance_exponents(a)), scales)
-    assert np.array_equal(np.ldexp(1.0, _gebal_steps(a)), scales)
+    # whole sweeps where they run, and LAPACK beyond them, give zgebal's
+    # scales bit for bit
+    e = balance_exponents(a)
+    assert e.dtype == np.intc
+    assert np.array_equal(np.ldexp(1.0, e), gebal_scales(a))
 
 
-def test_sweeps_leave_scales_past_their_domain_to_the_steps():
+def test_sweeps_leave_scales_past_their_domain_to_lapack():
     # |t_ij| <= 2^90, but the scales reach 2^518, past EXPONENT_RANGE
     a = scaled_nilpotent(12, 12, 2.0 ** 90).astype(complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -96,3 +98,49 @@ def test_exponents_are_zgebals_on_graded_entries(n, seed, spread):
     a = random_triangular(rng, n) * np.ldexp(1.0, k)
     assert np.array_equal(np.ldexp(1.0, balance_exponents(a)),
                           gebal_scales(a))
+
+
+def _record_lapack(monkeypatch) -> list:
+    """Record the name and keywords of every routine asked of LAPACK."""
+    asked = []
+    lapack = greenbound.schur.lapack
+
+    def lapack_logged(name, a):
+        func = lapack(name, a)
+
+        def logged(*args, **kwargs):
+            asked.append((name, kwargs))
+            return func(*args, **kwargs)
+        return logged
+
+    monkeypatch.setattr(greenbound.schur, "lapack", lapack_logged)
+    return asked
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param(scaled_nilpotent(8, 8, 1e300), id="Nx1e300-8"),
+    pytest.param(random_triangular(np.random.default_rng(2), 20)
+                 * 10.0 ** np.linspace(-150, 150, 20)
+                 / 10.0 ** np.linspace(-150, 150, 20)[:, None],
+                 id="graded-1e150"),
+])
+def test_lapack_balances_off_the_sweeps_domain(monkeypatch, a):
+    asked = _record_lapack(monkeypatch)
+    balance_exponents(a)
+    assert asked == [("gebal", {"scale": 1, "permute": 0})]
+
+
+@pytest.mark.parametrize("a", [
+    *(pytest.param(random_triangular(np.random.default_rng(n), n),
+                   id=f"triangular-{n}") for n in (8, 20, 50, 80)),
+    pytest.param(scaled_nilpotent(10, 30, 10.0), id="Nx10-30"),
+    pytest.param(random_triangular(np.random.default_rng(3), 20, gap=1e-3),
+                 id="near-axis"),
+    pytest.param(schur_decompose(random_dense(np.random.default_rng(4), 30),
+                                 vectors=False).t, id="schur-of-dense"),
+])
+def test_sweeps_ask_lapack_for_nothing_in_their_domain(monkeypatch, a):
+    asked = _record_lapack(monkeypatch)
+    e = balance_exponents(a)
+    assert asked == []
+    assert np.array_equal(np.ldexp(1.0, e), gebal_scales(a))

@@ -66,9 +66,13 @@ def test_conv_power_domain():
     assert conv_power_poly(0, 1.0, 1.0) == 0.0
     # u = |t| must be finite, as t must: at u = +inf and gamma = +inf the
     # recurrence would form 0 * inf = nan
-    for u, gamma in ((INF, INF), (INF, 1.0), (math.nan, 1.0)):
+    # and gamma > 0: gamma = 0 divided by zero to inf and a NaN gamma gave
+    # nan; gamma = +inf stays allowed
+    for u, gamma in ((INF, INF), (INF, 1.0), (math.nan, 1.0), (1.0, 0.0),
+                     (1.0, -1.0), (1.0, -INF), (1.0, math.nan)):
         with pytest.raises(DomainError):
             conv_power_poly(3, u, gamma)
+    assert conv_power_poly(3, 2.0, INF) == 2.0
 
 
 def test_conv_power_bessel_agrees_with_poly():
@@ -413,6 +417,13 @@ def test_nan_gap_or_norm_is_rejected():
         entrywise_bound(None, [[0, 1], [0, 0]], nan, 2.0, 1.0)
     with pytest.raises(DomainError):
         van_loan_bound(nan, 1.0, 2, 1.0)
+    # van_loan_bound checks what BoundParams does: a NaN norm gave nan, a
+    # negative one a bound of 0.18, and n = 0 numpy's zero-size ValueError
+    for norm_n, n in ((nan, 3), (-1.0, 3), (1.0, 0)):
+        with pytest.raises(DomainError):
+            van_loan_bound(-1.0, norm_n, n, 1.0)
+    with pytest.raises(DomainError):
+        envelope_table(0, 1.0, 2.0, [1.0])
     with pytest.raises(DomainError):
         conv_power_closed(2, 1.0, 1.0, nan)
     with pytest.raises(ValueError):

@@ -11,10 +11,11 @@ own interpreter, with one BLAS thread, on the same input files:
   triangular (two-sided, one-sided left and right, N x 1e4, near-axis) and
   dense matrices with n <= 80, two-sided n = 80 being two kernel times per
   block, a 3 x 3 triangular matrix whose gap sum gamma_minus + gamma_plus
-  is 1e308, two triangular matrices with entries up to 1e300, which the
-  balance steps through zgebal's loop (D^-1 T D with D graded from 1e-150
-  to 1e150, n = 20, and N x 1e300, n = 8, where zgebal's bounds on a norm
-  and on a scale act), and three files with a JSON boolean in ``data``;
+  is 1e308, two triangular matrices with entries up to 1e300, beyond the
+  balance's whole sweeps, which takes LAPACK zgebal's scales for them
+  (D^-1 T D with D graded from 1e-150 to 1e150, n = 20, and N x 1e300,
+  n = 8, where zgebal's bounds on a norm and on a scale act), and three
+  files with a JSON boolean in ``data``;
 * CLI calls on the 40-point grid from -10 to 10: ``gaps``, and ``exact``,
   ``bound --bound all``, ``compare``, ``check`` and ``check --bound-scale
   0.5`` at norms 1, 2 and inf, each with and without ``--output``;
@@ -90,7 +91,7 @@ def generated_inputs() -> dict:
         inputs[f"left-{n}"] = _triangular(100 + n, n, side=-1)
         inputs[f"right-{n}"] = _triangular(200 + n, n, side=1)
     inputs["Nx1e4-12"] = _triangular(12, 12, scale=1e4)
-    # entries up to 1e300: the balance steps through zgebal's loop
+    # entries up to 1e300: the balance takes LAPACK zgebal's scales
     grade = 10.0 ** np.linspace(-150, 150, 20)
     inputs["graded-1e150-20"] = _triangular(150, 20) * grade / grade[:, None]
     inputs["Nx1e300-8"] = _triangular(8, 8, scale=1e300)
