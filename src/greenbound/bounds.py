@@ -38,11 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, Inapplicable, UndefinedAtZero
+from .errors import DomainError, Inapplicable
 # induced_norm is part of this module's namespace: perfbench/tracing.py
 # rebinds it here as in every module that imports it
-from .matcore import (c_exponent, induced_norm,  # noqa: F401
-                      require_strictly_triangular)
+from .matcore import (as_times, c_exponent, induced_norm,  # noqa: F401
+                      nonzero_times, require_strictly_triangular)
 
 INF = float("inf")
 LN2 = math.log(2.0)
@@ -235,11 +235,13 @@ class EnvelopeTable:
         return _ldexp(*_sum(self.mant * wm, self.expo + we))
 
     def series(self, x: float) -> np.ndarray:
-        """sum_k W[:, k] x^k for a scalar x >= 0, shape (T,).
+        """sum_k W[:, k] x^k for a norm x = ||N|| >= 0, shape (T,).
 
         x = +inf gives W[:, 0] where every k >= 1 weight is 0 and +inf
-        elsewhere, not 0 * inf.
+        elsewhere, not 0 * inf.  A NaN or negative x raises DomainError.
         """
+        if not x >= 0:
+            raise DomainError("||N|| must be nonnegative")
         if x == INF:
             return np.where((self.mant[:, 1:] == 0).all(axis=1),
                             self.values()[:, 0], INF)
@@ -313,18 +315,16 @@ def envelope_table(n: int, gamma_minus: float, gamma_plus: float,
     Two-sided spectra (both gaps finite) give h^{*(k+1)}(t) and need both
     gaps > 0.  With one gap +inf the side it decays on gives h(t)|t|^k/k!
     and the other side 0; a negative gap there gives the growing envelope
-    e^{alpha t} of the Van Loan bound.  A dimension n < 1, a NaN gap or a
-    NaN or infinite time raises DomainError.
+    e^{alpha t} of the Van Loan bound.  A dimension n < 1, a NaN gap, a gap
+    of -inf, or a grid that ``as_times`` rejects raises DomainError.
     """
     if n < 1:
         raise DomainError("dimension must be >= 1")
-    if math.isnan(gamma_minus) or math.isnan(gamma_plus):
-        raise DomainError("spectral gaps must not be NaN")
+    if not (gamma_minus > -INF and gamma_plus > -INF):
+        raise DomainError("spectral gaps must not be NaN or -inf")
     if max(gamma_minus, gamma_plus) < INF and min(gamma_minus, gamma_plus) <= 0:
         raise DomainError("a two-sided envelope needs both gaps > 0")
-    ts = np.asarray(ts, dtype=float)
-    if not np.isfinite(ts).all():
-        raise DomainError("times must be finite")
+    ts = as_times(ts)
     return _table(ts, n, np.where(ts >= 0, gamma_minus, gamma_plus),
                   gamma_minus + gamma_plus)
 
@@ -352,13 +352,12 @@ def conv_power_poly(k: int, u: float, gamma: float) -> float:
     The empty polynomial (k < 1) is 0; a NaN or infinite u, or a gamma that
     is NaN or <= 0, raises DomainError.
     """
-    if not math.isfinite(u):
-        raise DomainError("u must be finite")
+    u = as_times([u])  # u = |t| is a time
     if not gamma > 0:
         raise DomainError("gamma must be > 0")
     if k < 1:
         return 0.0
-    m, e = _series(np.array([float(u)]), k, gamma)
+    m, e = _series(u, k, gamma)
     return float(_ldexp(m[0, -1], e[0, -1]))
 
 
@@ -397,9 +396,8 @@ def triangular_bound(params: BoundParams, t: float) -> float:
     bound becomes the truncated-exponential (Van Loan style) form; the side
     with no spectrum returns 0.
     """
-    if t == 0:
-        raise UndefinedAtZero("bound undefined at t = 0")
-    table = envelope_table(params.n, params.gamma_minus, params.gamma_plus, [t])
+    table = envelope_table(params.n, params.gamma_minus, params.gamma_plus,
+                           nonzero_times([t]))
     return float(table.series(params.norm_n)[0])
 
 
@@ -412,10 +410,9 @@ def entrywise_bound(
     stops at the nilpotency index of |N|.  ``d``, the diagonal part of B,
     is ignored: the gaps carry all the bound reads of it.
     """
-    if t == 0:
-        raise UndefinedAtZero("bound undefined at t = 0")
+    ts = nonzero_times([t])
     strict = require_strictly_triangular(n_mat)
-    table = envelope_table(strict.shape[0], gamma_minus, gamma_plus, [t])
+    table = envelope_table(strict.shape[0], gamma_minus, gamma_plus, ts)
     return table.matrix_series(np.abs(strict))[0]
 
 
@@ -423,11 +420,9 @@ def van_loan_bound(alpha: float, norm_n: float, n: int, t: float) -> float:
     """||e^{At}|| <= e^{alpha t} sum_{k<n} ||N t||^k / k!  for t >= 0.
 
     Like ``BoundParams``, a NaN or negative ||N||, and n < 1, raise
-    DomainError."""
+    DomainError, and so does alpha = +inf or NaN (``envelope_table``)."""
     if t < 0:
         raise DomainError("van_loan_bound requires t >= 0")
-    if not norm_n >= 0:
-        raise DomainError("||N|| must be nonnegative")
     return float(envelope_table(n, -alpha, INF, [t]).series(norm_n)[0])
 
 
@@ -448,12 +443,8 @@ def _qtds_weights(outer: int, inner: int, two_a: float, gamma: float):
 
 
 def qtds18_grid(params: QtdsParams, ts) -> np.ndarray:
-    """qtds18_bound on a grid of nonzero finite times; the gaps must be > 0."""
-    ts = np.asarray(ts, dtype=float)
-    if np.any(ts == 0):
-        raise UndefinedAtZero("bound undefined at t = 0")
-    if not np.isfinite(ts).all():
-        raise DomainError("times must be finite")
+    """qtds18_bound on a grid of nonzero times; the gaps must be > 0."""
+    ts = nonzero_times(ts)
     m, l = params.m, params.l
     if m < 1 or l < 1:
         raise Inapplicable("bound requires eigenvalues in both half-planes")

@@ -175,13 +175,9 @@ class Problem:
         return bnd.unpack(sums[ks], layout, self.n)
 
     def kernel_blocks(self):
-        """Yield (ks, gs, norms) along the grid, a kernel block at a time:
-        ks is the block's slice of the grid, gs its G(t) and norms their
-        p-norms (``GreenKernel.norms``), so each G is evaluated once."""
-        start = 0
-        for gs in self.kernel.blocks(self.t):
-            ks = slice(start, start + len(gs))
-            start = ks.stop
+        """Yield each (ks, gs) of ``GreenKernel.blocks`` along the grid with
+        the p-norms of gs (``GreenKernel.norms``): each G is evaluated once."""
+        for ks, gs in self.kernel.blocks(self.t):
             yield ks, gs, self.kernel.norms(self.t[ks], gs, self.p)
 
     @cached_property

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import balance_exponents
-from .errors import (ConvergenceFailure, DomainError, FloatOverflow,
-                     SpectrumOnAxis, UndefinedAtZero)
-from .matcore import (EXPONENT_CLIP, as_matrix, binary_scale, c_exponent,
-                      induced_norm, ldexp, norm_kind, split_triangular)
+from .errors import ConvergenceFailure, FloatOverflow, SpectrumOnAxis
+from .matcore import (EXPONENT_CLIP, as_matrix, as_times, binary_scale,
+                      c_exponent, induced_norm, ldexp, nonzero_times,
+                      norm_kind, split_triangular)
 from . import schur
 
 AXIS_RTOL = 1e-12
@@ -219,7 +219,7 @@ def matrix_exp(a) -> np.ndarray:
 def kernel_parts(count: int, n: int) -> list:
     """Slices of range(count), max(1, KERNEL_BLOCK // n^2) long."""
     per = max(1, KERNEL_BLOCK // (n * n))
-    return [slice(lo, lo + per) for lo in range(0, count, per)]
+    return [slice(lo, min(lo + per, count)) for lo in range(0, count, per)]
 
 
 class GreenKernel:
@@ -243,14 +243,10 @@ class GreenKernel:
     TAYLOR_RANGE.  With the spectrum on one side, one projector is 0 and
     the other I, and the kernel makes no product with either.
 
-    ``norms`` takes the norms of a block just evaluated.  Its two-norm runs
-    on G's rank-r core: G(t) = P G(t) P has rank r = m for t > 0 (P = P-)
-    and r = l for t < 0 (P+), and with C an orthonormal basis of P's
-    column space, norm(G)^2 is the largest eigenvalue of the r x r Gram
-    matrix of C^H G, a Hermitian eigensolve in place of an n x n SVD.
-    The bases are exact spans, read off P's unit diagonal with no rank
-    decision, and are built by one QR a side on first use; they are the
-    only state the kernel adds after ``__init__``.
+    ``norms`` takes the norms of a block just evaluated; its two-norm runs
+    on G's rank-r core, an r x r Hermitian eigensolve in place of an n x n
+    SVD, with bases (``_core_bases``) built on first use, the only state
+    the kernel adds after ``__init__``.
     """
 
     def __init__(self, a):
@@ -339,12 +335,10 @@ class GreenKernel:
         the product with P unless P = I, and each squaring, taken over the
         times still squaring, a prefix once each side is sorted by s.
         """
-        ts = np.asarray(ts, dtype=float)
-        if (ts == 0).any():
-            raise UndefinedAtZero("Green's function is undefined at t = 0")
-        bad = ts[~np.isfinite(ts)]
-        if bad.size:
-            raise DomainError(f"t must be finite, got {float(bad[0])!r}")
+        return self._evaluate(nonzero_times(ts))
+
+    def _evaluate(self, ts) -> np.ndarray:
+        """``block`` of a checked grid."""
         n = self.a.shape[0]
         g = np.empty((ts.size, n, n), dtype=complex)
         for part in kernel_parts(ts.size, n):
@@ -472,35 +466,31 @@ class GreenKernel:
         return self._bases
 
     def blocks(self, ts):
-        """Yield G over ts as consecutive stacks of at most KERNEL_BLOCK
-        values each, computed with numpy's overflow warnings off.  At the
-        first G(t) beyond the float range, the finite ones before it are
-        yielded and FloatOverflow is raised.  The caller's settings hold
-        while a stack is yielded."""
-        ts = np.asarray(ts, dtype=float)
-        for part in kernel_parts(ts.size, self.a.shape[0]):
+        """Yield (ks, G) for each ``kernel_parts`` slice ks of ts, after one
+        check of ts: G(t) on ks, stacked, with numpy's overflow warnings
+        off.  At the first G(t) beyond the float range, the finite ones
+        before it are yielded, ks cut short, and FloatOverflow is raised.
+        The caller's settings hold while a stack is yielded."""
+        ts = nonzero_times(ts)
+        for ks in kernel_parts(ts.size, self.a.shape[0]):
             with np.errstate(over="ignore", invalid="ignore"):
-                g = self.block(ts[part])
-            bad = np.flatnonzero(~np.isfinite(g).all(axis=(1, 2)))
-            if not bad.size:
-                yield g
-                continue
-            if bad[0]:
-                yield g[:bad[0]]
-            raise FloatOverflow(
-                f"G(t) overflows at t={float(ts[part][bad[0]])!r}")
+                g = self._evaluate(ts[ks])
+            finite = np.isfinite(g).all(axis=(1, 2))
+            good = len(g) if finite.all() else int(finite.argmin())
+            if good:
+                yield slice(ks.start, ks.start + good), g[:good]
+            if good < len(g):
+                raise FloatOverflow(
+                    f"G(t) overflows at t={float(ts[ks.start + good])!r}")
 
     def along(self, ts):
-        """Yield G(t) for each t in ts, as ``blocks`` does: G(t) beyond the
-        float range raises FloatOverflow, and the caller's settings hold
-        while a G(t) is yielded."""
-        for g in self.blocks(ts):
-            yield from g
+        """Yield G(t) for each t in ts, a view of ``blocks``."""
+        return (g for _, gs in self.blocks(ts) for g in gs)
 
 
 def green_function(a, t: float) -> np.ndarray:
     """G(A, t) for a single time; builds a throwaway kernel."""
-    return next(GreenKernel(a).along([t]))
+    return next(GreenKernel(a).blocks([t]))[1][0]
 
 
 def default_quad(split: SpectralSplit) -> tuple[float, int]:
@@ -543,8 +533,7 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
     Raises ValueError when f does not return shape (n,) and DomainError,
     before any kernel or f call, when t is not finite.
     """
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t!r}")
+    as_times([t])
     q, tri = _triangular_form(a)
     kernel, n = GreenKernel(tri), tri.shape[0]
     radius, panels = default_quad(kernel.split)

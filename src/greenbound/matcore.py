@@ -3,7 +3,9 @@ entrywise absolute values, and induced matrix norms (numpy/LAPACK).
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 Upper triangular is the canonical orientation throughout; lower-triangular
-inputs are rejected rather than silently transposed.
+inputs are rejected rather than silently transposed.  A grid of times is a
+1-D array of finite floats, checked once where it enters (``as_times``;
+``nonzero_times`` where t = 0 is outside the domain).
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotStrictlyTriangular, NotTriangular
+from .errors import (ConvergenceFailure, DomainError, NotStrictlyTriangular,
+                     NotTriangular, UndefinedAtZero)
 
 # Subdiagonal noise below this (relative to the inf-norm) is treated as zero.
 TRIANGULAR_ATOL_FACTOR = 1e-13
@@ -42,6 +45,27 @@ def as_matrix(a, stacked: bool = False) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
+
+
+def as_times(ts) -> np.ndarray:
+    """A grid of times as a 1-D float64 array; any other shape, or a NaN or
+    infinite time, raises DomainError."""
+    t = np.asarray(ts, dtype=float)
+    if t.ndim != 1:
+        raise DomainError(f"times must be a 1-D grid, got shape {t.shape}")
+    bad = t[~np.isfinite(t)]
+    if bad.size:
+        raise DomainError(f"t must be finite, got {float(bad[0])!r}")
+    return t
+
+
+def nonzero_times(ts) -> np.ndarray:
+    """``as_times``, and UndefinedAtZero where a time is 0: the domain of
+    G and of its bounds."""
+    ts = as_times(ts)
+    if (ts == 0).any():
+        raise UndefinedAtZero("G and its bounds are undefined at t = 0")
+    return ts
 
 
 def c_exponent(e):

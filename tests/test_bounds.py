@@ -426,8 +426,39 @@ def test_nan_gap_or_norm_is_rejected():
         envelope_table(0, 1.0, 2.0, [1.0])
     with pytest.raises(DomainError):
         conv_power_closed(2, 1.0, 1.0, nan)
+    # a gap of -inf made NaN weights, NaN even where a weight is 0, and so
+    # van_loan_bound at alpha = +inf returned nan
+    for gaps in ((-INF, INF), (INF, -INF), (-INF, 1.0)):
+        with pytest.raises(DomainError, match="NaN or -inf"):
+            envelope_table(3, *gaps, [1.0, -1.0])
+    with pytest.raises(DomainError):
+        van_loan_bound(INF, 1.0, 3, 1.0)
     with pytest.raises(ValueError):
         BoundParams(3, nan, 1.0, 2.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [-1.0, -INF, math.nan])
+def test_series_takes_a_nonnegative_norm(x):
+    # series(-1.0) read [0.552, 0.203], below series(1.0), and series(-inf)
+    # warned
+    table = envelope_table(3, 1.0, 2.0, [1.0, -1.0])
+    with pytest.raises(DomainError, match=r"^\|\|N\|\| must be nonnegative$"):
+        table.series(x)
+
+
+# a grid of times is 1-D: on [[1.0, 2.0]] envelope_table gave a 2 x 2
+# series, and qtds18_grid ended in IndexError
+@pytest.mark.parametrize("ts", [[[1.0, 2.0]], 1.0], ids=["2-d", "0-d"])
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda ts: envelope_table(2, 1.0, 1.0, ts).series(1.0),
+                 id="envelope_table"),
+    pytest.param(lambda ts: qtds18_grid(QtdsParams(1.0, 1, 1, 1.0, 1.0), ts),
+                 id="qtds18_grid"),
+])
+def test_bounds_read_a_1d_grid(read, ts):
+    with pytest.raises(DomainError, match="1-D grid"):
+        read(ts)
 
 
 def test_nan_time_is_rejected():

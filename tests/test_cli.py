@@ -785,10 +785,10 @@ def test_each_command_computes_only_what_it_prints(tmp_path, capsys,
                              *grid)
         assert code == 0
     times = []  # every time handed to the block evaluator
-    real_block = GreenKernel.block
+    real_evaluate = GreenKernel._evaluate
     with monkeypatch.context() as m:
-        m.setattr(GreenKernel, "block",
-                  lambda self, ts: times.extend(ts) or real_block(self, ts))
+        m.setattr(GreenKernel, "_evaluate",
+                  lambda self, ts: times.extend(ts) or real_evaluate(self, ts))
         m.setattr(GreenKernel, "_core_bases", _forbidden)
         code, out, _ = run_cli(capsys, "check", path, *grid)
         assert (code, out) == (0, "ok\n")

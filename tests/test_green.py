@@ -243,6 +243,19 @@ def test_green_rejects_a_non_finite_time(t):
         green_function([[-1.0]], t)
 
 
+# a grid of times is 1-D: on a 2-D or 0-d grid block and blocks ended in
+# IndexError, and at n = 128 blocks yielded G at the rows' first times
+@pytest.mark.parametrize("ts", [[[1.0, 2.0]], 1.0], ids=["2-d", "0-d"])
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda k, ts: k.block(ts), id="block"),
+    pytest.param(lambda k, ts: next(k.blocks(ts)), id="blocks"),
+    pytest.param(lambda k, ts: next(k.along(ts)), id="along"),
+])
+def test_kernel_reads_a_1d_grid(read, ts):
+    with pytest.raises(DomainError, match="1-D grid"):
+        read(GreenKernel([[-1.0, 1.0], [0.0, 2.0]]), ts)
+
+
 def test_green_semigroup(rng):
     b = random_triangular(rng, 5)
     k = GreenKernel(b)
@@ -537,6 +550,10 @@ def test_block_along_and_at_agree_bitwise(a):
     expected = np.array([one_time(float(t)) for t in ts]).tobytes()
     assert kernel.block(ts).tobytes() == expected
     assert np.array(list(kernel.along(ts))).tobytes() == expected
+    # blocks yields each part with its slice of ts
+    parts = list(kernel.blocks(ts))
+    assert [ks for ks, _ in parts] == kernel_parts(ts.size, n)
+    assert np.concatenate([g for _, g in parts]).tobytes() == expected
     assert np.array([kernel.at(t) for t in ts]).tobytes() == expected
 
 
@@ -618,12 +635,35 @@ def test_along_yields_the_finite_times_then_raises():
     # G(t) e^(1e-6 t) = sum_k (1e60 t)^k J^k / k!: its corner entry
     # (1e60 t)^5 / 120 is 2.6e306 at t = 50 and beyond the range at 500
     kernel = GreenKernel(-1e-6 * np.eye(6) + 1e60 * np.eye(6, k=1))
+    ts = [0.5, 5.0, 50.0, 500.0, 5e3]
     got = []
     with pytest.raises(FloatOverflow, match=r"^G\(t\) overflows at t=500\.0$"):
-        for g in kernel.along([0.5, 5.0, 50.0, 500.0, 5e3]):
+        for g in kernel.along(ts):
             got.append(g)
     assert len(got) == 3 and all(np.isfinite(g).all() for g in got)
     assert np.abs(got[-1]).max() > 1e306
+    # blocks yields the same three, their slice of ts cut short
+    steps = kernel.blocks(ts)
+    ks, g = next(steps)
+    assert ks == slice(0, 3) and g.tobytes() == np.array(got).tobytes()
+    with pytest.raises(FloatOverflow):
+        next(steps)
+
+
+@pytest.mark.parametrize("bad, error", [(math.nan, DomainError),
+                                        (0.0, UndefinedAtZero)])
+def test_blocks_checks_the_grid_before_its_first_stack(monkeypatch, bad,
+                                                       error):
+    # from n = 128 on a stack is one time: blocks yielded G(1) and G(2)
+    # before it reached the bad time
+    kernel = GreenKernel(_one_sided(128))
+    monkeypatch.setattr(GreenKernel, "_fill", _no_evaluation)
+    with pytest.raises(error):
+        next(kernel.blocks([1.0, 2.0, bad]))
+
+
+def _no_evaluation(*args, **kwargs):
+    raise AssertionError("G evaluated before the grid was checked")
 
 
 def test_green_unitary_invariance(rng):

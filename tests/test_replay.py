@@ -21,11 +21,15 @@ def test_replay_runs_each_call_and_reports_what_differs(tmp_path):
     numeric, boolean = replay.write_inputs(tmp_path)
     calls = replay.make_calls(numeric, boolean)
     # per input: gaps, then five commands at three norms with and without
-    # --output; one solve per numeric input
-    assert len(calls) == 31 * (len(numeric) + len(boolean)) + len(numeric)
+    # --output; per numeric input one solve and three green_function calls
+    assert len(calls) == (31 * (len(numeric) + len(boolean))
+                          + (1 + replay.GREEN_TIMES) * len(numeric))
+    green = [call["label"] for call in calls
+             if call["label"].startswith("green_function two-sided-3 ")]
+    assert len(green) == replay.GREEN_TIMES == 3
     labels = ["gaps boolean-re",
               "check two-sided-3 --norm inf --output out.csv",
-              "bounded_solution two-sided-3"]
+              "bounded_solution two-sided-3", green[0]]
     by_label = {call["label"]: call for call in calls}
     assert len(by_label) == len(calls)
     picked = [by_label[label] for label in labels]
@@ -37,6 +41,7 @@ def test_replay_runs_each_call_and_reports_what_differs(tmp_path):
     assert results[1] == {"code": 0, "stdout": "", "stderr": "",
                           "output": "ok\n"}
     assert len(bytes.fromhex(results[2]["x"])) == 3 * 16  # x in C^3
+    assert len(bytes.fromhex(results[3]["g"])) == 9 * 16  # G in C^(3x3)
     assert replay.differences(picked, results, results) == []
     changed = copy.deepcopy(results)
     changed[1]["output"] = "violation\n"

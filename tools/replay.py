@@ -1,5 +1,5 @@
-"""Replay the CLI and ``bounded_solution`` in two source trees and print
-every difference.
+"""Replay the CLI, ``bounded_solution`` and ``green_function`` in two
+source trees and print every difference.
 
     python tools/replay.py OLD_SRC NEW_SRC
 
@@ -20,10 +20,12 @@ own interpreter, with one BLAS thread, on the same input files:
   ``bound --bound all``, ``compare``, ``check`` and ``check --bound-scale
   0.5`` at norms 1, 2 and inf, each with and without ``--output``;
 * ``bounded_solution(a, f, t)`` on every numeric input, f(s) = e^{i w s} c
-  with seeded w, c and t.
+  with seeded w, c and t;
+* ``green_function(a, t)`` on every numeric input at three seeded times.
 
 A CLI call is compared by its exit code, stdout, stderr and ``--output``
-file, a solve by the bytes of x or its exception.  Each difference is
+file, a solve by the bytes of x or its exception, and a kernel call by the
+bytes of G or its exception.  Each difference is
 printed with the first line that differs, except that two CSV tables that
 differ only by finite numbers are sized: each such CSV column gets one line
 with its largest relative difference and the call that shows it.  The last
@@ -49,6 +51,7 @@ import numpy as np
 REFERENCE = (Path(__file__).resolve().parents[1] / "tests" / "data"
              / "cli_compare_reference.json")
 GRID = ["--t-min", "-10", "--t-max", "10", "--steps", "40"]
+GREEN_TIMES = 3  # green_function calls per numeric input
 OUTPUT = "out.csv"  # --output, relative to each tree's working directory
 # a 2 x 2 file whose entry (0, 1) is the given JSON text
 ENTRY_01 = '{"n": 2, "data": [[[1, 0], %s], [[0, 0], [1, 0]]]}'
@@ -150,6 +153,11 @@ def make_calls(numeric: dict, boolean: dict) -> list:
                       "omega": float(rng.uniform(-2.0, 2.0)),
                       "c": [[z.real, z.imag] for z in c.tolist()],
                       "t": float(rng.uniform(-5.0, 5.0))})
+    rng = np.random.default_rng(1977)
+    for label, path in numeric.items():
+        for t in rng.uniform(-5.0, 5.0, GREEN_TIMES).tolist():
+            calls.append({"label": f"green_function {label} t={t!r}",
+                          "green": path, "t": t})
     return calls
 
 
@@ -167,9 +175,13 @@ def _run_cli(main, argv) -> dict:
             "stderr": err.getvalue(), "output": output}
 
 
+def _matrix(path) -> np.ndarray:
+    data = np.array(json.loads(Path(path).read_text())["data"])
+    return data[..., 0] + 1j * data[..., 1]
+
+
 def _run_solve(bounded_solution, call) -> dict:
-    data = np.array(json.loads(Path(call["solve"]).read_text())["data"])
-    a = data[..., 0] + 1j * data[..., 1]
+    a = _matrix(call["solve"])
     c = np.array([complex(*z) for z in call["c"]])
     omega = call["omega"]
     try:
@@ -180,10 +192,18 @@ def _run_solve(bounded_solution, call) -> dict:
         return {"x": f"raised {type(exc).__name__}: {exc}"}
 
 
+def _run_green(green_function, call) -> dict:
+    try:
+        g = green_function(_matrix(call["green"]), call["t"])
+        return {"g": g.tobytes().hex()}
+    except Exception as exc:
+        return {"g": f"raised {type(exc).__name__}: {exc}"}
+
+
 def worker(calls_path: str, results_path: str) -> None:
     """Run the calls with the greenbound on sys.path; write the results."""
     import greenbound
-    from greenbound import bounded_solution
+    from greenbound import bounded_solution, green_function
     from greenbound.cli import main
 
     src = str(Path(greenbound.__file__).resolve().parents[1])
@@ -193,8 +213,10 @@ def worker(calls_path: str, results_path: str) -> None:
         with warnings.catch_warnings():
             if "argv" in call:
                 result = _run_cli(main, call["argv"])
-            else:
+            elif "solve" in call:
                 result = _run_solve(bounded_solution, call)
+            else:
+                result = _run_green(green_function, call)
         results.append({key: value.replace(src, "<src>")
                         if isinstance(value, str) else value
                         for key, value in result.items()})
