@@ -10,7 +10,7 @@ polynomial of degree k-1 in |t|.
 
 Every bound is a sum over k of envelope weights W[t, k] times a power of a
 norm or matrix, so the whole family reads one table (``EnvelopeTable``) built
-once per grid of times:
+once per grid of times, by ``envelope_table`` alone:
 
   * two-sided spectra:  W[t, k] = h^{*(k+1)}(t) = h(t) P_k(|t|);
   * one-sided spectra:  W[t, k] = h(t) |t|^k / k!  (zero on the side with no
@@ -27,7 +27,7 @@ Bounds provided (each scalar function is a one-point view of the table):
   * entrywise_bound   - the same with |N|^k matrices instead of ||N||^k;
   * van_loan_bound    - e^{alpha t} sum_k ||N t||^k / k!  for ||e^{At}||;
   * qtds18_bound      - a comparison double-sum bound using ||A|| and the
-    half-plane eigenvalue counts m, l.
+    half-plane eigenvalue counts m, l, on each side's one-sided table.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DomainError, Inapplicable
 # induced_norm is part of this module's namespace: perfbench/tracing.py
 # rebinds it here as in every module that imports it
-from .matcore import (as_times, c_exponent, induced_norm,  # noqa: F401
+from .matcore import (as_size, as_times, c_exponent, induced_norm,  # noqa
                       nonzero_times, require_strictly_triangular)
 
 INF = float("inf")
@@ -67,7 +67,7 @@ class BoundParams:
     gamma_plus: float
 
     def __post_init__(self):
-        if self.n < 1:
+        if as_size(self.n, "dimension") < 1:
             raise DomainError("dimension must be >= 1")
         if not self.norm_n >= 0:
             raise DomainError("||N|| must be nonnegative")
@@ -84,6 +84,8 @@ class QtdsParams:
     gamma_plus: float
 
     def __post_init__(self):
+        as_size(self.m, "m")
+        as_size(self.l, "l")
         if not self.norm_a >= 0:
             raise DomainError("||A|| must be nonnegative")
 
@@ -310,31 +312,25 @@ def unpack(sums, layout, size: int) -> np.ndarray:
 
 def envelope_table(n: int, gamma_minus: float, gamma_plus: float,
                    ts) -> EnvelopeTable:
-    """W[t, k], k < n, on a grid of times.
+    """W[t, k] = P_k(|t|) e^{-rate |t|}, k < n, on a grid of times: P_k at
+    the gap sum (``_series``), rate gamma_minus for t >= 0, else gamma_plus.
 
     Two-sided spectra (both gaps finite) give h^{*(k+1)}(t) and need both
     gaps > 0.  With one gap +inf the side it decays on gives h(t)|t|^k/k!
-    and the other side 0; a negative gap there gives the growing envelope
-    e^{alpha t} of the Van Loan bound.  A dimension n < 1, a NaN gap, a gap
-    of -inf, or a grid that ``as_times`` rejects raises DomainError.
+    and the other side (rate +inf) 0; a negative gap there gives the
+    growing envelope e^{alpha t} of the Van Loan bound.  An n that is not
+    an integer >= 1, a NaN gap, a gap of -inf, or a grid that ``as_times``
+    rejects raises DomainError.
     """
-    if n < 1:
+    if as_size(n, "dimension") < 1:
         raise DomainError("dimension must be >= 1")
     if not (gamma_minus > -INF and gamma_plus > -INF):
         raise DomainError("spectral gaps must not be NaN or -inf")
     if max(gamma_minus, gamma_plus) < INF and min(gamma_minus, gamma_plus) <= 0:
         raise DomainError("a two-sided envelope needs both gaps > 0")
     ts = as_times(ts)
-    return _table(ts, n, np.where(ts >= 0, gamma_minus, gamma_plus),
-                  gamma_minus + gamma_plus)
-
-
-def _table(ts, n: int, rate, gamma: float) -> EnvelopeTable:
-    """W[t, k] = P_k(|t|) e^{-rate |t|}, k < n, with P_k from ``_series``
-    at the gap sum gamma and each time's own rate; a rate of +inf makes its
-    row 0."""
-    u = np.abs(ts)
-    fm, fe = _series(u, n, gamma)
+    u, rate = np.abs(ts), np.where(ts >= 0, gamma_minus, gamma_plus)
+    fm, fe = _series(u, n, gamma_minus + gamma_plus)
     live = rate < INF
     with np.errstate(over="ignore"):  # rate * u beyond the range is inf
         hm, he = _exp(-np.where(live, rate, 0.0) * u)
@@ -349,13 +345,15 @@ def conv_power_poly(k: int, u: float, gamma: float) -> float:
 
     Coefficient of u^(k-1-j) is (k-1+j)! / ((k-1)! j! (k-1-j)! gamma^j); the
     leading coefficient is 1/(k-1)!, and gamma = +inf leaves u^(k-1)/(k-1)!.
-    The empty polynomial (k < 1) is 0; a NaN or infinite u, or a gamma that
-    is NaN or <= 0, raises DomainError.
+    The empty polynomial (k < 1) is 0; a non-integral k, a u < 0, NaN or
+    inf, or a gamma that is NaN or <= 0 raises DomainError.
     """
     u = as_times([u])  # u = |t| is a time
+    if u[0] < 0:
+        raise DomainError(f"u = |t| must be >= 0, got {float(u[0])!r}")
     if not gamma > 0:
         raise DomainError("gamma must be > 0")
-    if k < 1:
+    if as_size(k, "convolution power") < 1:
         return 0.0
     m, e = _series(u, k, gamma)
     return float(_ldexp(m[0, -1], e[0, -1]))
@@ -366,16 +364,12 @@ def conv_power_closed(
 ) -> float:
     """h^{*k}(t), the k-fold self-convolution of the envelope, in closed form.
 
-    ``method="poly"`` evaluates h(t) * P_{k-1}(|t|) with
-
-        P_{k-1}(u) = sum_{j=0}^{k-1} (k-1+j)! u^{k-1-j}
-                     / ((k-1)! j! (k-1-j)! gamma^j),
-
-    which is exact for every real t including 0.  ``method="bessel"``
-    evaluates the equivalent Bessel-product form
+    ``method="poly"`` reads h(t) P_{k-1}(|t|) (``conv_power_poly``) off
+    ``envelope_table``, exact for every real t including 0.
+    ``method="bessel"`` evaluates the equivalent Bessel-product form
     (``oracles.conv_power_bessel``; cross-check only, singular at t = 0).
     """
-    if k < 1:
+    if as_size(k, "convolution power") < 1:
         raise DomainError("convolution power must be >= 1")
     if gamma_minus <= 0 or gamma_plus <= 0 or gamma_minus == INF or gamma_plus == INF:
         raise DomainError("both gaps must be finite and positive")
@@ -445,27 +439,22 @@ def _qtds_weights(outer: int, inner: int, two_a: float, gamma: float):
 def qtds18_grid(params: QtdsParams, ts) -> np.ndarray:
     """qtds18_bound on a grid of nonzero times; the gaps must be > 0."""
     ts = nonzero_times(ts)
-    m, l = params.m, params.l
+    m, l, gm, gp = params.m, params.l, params.gamma_minus, params.gamma_plus
     if m < 1 or l < 1:
         raise Inapplicable("bound requires eigenvalues in both half-planes")
-    if INF in (params.gamma_minus, params.gamma_plus):
+    if INF in (gm, gp):
         raise Inapplicable("bound requires finite gaps on both sides")
-    if not (params.gamma_minus > 0 and params.gamma_plus > 0):
+    if not (gm > 0 and gp > 0):
         raise DomainError("both gaps must be > 0")
     two_a = 2.0 * params.norm_a
     if two_a == INF:  # gamma <= 2 rho(A) <= 2 ||A|| may overflow too
         return np.full(ts.shape, INF)
-    # one one-sided table, u^k / k! e^{-gap u} at each time's own gap: the
-    # side of t > 0 reads its first m columns, that of t < 0 its first l
-    both = _table(ts, max(m, l),
-                  np.where(ts > 0, params.gamma_minus, params.gamma_plus), INF)
+    # each side reads the one-sided table u^k / k! e^{-gap u} of its gap
     out = np.empty(ts.shape)
-    for side, outer, inner in ((ts > 0, m, l), (ts < 0, l, m)):
-        if side.any():
-            table = EnvelopeTable(both.mant[side, :outer],
-                                  both.expo[side, :outer])
-            out[side] = table.dot(*_qtds_weights(outer, inner, two_a,
-                                                 params.gamma))
+    for side, outer, inner, gaps in ((ts > 0, m, l, (gm, INF)),
+                                     (ts < 0, l, m, (INF, gp))):
+        table = envelope_table(outer, *gaps, ts[side])
+        out[side] = table.dot(*_qtds_weights(outer, inner, two_a, gm + gp))
     return out
 
 

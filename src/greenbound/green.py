@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import balance_exponents
-from .errors import ConvergenceFailure, FloatOverflow, SpectrumOnAxis
+from .errors import (ConvergenceFailure, DomainError, FloatOverflow,
+                     SpectrumOnAxis)
 from .matcore import (EXPONENT_CLIP, as_matrix, as_times, binary_scale,
                       c_exponent, induced_norm, ldexp, nonzero_times,
                       norm_kind, split_triangular)
@@ -52,7 +53,7 @@ ALPHA_MIN = TAYLOR_RANGE * 2.0 ** -34
 # bounded_solution holds at most this many complex values of f at once
 # (1 MiB), whatever the panel count; one panel's nodes if n > 4096
 FORCING_BLOCK = 2 ** 16
-# GreenKernel.block holds at most this many complex values per array (256
+# GreenKernel._fill holds at most this many complex values per array (256
 # KiB): a block of KERNEL_BLOCK // n^2 times, one time from n = 128 on
 KERNEL_BLOCK = 2 ** 14
 # _triangular_sign scales T to norm_inf in [2^(this - 1), 2^this)
@@ -233,8 +234,9 @@ class GreenKernel:
     3.12's zgebal with job S (``balance_exponents``: whole sweeps in numpy,
     LAPACK beyond their domain), so one large entry cannot set the squaring
     count; the projectors and the Taylor table are built for the balanced
-    matrix, and G is mapped back as S G S^-1, exactly.  Every call returns
-    a fresh array.  The table holds B^30 .. B^0, B the balanced matrix over
+    matrix, and G is mapped back as S G S^-1, exactly.  Every evaluator
+    returns a fresh array, and raises FloatOverflow at a G(t) beyond the
+    float range.  The table holds B^30 .. B^0, B the balanced matrix over
     2^k, 2^k the power of two just above its norm_inf, each power as its upper
     triangle (n (n + 1) / 2 entries, row by row, at the flat indices
     ``upper``), filled one power at a time; alpha >= ALPHA_MIN bounds
@@ -309,39 +311,21 @@ class GreenKernel:
                                         roots[2:].max(), roots[:2].max()))
 
     def at(self, t: float) -> np.ndarray:
-        """G(t); inf/NaN where it leaves the float range (``along`` checks)."""
+        """G(t), ``block`` at one time."""
         return self.block([t])[0]
 
     def block(self, ts) -> np.ndarray:
         """G(t) for each t in ts, stacked (len(ts), n, n): Q G(T) Q^H for
-        dense input; inf/NaN where G leaves the float range (``blocks``).
-
-        Plain e^{At} P cancels catastrophically once the discarded half of
-        the spectrum makes e^{At} large, so project once, R = e^{At/2^s} P,
-        and square R up s times.  R has the eigenvalues e^{At/2^s} keeps
-        and exactly 0 on the discarded half, so a square cannot amplify a
-        discarded mode and needs no reprojection.  At / 2^s = cB with the
-        exact scalar c = t 2^(k-s), and s (``squarings``) is the least count
-        with |c| alpha <= TAYLOR_RANGE, so e^{cB} is the Taylor sum over
-        the table.  A is the balanced T here.  On a side with no spectrum
-        P = 0 and G is 0, with no Taylor sum; where the other side has
-        none, P = I and R = e^{cB}.
-
-        The times are taken KERNEL_BLOCK // n^2 at a time (one from
-        n = 128 on).  Each time keeps its own arithmetic, and each matrix
-        operation of a part is one stacked product per side of 0 (numpy
-        runs one GEMV or GEMM per time): the Taylor sums over the packed
-        table, written to the upper triangle (the strict lower one is 0),
-        the product with P unless P = I, and each squaring, taken over the
-        times still squaring, a prefix once each side is sorted by s.
-        """
-        return self._evaluate(nonzero_times(ts))
+        dense input; the stacks of ``blocks``, joined."""
+        g = np.empty((nonzero_times(ts).size,) + self.a.shape, complex)
+        for ks, part in self.blocks(ts):
+            g[ks] = part
+        return g
 
     def _evaluate(self, ts) -> np.ndarray:
-        """``block`` of a checked grid."""
-        n = self.a.shape[0]
-        g = np.empty((ts.size, n, n), dtype=complex)
-        for part in kernel_parts(ts.size, n):
+        """G on a checked grid, unchecked for overflow (``blocks``)."""
+        g = np.empty((ts.size,) + self.a.shape, dtype=complex)
+        for part in kernel_parts(ts.size, self.a.shape[0]):
             self._fill(ts[part], g[part])
         return g if self.q is None else self.q @ g @ self.q.conj().T
 
@@ -357,7 +341,26 @@ class GreenKernel:
         return np.maximum(0, e + self.k + et - e_r + (m > m_r))
 
     def _fill(self, ts, g):
-        """Write G(t) for one block of nonzero finite times into g."""
+        """Write G(t) for one block of nonzero finite times into g.
+
+        Plain e^{At} P cancels catastrophically once the discarded half of
+        the spectrum makes e^{At} large, so project once, R = e^{At/2^s} P,
+        and square R up s times.  R has the eigenvalues e^{At/2^s} keeps
+        and exactly 0 on the discarded half, so a square cannot amplify a
+        discarded mode and needs no reprojection.  At / 2^s = cB with the
+        exact scalar c = t 2^(k-s), and s (``squarings``) is the least count
+        with |c| alpha <= TAYLOR_RANGE, so e^{cB} is the Taylor sum over
+        the table.  A is the balanced T here.  On a side with no spectrum
+        P = 0 and G is 0, with no Taylor sum; where the other side has
+        none, P = I and R = e^{cB}.
+
+        Each time keeps its own arithmetic, and each matrix operation is
+        one stacked product per side of 0 (numpy runs one GEMV or GEMM per
+        time): the Taylor sums over the packed table, written to the upper
+        triangle (the strict lower one is 0), the product with P unless
+        P = I, and each squaring, taken over the times still squaring, a
+        prefix once each side is sorted by s.
+        """
         n = g.shape[-1]
         s = self.squarings(ts)
         # t > 0 first, each side by descending s
@@ -408,14 +411,17 @@ class GreenKernel:
         angle d lowers the value by about d^2 / 2 of it, never raises it.
         Each G is scaled by a power of two to entries below 2 before the
         products and the norm scaled back, so a finite G whose norm
-        leaves the float range gives +inf, with no warning.  An
-        eigensolve that does not converge raises ConvergenceFailure.
+        leaves the float range gives +inf, with no warning.  A failed
+        eigensolve raises ConvergenceFailure, and a grid ``nonzero_times``
+        rejects or a g not of shape (len(ts), n, n) DomainError.
         """
-        p = norm_kind(p)
+        p, ts, n = norm_kind(p), nonzero_times(ts), self.a.shape[0]
+        if np.shape(g) != (ts.size, n, n):
+            raise DomainError(f"g must have shape {(ts.size, n, n)}, got "
+                              f"{np.shape(g)}")
         if p != 2:
             return induced_norm(g, p)
-        ts, g = np.asarray(ts, dtype=float), np.asarray(g, dtype=complex)
-        n, out = g.shape[-1], np.zeros(ts.size)
+        g, out = np.asarray(g, dtype=complex), np.zeros(ts.size)
         for side, rank, positive in ((ts > 0, self.split.m, True),
                                      (ts < 0, self.split.l, False)):
             if not rank or not side.any():
@@ -483,14 +489,10 @@ class GreenKernel:
                 raise FloatOverflow(
                     f"G(t) overflows at t={float(ts[ks.start + good])!r}")
 
-    def along(self, ts):
-        """Yield G(t) for each t in ts, a view of ``blocks``."""
-        return (g for _, gs in self.blocks(ts) for g in gs)
-
 
 def green_function(a, t: float) -> np.ndarray:
     """G(A, t) for a single time; builds a throwaway kernel."""
-    return next(GreenKernel(a).blocks([t]))[1][0]
+    return GreenKernel(a).at(t)
 
 
 def default_quad(split: SpectralSplit) -> tuple[float, int]:
@@ -520,11 +522,12 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
         x_side = y_0 + M (y_1 + M (y_2 + ...)).
 
     Each occupied side costs GAUSS_NODES + 1 kernel evaluations, taken as
-    one ``GreenKernel.block``.  f is evaluated a block of panels at a time,
-    far panel first, the block holding at most FORCING_BLOCK complex
-    values, and one matrix product gives y_j for every panel of the block;
-    the carry, one matrix-vector product, is the only per-panel step.  G
-    is never asked for at 0.
+    one unchecked ``GreenKernel._evaluate``: x is checked once, at the end,
+    since it can overflow where every G is finite.  f is evaluated a block
+    of panels at a time, far panel first, the block holding at most
+    FORCING_BLOCK complex values, and one matrix product gives y_j for
+    every panel of the block; the carry, one matrix-vector product, is the
+    only per-panel step.  G is never asked for at 0.
 
     A non-triangular A is reduced once, A = Q T Q^H (``_triangular_form``),
     and the sums run on the kernel of T, with f(s) taken in as Q^H f(s)
@@ -547,7 +550,7 @@ def bounded_solution(a, f, t: float) -> np.ndarray:
         for sign, occupied in ((1.0, kernel.split.m), (-1.0, kernel.split.l)):
             if not occupied:
                 continue
-            g = kernel.block(sign * np.append(delta, h))
+            g = kernel._evaluate(sign * np.append(delta, h))
             inner = g[:-1] * weights[:, None, None]
             if q is not None:  # f(s) enters as Q^H f(s)
                 inner = inner @ q.conj().T

@@ -28,22 +28,29 @@ _NORM_ALIASES = {1: 1, "1": 1, 2: 2, "2": 2, np.inf: np.inf, "inf": np.inf}
 
 
 def norm_kind(p) -> float:
-    """Normalize a norm selector to 1, 2 or numpy.inf."""
+    """Normalize a norm selector to 1, 2 or numpy.inf; else DomainError."""
     try:
         return _NORM_ALIASES[p]
     except (KeyError, TypeError):
-        raise ValueError(f"unsupported norm kind: {p!r}") from None
+        raise DomainError(f"unsupported norm kind: {p!r}") from None
+
+
+def as_size(n, what: str) -> int:
+    """A Python or numpy integer n (a size) as an int; else DomainError."""
+    if not isinstance(n, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, got {n!r}")
+    return int(n)
 
 
 def as_matrix(a, stacked: bool = False) -> np.ndarray:
     """Validate and return a square complex matrix with finite entries, or
-    with ``stacked`` a stack of them, shape (..., n, n)."""
+    with ``stacked`` a stack of them, shape (..., n, n); else DomainError."""
     m = np.asarray(a, dtype=complex)
     if (m.ndim < 2 or (m.ndim > 2 and not stacked)
             or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1):
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise DomainError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
+        raise DomainError("matrix has non-finite entries")
     return m
 
 

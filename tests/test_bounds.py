@@ -67,12 +67,37 @@ def test_conv_power_domain():
     # u = |t| must be finite, as t must: at u = +inf and gamma = +inf the
     # recurrence would form 0 * inf = nan
     # and gamma > 0: gamma = 0 divided by zero to inf and a NaN gamma gave
-    # nan; gamma = +inf stays allowed
+    # nan; gamma = +inf stays allowed.  u >= 0 too: at u = -1 it gave
+    # P_2(-1) = 3.5, where P_2(1) = 9.5
     for u, gamma in ((INF, INF), (INF, 1.0), (math.nan, 1.0), (1.0, 0.0),
-                     (1.0, -1.0), (1.0, -INF), (1.0, math.nan)):
+                     (1.0, -1.0), (1.0, -INF), (1.0, math.nan), (-1.0, 1.0),
+                     (-1e-300, INF)):
         with pytest.raises(DomainError):
             conv_power_poly(3, u, gamma)
     assert conv_power_poly(3, 2.0, INF) == 2.0
+    assert conv_power_poly(3, 1.0, 1.0) == 9.5
+
+
+# a size is an integer: 2.5 ended in range's TypeError, and 2.0 too
+@pytest.mark.parametrize("size", [2.5, 2.0, "2", None])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda n: envelope_table(n, 1.0, 2.0, [1.0]),
+                 id="envelope_table"),
+    pytest.param(lambda n: BoundParams(n, 1.0, 1.0, 2.0), id="BoundParams"),
+    pytest.param(lambda n: van_loan_bound(-1.0, 1.0, n, 1.0),
+                 id="van_loan_bound"),
+    pytest.param(lambda k: conv_power_poly(k, 1.0, 1.0),
+                 id="conv_power_poly"),
+    pytest.param(lambda k: conv_power_closed(k, 1.0, 1.0, 2.0),
+                 id="conv_power_closed"),
+    pytest.param(lambda m: QtdsParams(1.0, m, 1, 1.0, 2.0), id="QtdsParams-m"),
+    pytest.param(lambda l: QtdsParams(1.0, 1, l, 1.0, 2.0), id="QtdsParams-l"),
+])
+def test_a_size_must_be_an_integer(call, size):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(size)
+    call(np.int64(2))  # numpy integers stay sizes
+    call(np.intc(2))
 
 
 def test_conv_power_bessel_agrees_with_poly():

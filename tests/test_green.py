@@ -249,7 +249,6 @@ def test_green_rejects_a_non_finite_time(t):
 @pytest.mark.parametrize("read", [
     pytest.param(lambda k, ts: k.block(ts), id="block"),
     pytest.param(lambda k, ts: next(k.blocks(ts)), id="blocks"),
-    pytest.param(lambda k, ts: next(k.along(ts)), id="along"),
 ])
 def test_kernel_reads_a_1d_grid(read, ts):
     with pytest.raises(DomainError, match="1-D grid"):
@@ -286,7 +285,8 @@ def test_kernel_reads_its_table_without_expm(monkeypatch, a):
     monkeypatch.setattr(greenbound.green, "matrix_exp", _no_expm)
     monkeypatch.setattr(scipy.linalg, "expm", _no_expm)
     times = list(log_time_grid(10)) + [-1e308, 1e308]
-    assert all(np.isfinite(g).all() for g in GreenKernel(a).along(times))
+    assert all(np.isfinite(g).all()
+               for _, gs in GreenKernel(a).blocks(times) for g in gs)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["t>0", "t<0"])
@@ -487,10 +487,11 @@ def test_kernel_matches_parlett(a, rtol):
 
 
 def test_along_restores_error_settings_while_suspended():
-    # the caller's loop body runs between two yields under its own settings
+    # the caller's loop body runs between two yields of blocks under its
+    # own settings; at n = 20 a stack holds 40 times, so 41 make two
     before = np.geterr()
-    kernel = GreenKernel(np.array([[-1.0, 1.0], [0.0, 2.0]]))
-    steps = kernel.along([1.0, 2.0])
+    kernel = GreenKernel(random_triangular(np.random.default_rng(20), 20))
+    steps = kernel.blocks(np.linspace(0.1, 4.1, 41))
     next(steps)
     assert np.geterr() == before
     next(steps)
@@ -549,7 +550,8 @@ def test_block_along_and_at_agree_bitwise(a):
     assert log_norm.min() <= 0 and log_norm.max() >= 8
     expected = np.array([one_time(float(t)) for t in ts]).tobytes()
     assert kernel.block(ts).tobytes() == expected
-    assert np.array(list(kernel.along(ts))).tobytes() == expected
+    assert np.array([g for _, gs in kernel.blocks(ts)
+                     for g in gs]).tobytes() == expected
     # blocks yields each part with its slice of ts
     parts = list(kernel.blocks(ts))
     assert [ks for ks, _ in parts] == kernel_parts(ts.size, n)
@@ -638,8 +640,8 @@ def test_along_yields_the_finite_times_then_raises():
     ts = [0.5, 5.0, 50.0, 500.0, 5e3]
     got = []
     with pytest.raises(FloatOverflow, match=r"^G\(t\) overflows at t=500\.0$"):
-        for g in kernel.along(ts):
-            got.append(g)
+        for _, gs in kernel.blocks(ts):
+            got.extend(gs)
     assert len(got) == 3 and all(np.isfinite(g).all() for g in got)
     assert np.abs(got[-1]).max() > 1e306
     # blocks yields the same three, their slice of ts cut short
@@ -908,13 +910,37 @@ def test_bounded_solution_rejects_misshapen_forcing(n, value):
                  "G(t) overflows at t=0.1", id="green_function"),
     pytest.param(lambda a: bounded_solution(a, lambda s: np.ones(5), 0.1),
                  "bounded solution overflows at t=0.1", id="bounded_solution"),
+    pytest.param(lambda a: GreenKernel(a).at(0.1),
+                 "G(t) overflows at t=0.1", id="at"),
+    pytest.param(lambda a: GreenKernel(a).block([0.1, 0.2]),
+                 "G(t) overflows at t=0.1", id="block"),
 ])
 def test_library_overflow_is_a_typed_error(evaluate, message):
     # the CLI's FloatOverflow input: the library returned inf/NaN with
-    # numpy overflow warnings where the CLI printed one error line;
+    # numpy overflow warnings where the CLI printed one error line, and
+    # GreenKernel.at and block did so after green_function raised;
     # 160-digit Parlett puts max|G(0.1)| at 2.2e317
     with pytest.raises(FloatOverflow, match=f"^{re.escape(message)}$"):
         evaluate(scaled_nilpotent(1, 5, 1e80))
+
+
+@pytest.mark.parametrize("ts, g, error, message", [
+    pytest.param([[1.0]], None, DomainError, "1-D grid", id="2-d-grid"),
+    pytest.param([1.0, 2.0], None, DomainError, r"must have shape \(2, 2, 2\)",
+                 id="length"),
+    pytest.param([1.0], np.ones((1, 3, 3)), DomainError, "must have shape",
+                 id="size"),
+    pytest.param([math.nan], None, DomainError, "finite", id="nan"),
+    pytest.param([0.0], None, UndefinedAtZero, "undefined", id="zero"),
+])
+@pytest.mark.parametrize("p", [1, 2])
+def test_kernel_norms_reads_a_checked_grid(ts, g, error, message, p):
+    # a 2-D grid or a length mismatch ended in IndexError, and a NaN time
+    # read norm 0 where G(1) has norm 0.388
+    kernel = GreenKernel([[-1.0, 1.0], [0.0, 2.0]])
+    g = kernel.block([1.0]) if g is None else g
+    with pytest.raises(error, match=message):
+        kernel.norms(ts, g, p)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -961,7 +987,7 @@ def test_kernel_where_the_unbalanced_kernel_overflowed():
     kernel = GreenKernel(a)
     for t in (0.1, 1.0, -0.1):
         exact = green_parlett(a, t, dps=120)
-        err = np.abs(next(kernel.along([t])) - exact).max()
+        err = np.abs(next(kernel.blocks([t]))[1][0] - exact).max()
         assert err <= 1e-12 * np.abs(exact).max(), t
 
 

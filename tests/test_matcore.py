@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import greenbound
 from greenbound import (
     ConvergenceFailure,
+    DomainError,
     NotTriangular,
     as_matrix,
     entrywise_abs,
@@ -72,13 +74,51 @@ def test_entrywise_abs_preserves_structure():
     pytest.param([[math.inf]], "non-finite", id="inf"),
 ])
 def test_as_matrix_rejects(a, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(DomainError, match=message):
         as_matrix(a)
 
 
 def test_norm_kind_rejects_an_unknown_norm():
-    with pytest.raises(ValueError, match="unsupported norm kind: '3'"):
+    with pytest.raises(DomainError, match="unsupported norm kind: '3'"):
         norm_kind("3")
+
+
+# each public entry point that takes a matrix raised a plain ValueError on
+# these
+MALFORMED = {"rectangular": np.ones((2, 3)), "1-d": np.ones(2),
+             "nan": [[1.0, math.nan], [0.0, 1.0]], "empty": np.zeros((0, 0)),
+             "stacked": -np.ones((2, 2, 2))}
+MATRIX_ENTRY_POINTS = {
+    "GreenKernel": greenbound.GreenKernel,
+    "green_function": lambda a: greenbound.green_function(a, 1.0),
+    "bounded_solution": lambda a: greenbound.bounded_solution(
+        a, lambda s: np.ones(2), 1.0),
+    "matrix_exp": greenbound.matrix_exp,
+    "matrix_sign": greenbound.matrix_sign,
+    "spectral_gaps": greenbound.spectral_gaps,
+    "spectral_projectors": greenbound.spectral_projectors,
+    "as_matrix": as_matrix,
+    "entrywise_abs": entrywise_abs,
+    "induced_norm": lambda a: induced_norm(a, 2),
+    "split_triangular": split_triangular,
+    "schur_decompose": greenbound.schur_decompose,
+    "hessenberg": greenbound.hessenberg,
+    "green_contour": lambda a: greenbound.green_contour(a, 1.0),
+    "green_parlett": lambda a: greenbound.green_parlett(a, 1.0),
+    "perturbation_residual": lambda a: greenbound.perturbation_residual(
+        a, a, 1.0),
+    "entrywise_bound": lambda a: greenbound.entrywise_bound(
+        None, a, 1.0, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_ENTRY_POINTS)
+def test_a_malformed_matrix_is_a_domain_error(name):
+    for label, a in MALFORMED.items():
+        if (name, label) == ("induced_norm", "stacked"):
+            continue  # the norms of a stack of matrices
+        with pytest.raises(DomainError):
+            MATRIX_ENTRY_POINTS[name](a)
 
 
 def test_induced_norm_identity():

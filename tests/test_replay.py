@@ -21,18 +21,27 @@ def test_replay_runs_each_call_and_reports_what_differs(tmp_path):
     numeric, boolean = replay.write_inputs(tmp_path)
     calls = replay.make_calls(numeric, boolean)
     # per input: gaps, then five commands at three norms with and without
-    # --output; per numeric input one solve and three green_function calls
+    # --output; per numeric input one solve, three green_function calls,
+    # and four one-point bounds at each of their times
     assert len(calls) == (31 * (len(numeric) + len(boolean))
-                          + (1 + replay.GREEN_TIMES) * len(numeric))
+                          + (1 + 5 * replay.GREEN_TIMES) * len(numeric))
     green = [call["label"] for call in calls
              if call["label"].startswith("green_function two-sided-3 ")]
     assert len(green) == replay.GREEN_TIMES == 3
+    t = green[0].split()[-1]
+    bounds = [f"{name} two-sided-3 {t}" for name in (
+        "triangular_bound", "entrywise_bound", "conv_power_closed",
+        "qtds18_bound")]
     labels = ["gaps boolean-re",
               "check two-sided-3 --norm inf --output out.csv",
               "bounded_solution two-sided-3", green[0]]
     by_label = {call["label"]: call for call in calls}
     assert len(by_label) == len(calls)
-    picked = [by_label[label] for label in labels]
+    # van_loan_bound runs on one-sided inputs, qtds18_bound on two-sided
+    sided = {label.rsplit(" ", 1)[0] for label in by_label}
+    assert {"van_loan_bound left-6", "qtds18_bound two-sided-3"} <= sided
+    assert not {"qtds18_bound left-6", "van_loan_bound two-sided-3"} & sided
+    picked = [by_label[label] for label in labels + bounds]
     path = tmp_path / "calls.json"
     path.write_text(json.dumps(picked))
     results = replay.run_tree(SRC, path, tmp_path / "run")
@@ -42,6 +51,9 @@ def test_replay_runs_each_call_and_reports_what_differs(tmp_path):
                           "output": "ok\n"}
     assert len(bytes.fromhex(results[2]["x"])) == 3 * 16  # x in C^3
     assert len(bytes.fromhex(results[3]["g"])) == 9 * 16  # G in C^(3x3)
+    # three scalar bounds and E in R^(3x3)
+    assert [len(bytes.fromhex(r["value"])) for r in results[4:]] == [
+        8, 9 * 8, 8, 8]
     assert replay.differences(picked, results, results) == []
     changed = copy.deepcopy(results)
     changed[1]["output"] = "violation\n"

@@ -1,5 +1,5 @@
-"""Replay the CLI, ``bounded_solution`` and ``green_function`` in two
-source trees and print every difference.
+"""Replay the CLI, ``bounded_solution``, ``green_function`` and the
+one-point bounds in two source trees and print every difference.
 
     python tools/replay.py OLD_SRC NEW_SRC
 
@@ -21,11 +21,16 @@ own interpreter, with one BLAS thread, on the same input files:
   0.5`` at norms 1, 2 and inf, each with and without ``--output``;
 * ``bounded_solution(a, f, t)`` on every numeric input, f(s) = e^{i w s} c
   with seeded w, c and t;
-* ``green_function(a, t)`` on every numeric input at three seeded times.
+* ``green_function(a, t)`` on every numeric input at three seeded times;
+* at the same times, the one-point bounds of T, a itself when upper
+  triangular and its complex Schur form otherwise: ``triangular_bound``,
+  ``entrywise_bound`` and ``conv_power_closed`` (k = n) on every numeric
+  input, ``van_loan_bound`` at |t| on one-sided inputs and
+  ``qtds18_bound`` on two-sided ones.
 
 A CLI call is compared by its exit code, stdout, stderr and ``--output``
-file, a solve by the bytes of x or its exception, and a kernel call by the
-bytes of G or its exception.  Each difference is
+file, a solve by the bytes of x or its exception, and a kernel or bound
+call by the bytes of its value or its exception.  Each difference is
 printed with the first line that differs, except that two CSV tables that
 differ only by finite numbers are sized: each such CSV column gets one line
 with its largest relative difference and the call that shows it.  The last
@@ -155,9 +160,39 @@ def make_calls(numeric: dict, boolean: dict) -> list:
                       "t": float(rng.uniform(-5.0, 5.0))})
     rng = np.random.default_rng(1977)
     for label, path in numeric.items():
-        for t in rng.uniform(-5.0, 5.0, GREEN_TIMES).tolist():
+        times = rng.uniform(-5.0, 5.0, GREEN_TIMES).tolist()
+        for t in times:
             calls.append({"label": f"green_function {label} t={t!r}",
                           "green": path, "t": t})
+        calls.extend(_bound_calls(label, _matrix(path), times))
+    return calls
+
+
+def _bound_calls(label, a, times) -> list:
+    """The one-point bound calls on a's triangular form T at each time;
+    ``entrywise_bound`` takes T as the hex of its bytes."""
+    import scipy.linalg
+
+    tri = (a if not np.tril(a, -1).any()
+           else scipy.linalg.schur(a, output="complex")[0])
+    n, re = len(tri), np.diag(tri).real
+    m, l = int((re < 0).sum()), int((re > 0).sum())
+    gm = float(-re[re < 0].max()) if m else math.inf
+    gp = float(re[re > 0].min()) if l else math.inf
+    norm_n = float(np.linalg.norm(np.triu(tri, 1), 2))
+    norm_a = float(np.linalg.norm(tri, 2))
+    calls = []
+    for t in times:
+        bounds = [("triangular_bound", [n, norm_n, gm, gp, t]),
+                  ("entrywise_bound", [tri.tobytes().hex(), gm, gp, t]),
+                  ("conv_power_closed", [n, t, gm, gp])]
+        if m and l:
+            bounds.append(("qtds18_bound", [norm_a, m, l, gm, gp, t]))
+        else:
+            bounds.append(("van_loan_bound",
+                           [float(re.max()), norm_n, n, abs(t)]))
+        calls.extend({"label": f"{name} {label} t={t!r}", "bound": name,
+                      "args": args} for name, args in bounds)
     return calls
 
 
@@ -200,9 +235,31 @@ def _run_green(green_function, call) -> dict:
         return {"g": f"raised {type(exc).__name__}: {exc}"}
 
 
+def _run_bound(bounds, call) -> dict:
+    name, args = call["bound"], call["args"]
+    try:
+        if name == "triangular_bound":
+            value = bounds.triangular_bound(bounds.BoundParams(*args[:4]),
+                                            args[4])
+        elif name == "qtds18_bound":
+            value = bounds.qtds18_bound(bounds.QtdsParams(*args[:5]),
+                                        args[5])
+        elif name == "entrywise_bound":
+            tri = np.frombuffer(bytes.fromhex(args[0]), dtype=complex)
+            tri = tri.reshape(math.isqrt(tri.size), -1)
+            value = bounds.entrywise_bound(np.diag(np.diag(tri)),
+                                           np.triu(tri, 1), *args[1:])
+        else:
+            value = getattr(bounds, name)(*args)
+        return {"value": np.asarray(value, dtype=float).tobytes().hex()}
+    except Exception as exc:
+        return {"value": f"raised {type(exc).__name__}: {exc}"}
+
+
 def worker(calls_path: str, results_path: str) -> None:
     """Run the calls with the greenbound on sys.path; write the results."""
     import greenbound
+    import greenbound.bounds as bounds
     from greenbound import bounded_solution, green_function
     from greenbound.cli import main
 
@@ -215,6 +272,8 @@ def worker(calls_path: str, results_path: str) -> None:
                 result = _run_cli(main, call["argv"])
             elif "solve" in call:
                 result = _run_solve(bounded_solution, call)
+            elif "bound" in call:
+                result = _run_bound(bounds, call)
             else:
                 result = _run_green(green_function, call)
         results.append({key: value.replace(src, "<src>")
